@@ -1,15 +1,18 @@
 """Command-line surface: generation, analysis, catalog enumeration,
 occurrence queries, and the verification suite.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or guard error.
-JSON mode (--json) emits exactly one JSON document on stdout; text mode
-is human-oriented and carries no stability promise.
+Exit codes: 0 success, 1 verification mismatch, 2 usage, guard or I/O
+error; 141 (the shell's status for a SIGPIPE death) when the reader
+closes stdout early, as in ``fibquasi gen 25 | head -c 10``. JSON mode
+(--json) emits exactly one JSON document on stdout; text mode is
+human-oriented and carries no stability promise.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import closed_form, engine, words
@@ -259,8 +262,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
-    except ValueError as exc:
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's exit-time flush
+        # of the unwritten rest does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .engine import SIZE_REFUSAL_LIMIT
 from .errors import SizeLimitError
-from .fib import border_indices, fib_len, fib_word, materialization_limit
+from .fib import _check_index, border_indices, fib_len, fib_word
 from .words import canonical
 
 CATEGORY_BORDERS = "borders"
@@ -138,15 +138,6 @@ def _build(n: int, category: str, families: list[list[FactorForm]],
                       tuple(canonical(words)))
 
 
-def _check_n(n: int, n_max: int | None) -> None:
-    if n < 0:
-        raise ValueError(f"Fibonacci index must be nonnegative, got {n}")
-    limit = materialization_limit() if n_max is None else n_max
-    if n > limit:
-        raise SizeLimitError(
-            f"index {n} exceeds the materialization guard N_max={limit}")
-
-
 def _check_heavy(n: int, force: bool) -> None:
     # The seed-flavored catalogs hold O(|F_n|) to O(|F_n|^2) members;
     # same refusal threshold as the engine oracles.
@@ -160,7 +151,7 @@ def _check_heavy(n: int, force: bool) -> None:
 def enum_borders(n: int, n_max: int | None = None) -> EnumResult:
     """Borders of F_n: F_{n-2}, F_{n-4}, ... down to F_1 or F_2; none
     for n <= 2."""
-    _check_n(n, n_max)
+    _check_index(n, n_max)
     families = [[FactorForm(KIND_PLAIN_FIB, j) for j in border_indices(n)]]
     return _build(n, CATEGORY_BORDERS, families, n_max)
 
@@ -168,7 +159,7 @@ def enum_borders(n: int, n_max: int | None = None) -> EnumResult:
 def enum_covers(n: int, n_max: int | None = None) -> EnumResult:
     """Covers of F_n: F_n alone up to n = 4; from there every second
     index down to F_3 (odd n) or F_4 (even n)."""
-    _check_n(n, n_max)
+    _check_index(n, n_max)
     family = [FactorForm(KIND_PLAIN_FIB, n)]
     if n >= 5:
         lowest = 3 if n % 2 else 4
@@ -185,7 +176,7 @@ def enum_left_seeds(n: int, n_max: int | None = None,
     with, for each base 3 <= m <= n-2, F_m extended by a prefix of
     F_{m-1} stopping two letters short.
     """
-    _check_n(n, n_max)
+    _check_index(n, n_max)
     if n <= 2:
         families = [[FactorForm(KIND_PLAIN_FIB, n)]]
     elif n == 3:
@@ -204,7 +195,7 @@ def enum_right_seeds(n: int, n_max: int | None = None,
                      force: bool = False) -> EnumResult:
     """Right seeds of F_n: the covers of F_n plus every suffix of
     F_{n-2} prepended to F_{n-3} F_{n-2}."""
-    _check_n(n, n_max)
+    _check_index(n, n_max)
     if n <= 2:
         families = [[FactorForm(KIND_PLAIN_FIB, n)]]
     else:
@@ -258,7 +249,7 @@ def enum_seeds(n: int, n_max: int | None = None,
                force: bool = False) -> EnumResult:
     """Seeds of F_n: all left and right seeds, the literal "baa" at
     n = 4, and for n >= 5 the three parametric families."""
-    _check_n(n, n_max)
+    _check_index(n, n_max)
     prevalidated = (list(enum_left_seeds(n, n_max, force).forms)
                     + list(enum_right_seeds(n, n_max, force).forms))
     families = []
@@ -280,7 +271,7 @@ def enum_circular_covers(n: int, n_max: int | None = None,
     3 <= m <= n-1, and the x F_m y / x F_{m-1} F_m y families with the
     seed bounds but bases capped at n-2 and n-3 respectively.
     """
-    _check_n(n, n_max)
+    _check_index(n, n_max)
     if n <= 3:
         families = [[FactorForm(KIND_PLAIN_FIB, n)]]
     elif n == 4:

@@ -1,11 +1,17 @@
 """Oracle-grade decision procedures for covers, seeds, and circular covers.
 
-Everything here works on arbitrary binary words and favors being
-obviously correct over being fast: occurrence scanning plus explicit
-chain conditions. The exhaustive extension search in is_seed is the
-definitive seed oracle; is_seed_fast is the occurrence-gap criterion
-that must agree with it (a tested property, and re-checked at runtime
-on small inputs by seeds_of).
+Everything here works on arbitrary binary words. The per-word
+predicates favor being obviously correct over being fast: occurrence
+scanning plus explicit chain conditions. The exhaustive extension
+search in is_seed is the definitive seed oracle; is_seed_fast is the
+occurrence-gap criterion that must agree with it (a tested property).
+
+The set oracles seeds_of and circular_covers_of decide all candidates
+of a subject in one sweep per factor length: occurrence gaps per
+distinct factor, plus border-table queries for the seed head and tail
+(Iliopoulos, Moore & Park, "Covering a string"). is_seed_fast and
+is_circular_cover are their test references, and seeds_of re-checks
+every candidate against is_seed on small inputs at runtime.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from .words import (canonical, covered_prefix_extent, covered_suffix_extent,
                     is_cover, occurrences, period_of, require_word)
 
 # seeds_of / circular_covers_of refuse longer words unless forced: their
-# candidate sets grow quadratically and the oracle loops are deliberately
-# naive.
+# candidate sets grow quadratically and each sweep slices every
+# candidate occurrence.
 SIZE_REFUSAL_LIMIT = 2000
 
 # Below this length seeds_of runs every candidate through both the fast
@@ -174,12 +180,39 @@ def is_seed_fast(u: str, y: str) -> bool:
     return True
 
 
+def _border_table(w: str) -> list[int]:
+    """KMP failure table: entry L is the length of the longest proper
+    border of w[:L] (0 for L <= 1)."""
+    table = [0] * (len(w) + 1)
+    k = 0
+    for i in range(1, len(w)):
+        while k and w[i] != w[k]:
+            k = table[k]
+        if w[i] == w[k]:
+            k += 1
+        table[i + 1] = k
+    return table
+
+
+def _has_border(table: list[int], length: int, lo: int, hi: int) -> bool:
+    """True iff w[:length] has a border of length in [lo, hi], where
+    table is _border_table(w) and lo >= 1."""
+    b = table[length]
+    while b > hi:
+        b = table[b]
+    return b >= lo
+
+
 def seeds_of(y: str, force: bool = False) -> list[str]:
     """All distinct factors of y that are seeds of y.
 
-    Uses the fast criterion; on words up to DUAL_CHECK_LIMIT letters
-    every candidate is additionally run through the exhaustive oracle
-    and any disagreement is a hard error.
+    One sweep per factor length m records, for every distinct factor,
+    its first and last start and whether two consecutive starts lie
+    more than m apart; the head and tail conditions of is_seed_fast
+    become border queries on the KMP tables of y and of its reverse.
+    On words up to DUAL_CHECK_LIMIT letters every candidate is
+    additionally run through the exhaustive oracle and any disagreement
+    is a hard error.
     """
     require_word(y)
     if not y:
@@ -188,15 +221,38 @@ def seeds_of(y: str, force: bool = False) -> list[str]:
         raise SizeLimitError(
             f"refusing seed enumeration for |y|={len(y)} > "
             f"{SIZE_REFUSAL_LIMIT}; pass force=True to override")
+    n = len(y)
+    prefix_borders = _border_table(y)
+    suffix_borders = _border_table(y[::-1])
+    dual = n <= DUAL_CHECK_LIMIT
     out = []
-    dual = len(y) <= DUAL_CHECK_LIMIT
-    for u in distinct_factors(y):
-        fast = is_seed_fast(u, y)
-        if dual and fast != is_seed(u, y)[0]:
-            raise RuntimeError(
-                f"seed criteria disagree on {u!r} in {y!r}")
-        if fast:
-            out.append(u)
+    for m in range(1, n + 1):
+        runs: dict[str, list] = {}  # factor -> [first, last, gap over m]
+        for i in range(n - m + 1):
+            u = y[i:i + m]
+            run = runs.get(u)
+            if run is None:
+                runs[u] = [i, i, False]
+            else:
+                if i - run[1] > m:
+                    run[2] = True
+                run[1] = i
+        for u in sorted(runs):
+            first, last, gapped = runs[u]
+            # Head: an occurrence hanging off the left edge must reach
+            # back to the first start, i.e. y[:first+m] has a border of
+            # length in [first, m-1]; the tail mirrors this on y[last:].
+            tail = n - last - m
+            seed = (not gapped
+                    and (first == 0 or _has_border(
+                        prefix_borders, first + m, first, m - 1))
+                    and (tail == 0 or _has_border(
+                        suffix_borders, n - last, tail, m - 1)))
+            if dual and seed != is_seed(u, y)[0]:
+                raise RuntimeError(
+                    f"seed criteria disagree on {u!r} in {y!r}")
+            if seed:
+                out.append(u)
     return out
 
 
@@ -228,7 +284,9 @@ def circular_covers_of(y: str, unrestricted: bool = False,
 
     Candidates are the factors of the linear y by default; with
     ``unrestricted`` they are all factors of y*y no longer than y,
-    which admits covers that only exist as rotations.
+    which admits covers that only exist as rotations. One sweep of y*y
+    per length m, over the starts within the first period, applies the
+    gap rule of is_circular_cover to every candidate at once.
     """
     require_word(y)
     if not y:
@@ -237,8 +295,25 @@ def circular_covers_of(y: str, unrestricted: bool = False,
         raise SizeLimitError(
             f"refusing circular-cover enumeration for |y|={len(y)} > "
             f"{SIZE_REFUSAL_LIMIT}; pass force=True to override")
-    if unrestricted:
-        candidates = [u for u in distinct_factors(y + y) if len(u) <= len(y)]
-    else:
-        candidates = distinct_factors(y)
-    return canonical(u for u in candidates if is_circular_cover(u, y))
+    n = len(y)
+    yy = y + y
+    out = []
+    for m in range(1, n + 1):
+        runs: dict[str, list] = {}  # factor -> [first, last, gap over m]
+        for i in range(n):
+            u = yy[i:i + m]
+            run = runs.get(u)
+            if run is None:
+                runs[u] = [i, i, False]
+            else:
+                if i - run[1] > m:
+                    run[2] = True
+                run[1] = i
+        for u in sorted(runs):
+            first, last, gapped = runs[u]
+            # A first start past n-m means u only occurs across the seam,
+            # so it is not a factor of the linear y.
+            if (not gapped and first + n - last <= m
+                    and (unrestricted or first <= n - m)):
+                out.append(u)
+    return out

@@ -90,7 +90,8 @@ def decompose(k: int, n_max: int | None = None) -> Decomposition:
     _check_index(k, n_max)
     p_part = "".join(fib_word(j, n_max) for j in range(k - 2, 0, -1))
     delta = "ab" if k % 2 == 0 else "ba"
-    assert p_part + delta == fib_word(k, n_max)
+    if p_part + delta != fib_word(k, n_max):
+        raise RuntimeError(f"decomposition of F_{k} does not reproduce it")
     return Decomposition(p_part, delta)
 
 
@@ -166,7 +167,10 @@ def expansion(n: int, m: int, order: str = "leftmost",
         kind = KIND_BIG if k == m else KIND_SMALL
         items.append(ExpansionItem(kind, pos))
         pos += fib_len(k)
-    assert pos == fib_len(n) + 1
+    if pos != fib_len(n) + 1:
+        raise RuntimeError(
+            f"expansion of F_{n} over base {m} covers {pos - 1} letters, "
+            f"not {fib_len(n)}")
     return Expansion(n, m, tuple(items))
 
 
@@ -201,7 +205,10 @@ def fib_occurrences(n: int, m: int, n_max: int | None = None) -> tuple[int, ...]
     exp = expansion(n, m, n_max=n_max)
     starts = list(exp.starts())
     if (m - 1) in border_indices(n):
-        assert exp.items[-1].kind == KIND_SMALL
+        if exp.items[-1].kind != KIND_SMALL:
+            raise RuntimeError(
+                f"expansion of F_{n} over base {m} ends in F_{m}, but "
+                f"F_{m - 1} is a border")
         starts.pop()
     return tuple(starts)
 

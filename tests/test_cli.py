@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fibquasi
 from fibquasi.cli import main
 from fibquasi.fib import fib_word
 
@@ -81,6 +86,13 @@ def test_analyze_file_input(capsys, tmp_path):
                        "--json")
     assert code == 0 and json.loads(out)["covers"] == ["abaab"]
     assert run(capsys, "analyze", "ab", "--file", str(path), "--covers")[0] == 2
+
+
+def test_analyze_missing_file_is_usage_error(capsys):
+    code, out, err = run(capsys, "analyze", "--file", "/nonexistent",
+                         "--seeds")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "/nonexistent" in err
 
 
 def test_analyze_size_refusal_and_force(capsys):
@@ -183,6 +195,33 @@ def test_verify_report_file(capsys, tmp_path):
     docs = [json.loads(line) for line in lines]
     assert docs[-1]["failed"] == 0
     assert any("category" in d for d in docs)
+
+
+def test_verify_unwritable_report_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "no" / "such" / "dir" / "r.jsonl"
+    code, _, err = run(capsys, "verify", "--max-n", "2", "--report",
+                       str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "r.jsonl" in err
+
+
+def test_gen_closed_pipe_exits_quietly():
+    # F_25 (121393 letters) overflows the pipe buffer, so the write is
+    # still pending when the reader goes away.
+    env = dict(os.environ)
+    src = str(Path(fibquasi.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "fibquasi.cli", "gen", "25"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    assert proc.stdout.read(10) == fib_word(25)[:10].encode()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert "Traceback" not in err and "Error" not in err
+    assert code not in (0, 1)
 
 
 def test_verify_json_round_trip(capsys):

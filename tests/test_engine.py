@@ -199,6 +199,28 @@ def test_circular_unrestricted_candidates():
     assert circular_covers_of("ab", unrestricted=True) == ["ab", "ba"]
 
 
+def test_circular_sweep_matches_predicate_exhaustive():
+    for y in all_words(11):
+        assert circular_covers_of(y) == [
+            u for u in distinct_factors(y) if is_circular_cover(u, y)], y
+        assert circular_covers_of(y, unrestricted=True) == [
+            u for u in distinct_factors(y + y)
+            if len(u) <= len(y) and is_circular_cover(u, y)], y
+
+
+def test_sweeps_match_predicates_above_dual_check():
+    # Longer than DUAL_CHECK_LIMIT, so seeds_of runs no runtime
+    # cross-check on these and only this test compares the sweeps with
+    # the per-word predicates.
+    subjects = [fib_word(n) for n in (10, 11, 12)]
+    subjects += [("aab" * 40)[1:100], "ab" * 70]
+    for y in subjects:
+        factors = distinct_factors(y)
+        assert seeds_of(y) == [u for u in factors if is_seed_fast(u, y)], y
+        assert circular_covers_of(y) == [
+            u for u in factors if is_circular_cover(u, y)], y
+
+
 def test_circular_refusal():
     with pytest.raises(SizeLimitError):
         circular_covers_of("ab" * 1001)

@@ -1,5 +1,6 @@
 import pytest
 
+from fibquasi import fib
 from fibquasi.errors import SizeLimitError
 from fibquasi.fib import (KIND_BIG, KIND_SMALL, border_indices, decompose,
                           expansion, fib_len, fib_occurrences, fib_word,
@@ -131,6 +132,14 @@ def test_expansion_order_independent():
     for n in range(2, 15):
         for m in range(1, n):
             assert expansion(n, m) == expansion(n, m, order="rightmost")
+
+
+def test_expansion_invariant_is_checked_without_assert(monkeypatch):
+    # A wrong length table makes the tiling overshoot F_n; the check is
+    # an explicit raise, so it also holds under python -O.
+    monkeypatch.setattr(fib, "fib_len", lambda k: 2)
+    with pytest.raises(RuntimeError, match="expansion of F_5"):
+        expansion(5, 3)
 
 
 def test_expansion_serialization():
