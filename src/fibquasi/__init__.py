@@ -17,7 +17,7 @@ from .engine import (SeedWitness, circular_covers_of, covers_of,
 from .errors import SizeLimitError
 from .fib import (Decomposition, Expansion, ExpansionItem, border_indices,
                   decompose, expansion, fib_len, fib_occurrences, fib_word,
-                  materialization_limit, scan_occurrences)
+                  fib_words, materialization_limit, scan_occurrences)
 from .verify import (DEFAULT_CAPS, BatteryResult, QuasiReport, SuiteConfig,
                      SuiteResult, check_category, run_suite)
 from .words import (borders, canonical, covered_prefix_extent,
@@ -35,9 +35,9 @@ __all__ = [
     "covers_of", "decompose", "distinct_factors", "enum_borders",
     "enum_circular_covers", "enum_covers", "enum_left_seeds",
     "enum_right_seeds", "enum_seeds", "expansion", "fib_len",
-    "fib_occurrences", "fib_word", "is_circular_cover", "is_cover",
-    "is_factor", "is_left_seed", "is_right_seed", "is_seed", "is_seed_fast",
-    "left_seeds_by_extension", "left_seeds_of", "materialization_limit",
-    "occurrences", "period_of", "right_seeds_of", "run_suite",
-    "scan_occurrences", "seeds_of", "superpose",
+    "fib_occurrences", "fib_word", "fib_words", "is_circular_cover",
+    "is_cover", "is_factor", "is_left_seed", "is_right_seed", "is_seed",
+    "is_seed_fast", "left_seeds_by_extension", "left_seeds_of",
+    "materialization_limit", "occurrences", "period_of", "right_seeds_of",
+    "run_suite", "scan_occurrences", "seeds_of", "superpose",
 ]

@@ -2,8 +2,11 @@
 occurrence queries, and the verification suite.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage, guard or I/O
-error; 141 (the shell's status for a SIGPIPE death) when the reader
-closes stdout early, as in ``fibquasi gen 25 | head -c 10``. JSON mode
+error; 3 an internal invariant failure (a RuntimeError such as an
+unsound verify report or a duplicate catalog family), reported as
+``internal error: ...`` on stderr; 141 (the shell's status for a
+SIGPIPE death) when the reader closes stdout early, as in
+``fibquasi gen 25 | head -c 10``. JSON mode
 (--json) emits exactly one JSON document on stdout; text mode is
 human-oriented and carries no stability promise.
 """
@@ -11,6 +14,7 @@ human-oriented and carries no stability promise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -172,10 +176,13 @@ def _cmd_verify(args) -> int:
                   else closed_form.CATEGORIES)
     config = SuiteConfig(n_lo=args.min_n, n_hi=args.max_n,
                          categories=categories, caps=dict(DEFAULT_CAPS))
-    result = run_suite(config)
-    if args.report:
-        with open(args.report, "w", encoding="ascii") as handle:
-            handle.write("\n".join(result.to_json_lines()) + "\n")
+    # Open the report first, so an unwritable path fails before the
+    # suite runs rather than after.
+    with (open(args.report, "w", encoding="ascii") if args.report
+          else contextlib.nullcontext()) as report:
+        result = run_suite(config)
+        if report is not None:
+            report.write("\n".join(result.to_json_lines()) + "\n")
     if args.json:
         _emit(result.to_json())
     else:
@@ -273,6 +280,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .engine import SIZE_REFUSAL_LIMIT
 from .errors import SizeLimitError
-from .fib import _check_index, border_indices, fib_len, fib_word
+from .fib import _check_index, border_indices, fib_len, fib_words
 from .words import canonical
 
 CATEGORY_BORDERS = "borders"
@@ -38,8 +38,23 @@ KIND_SUFFIX_FIB_FIB_PREFIX = "SuffixFibFibPrefix"
 KIND_LITERAL = "Literal"
 
 
+# How far below its base each structural kind reads the Fibonacci
+# table; a negative index would silently wrap around the table.
+_READS_BELOW_BASE = {
+    KIND_PLAIN_FIB: 0,
+    KIND_FIB_PLUS_PREFIX: 1,
+    KIND_SUFFIX_PLUS_FIB: 1,
+    KIND_SUFFIX_FIB_PREFIX: 3,
+    KIND_SUFFIX_FIB_FIB_PREFIX: 1,
+}
+
+
 def _suffix(w: str, length: int) -> str:
     return w[len(w) - length:] if length else ""
+
+
+def _prefix_source(table: list[str], m: int) -> str:
+    return table[m - 3] + table[m - 2]
 
 
 def prefix_source(m: int, n_max: int | None = None) -> str:
@@ -51,7 +66,8 @@ def prefix_source(m: int, n_max: int | None = None) -> str:
     prefixes from either word; only the long-extension family at the top
     base actually needs the swapped tail.
     """
-    return fib_word(m - 3, n_max) + fib_word(m - 2, n_max)
+    _check_index(m - 3, n_max)
+    return _prefix_source(fib_words(m - 2, n_max), m)
 
 
 @dataclass(frozen=True)
@@ -65,26 +81,32 @@ class FactorForm:
     literal: str = ""
 
     def materialize(self, n_max: int | None = None) -> str:
-        m = self.base
-        if self.kind == KIND_PLAIN_FIB:
-            return fib_word(m, n_max)
-        if self.kind == KIND_FIB_PLUS_PREFIX:
-            return fib_word(m, n_max) + fib_word(m - 1, n_max)[:self.right_len]
-        if self.kind == KIND_SUFFIX_PLUS_FIB:
-            return (_suffix(fib_word(m, n_max), self.left_len)
-                    + fib_word(m - 1, n_max) + fib_word(m, n_max))
-        if self.kind == KIND_SUFFIX_FIB_PREFIX:
-            fm = fib_word(m, n_max)
-            return (_suffix(fm, self.left_len) + fm
-                    + prefix_source(m, n_max)[:self.right_len])
-        if self.kind == KIND_SUFFIX_FIB_FIB_PREFIX:
-            fm = fib_word(m, n_max)
-            fm1 = fib_word(m - 1, n_max)
-            return (_suffix(fm, self.left_len) + fm1 + fm
-                    + fm1[:self.right_len])
-        if self.kind == KIND_LITERAL:
+        return self.spell(fib_words(self.base, n_max))
+
+    def spell(self, table: list[str]) -> str:
+        """The word this clause spells, reading F_k as ``table[k]``; the
+        table must reach F_base (see ``fib.fib_words``)."""
+        kind, m = self.kind, self.base
+        if kind == KIND_LITERAL:
             return self.literal
-        raise ValueError(f"unknown form kind {self.kind!r}")
+        if kind not in _READS_BELOW_BASE:
+            raise ValueError(f"unknown form kind {kind!r}")
+        lowest = m - _READS_BELOW_BASE[kind]
+        if lowest < 0:
+            raise ValueError("Fibonacci index must be nonnegative, got "
+                             f"{m if m < 0 else lowest}")
+        fm = table[m]
+        if kind == KIND_PLAIN_FIB:
+            return fm
+        if kind == KIND_FIB_PLUS_PREFIX:
+            return fm + table[m - 1][:self.right_len]
+        left = _suffix(fm, self.left_len)
+        if kind == KIND_SUFFIX_PLUS_FIB:
+            return left + table[m - 1] + fm
+        if kind == KIND_SUFFIX_FIB_PREFIX:
+            return left + fm + _prefix_source(table, m)[:self.right_len]
+        fm1 = table[m - 1]
+        return left + fm1 + fm + fm1[:self.right_len]
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind, "m": self.base,
@@ -117,12 +139,14 @@ def _build(n: int, category: str, families: list[list[FactorForm]],
     no duplicates inside a single family (duplicates across families are
     absorbed by the set union), and every member a factor of the subject
     word. ``prevalidated`` forms come from another enumerator that
-    already ran its own family checks."""
-    subject = fib_word(n, n_max)
+    already ran its own family checks. Every form is spelled from one
+    table F_0..F_n."""
+    table = fib_words(n, n_max)
+    subject = table[n]
     forms: list[FactorForm] = list(prevalidated or ())
-    words: list[str] = [form.materialize(n_max) for form in forms]
+    words: list[str] = [form.spell(table) for form in forms]
     for family in families:
-        members = [form.materialize(n_max) for form in family]
+        members = [form.spell(table) for form in family]
         if len(set(members)) != len(members):
             raise RuntimeError(
                 f"family produced duplicate members at n={n}, "
@@ -316,11 +340,12 @@ def nearest_forms(word: str, n: int,
     range constraints dropped. Used to name the clause a disputed word
     is nearest to."""
     matches: list[FactorForm] = []
-    for m in range(1, n + 1):
-        if fib_len(m) > len(word):
-            break
-        fm = fib_word(m, n_max)
-        fm1 = fib_word(m - 1, n_max)
+    top = 0
+    while top < n and fib_len(top + 1) <= len(word):
+        top += 1
+    table = fib_words(top, n_max)
+    for m in range(1, top + 1):
+        fm, fm1 = table[m], table[m - 1]
         if word == fm:
             matches.append(FactorForm(KIND_PLAIN_FIB, m))
         if word.startswith(fm) and fm1.startswith(word[len(fm):]):
@@ -331,8 +356,8 @@ def nearest_forms(word: str, n: int,
                 continue
             rest = word[l:]
             if m >= 3:
-                if rest.startswith(fm) and prefix_source(m, n_max).startswith(
-                        rest[len(fm):]):
+                if rest.startswith(fm) and _prefix_source(
+                        table, m).startswith(rest[len(fm):]):
                     matches.append(FactorForm(
                         KIND_SUFFIX_FIB_PREFIX, m, left_len=l,
                         right_len=len(rest) - len(fm)))

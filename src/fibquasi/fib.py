@@ -8,6 +8,10 @@ factors, and closed-form placement of the occurrences of F_m in F_n.
 Words are only materialized up to a guard index (default 30, about
 1.3M letters; override with the FIBQUASI_NMAX environment variable or a
 ``n_max`` argument). Exact lengths are available much further out.
+``fib_words(n)`` builds the whole table F_0..F_n with one guard read;
+``fib_word`` and the catalog builders take their words from such a
+table, so building one catalog reads the guard once per table rather
+than once per word it spells.
 """
 
 from __future__ import annotations
@@ -62,13 +66,18 @@ def fib_len(n: int) -> int:
     return a
 
 
+def fib_words(n: int, n_max: int | None = None) -> list[str]:
+    """The table [F_0, F_1, ..., F_n], checked against the guard once."""
+    _check_index(n, n_max)
+    table = ["b", "a"][:n + 1]
+    while len(table) <= n:
+        table.append(table[-1] + table[-2])
+    return table
+
+
 def fib_word(n: int, n_max: int | None = None) -> str:
     """The materialized word F_n (iterative, no recursion depth)."""
-    _check_index(n, n_max)
-    a, b = "b", "a"
-    for _ in range(n):
-        a, b = b, b + a
-    return a
+    return fib_words(n, n_max)[n]
 
 
 @dataclass(frozen=True)
@@ -87,10 +96,10 @@ def decompose(k: int, n_max: int | None = None) -> Decomposition:
     product when k = 2) and delta_k = "ab" for even k, "ba" for odd."""
     if k < 2:
         raise ValueError(f"decomposition needs index >= 2, got {k}")
-    _check_index(k, n_max)
-    p_part = "".join(fib_word(j, n_max) for j in range(k - 2, 0, -1))
+    table = fib_words(k, n_max)
+    p_part = "".join(reversed(table[1:k - 1]))
     delta = "ab" if k % 2 == 0 else "ba"
-    if p_part + delta != fib_word(k, n_max):
+    if p_part + delta != table[k]:
         raise RuntimeError(f"decomposition of F_{k} does not reproduce it")
     return Decomposition(p_part, delta)
 

@@ -27,7 +27,7 @@ from .closed_form import (CATEGORIES, CATEGORY_BORDERS,
                           CATEGORY_SEEDS, ENUMERATORS)
 from .errors import SizeLimitError
 from .fib import (KIND_SMALL, expansion, fib_len, fib_occurrences, fib_word,
-                  materialization_limit, scan_occurrences)
+                  fib_words, materialization_limit, scan_occurrences)
 
 DEFAULT_CAPS = {
     CATEGORY_BORDERS: 14,
@@ -150,8 +150,9 @@ class SuiteConfig:
 def _diagnose(word: str, n: int, enum_result,
               side: str) -> dict:
     if side == "extra":
+        table = fib_words(n)
         producing = [f.to_json() for f in enum_result.forms
-                     if f.materialize() == word]
+                     if f.spell(table) == word]
         return {"word": word, "side": side, "clauses": producing}
     near = [f.to_json() for f in closed_form.nearest_forms(word, n)]
     return {"word": word, "side": side, "clauses": near,

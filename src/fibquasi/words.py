@@ -29,7 +29,9 @@ def _require_nonempty(w: str, name: str) -> str:
 def canonical(items) -> list[str]:
     """Deduplicate and order by (length, lexicographic) — the single
     ordering used for every word-set output."""
-    return sorted(set(items), key=lambda w: (len(w), w))
+    out = sorted(set(items))
+    out.sort(key=len)  # stable: equal lengths keep lexicographic order
+    return out
 
 
 def is_factor(u: str, y: str) -> bool:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import fibquasi
+from fibquasi import cli
 from fibquasi.cli import main
 from fibquasi.fib import fib_word
 
@@ -203,6 +204,36 @@ def test_verify_unwritable_report_is_usage_error(capsys, tmp_path):
                        str(path))
     assert code == 2
     assert err.startswith("error: ") and "r.jsonl" in err
+
+
+def test_verify_unwritable_report_fails_before_suite(capsys, tmp_path,
+                                                     monkeypatch):
+    def suite_must_not_run(config):
+        pytest.fail("run_suite ran before the report path was checked")
+
+    monkeypatch.setattr(cli, "run_suite", suite_must_not_run)
+    path = tmp_path / "no" / "such" / "dir" / "r.jsonl"
+    code, _, err = run(capsys, "verify", "--report", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "r.jsonl" in err
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken_suite(config):
+        raise RuntimeError("unsound report: 'ab' classified missing")
+
+    monkeypatch.setattr(cli, "run_suite", broken_suite)
+    code, out, err = run(capsys, "verify", "--max-n", "2", "--json")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: unsound report: 'ab' classified missing\n"
+
+
+def test_enum_guard_is_read_per_call(capsys, monkeypatch):
+    assert run(capsys, "enum", "9", "--seeds")[0] == 0
+    monkeypatch.setenv("FIBQUASI_NMAX", "8")
+    assert run(capsys, "enum", "9", "--seeds")[0] == 2
+    assert run(capsys, "enum", "8", "--seeds")[0] == 0
 
 
 def test_gen_closed_pipe_exits_quietly():

@@ -2,16 +2,18 @@ import json
 
 import pytest
 
+from fibquasi import fib
 from fibquasi.closed_form import (CATEGORIES, ENUMERATORS, FactorForm,
-                                  KIND_LITERAL, KIND_PLAIN_FIB,
-                                  KIND_SUFFIX_FIB_FIB_PREFIX,
+                                  KIND_FIB_PLUS_PREFIX, KIND_LITERAL,
+                                  KIND_PLAIN_FIB, KIND_SUFFIX_FIB_FIB_PREFIX,
+                                  KIND_SUFFIX_PLUS_FIB,
                                   KIND_SUFFIX_FIB_PREFIX, enum_borders,
                                   enum_circular_covers, enum_covers,
                                   enum_left_seeds, enum_right_seeds,
                                   enum_seeds, nearest_forms, prefix_source)
 from fibquasi.engine import is_seed_fast
 from fibquasi.errors import SizeLimitError
-from fibquasi.fib import fib_len, fib_word
+from fibquasi.fib import fib_len, fib_word, fib_words
 
 
 def test_borders_catalog():
@@ -87,6 +89,41 @@ def test_forms_materialize_into_word_set():
             result = ENUMERATORS[category](n)
             members = set(result.words)
             assert all(f.materialize() in members for f in result.forms)
+
+
+def test_table_spelling_matches_materialize():
+    for n in range(0, 13):
+        for category in CATEGORIES:
+            result = ENUMERATORS[category](n)
+            assert set(result.words) == {
+                f.materialize() for f in result.forms}, (n, category)
+
+
+@pytest.mark.parametrize("kind, base", [
+    (KIND_FIB_PLUS_PREFIX, 0),
+    (KIND_SUFFIX_PLUS_FIB, 0),
+    (KIND_SUFFIX_FIB_FIB_PREFIX, 0),
+    (KIND_SUFFIX_FIB_PREFIX, 2),
+])
+def test_low_base_forms_raise_instead_of_wrapping(kind, base):
+    form = FactorForm(kind, base, left_len=1, right_len=1)
+    with pytest.raises(ValueError, match="nonnegative, got -1"):
+        form.materialize()
+    with pytest.raises(ValueError, match="nonnegative, got -1"):
+        form.spell(fib_words(8))
+
+
+def test_catalog_build_reads_guard_once_per_table(monkeypatch):
+    reads = []
+    real = fib.materialization_limit
+
+    def counting():
+        reads.append(1)
+        return real()
+
+    monkeypatch.setattr(fib, "materialization_limit", counting)
+    enum_seeds(12)
+    assert 0 < len(reads) <= 20
 
 
 def test_words_are_canonical():

@@ -4,7 +4,7 @@ from fibquasi import fib
 from fibquasi.errors import SizeLimitError
 from fibquasi.fib import (KIND_BIG, KIND_SMALL, border_indices, decompose,
                           expansion, fib_len, fib_occurrences, fib_word,
-                          materialization_limit, scan_occurrences)
+                          fib_words, materialization_limit, scan_occurrences)
 
 
 def test_fib_len_examples():
@@ -44,6 +44,17 @@ def test_fib_word_guard():
         fib_word(6, n_max=5)
     with pytest.raises(ValueError):
         fib_word(-2)
+
+
+def test_fib_words_table():
+    for n in range(0, 21):
+        table = fib_words(n)
+        assert len(table) == n + 1
+        assert all(table[k] == fib_word(k) for k in range(n + 1)), n
+    with pytest.raises(SizeLimitError):
+        fib_words(6, n_max=5)
+    with pytest.raises(ValueError, match="got -1"):
+        fib_words(-1)
 
 
 def test_materialization_env_override(monkeypatch):

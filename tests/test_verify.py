@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from fibquasi.closed_form import CATEGORIES
+from fibquasi.closed_form import CATEGORIES, enum_seeds
 from fibquasi.errors import SizeLimitError
-from fibquasi.verify import (DEFAULT_CAPS, SuiteConfig, check_category,
-                             run_suite)
+from fibquasi.verify import (DEFAULT_CAPS, SuiteConfig, _diagnose,
+                             check_category, run_suite)
 
 EXPECTED_FINDING_CELLS = {(n, cat) for n in range(5, 11)
                           for cat in ("seeds", "circular_covers")}
@@ -37,6 +37,14 @@ def test_check_category_reports_known_finding():
     assert diag["word"] == "baaba" and diag["side"] == "missing"
     assert {"kind": "SuffixFibPrefix", "m": 3, "left_len": 2,
             "right_len": 0} in diag["clauses"]
+
+
+def test_diagnose_names_the_clauses_producing_an_extra_word():
+    diag = _diagnose("aba", 5, enum_seeds(5), "extra")
+    assert diag["word"] == "aba" and diag["side"] == "extra"
+    assert diag["clauses"] == [
+        {"kind": "FibPlusPrefix", "m": 3, "left_len": 0, "right_len": 0},
+        {"kind": "PlainFib", "m": 3, "left_len": 0, "right_len": 0}]
 
 
 def test_check_category_circular_counts():

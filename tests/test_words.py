@@ -173,6 +173,11 @@ def test_superpose_keeps_operands():
 
 def test_canonical_ordering():
     assert canonical(["ba", "b", "ab", "b", "aab"]) == ["b", "ab", "ba", "aab"]
+    rng = random.Random(17)
+    for size in (0, 1, 2, 5, 50, 500):
+        items = [random_word(rng, 12) for _ in range(size)]
+        assert canonical(items) == sorted(set(items),
+                                          key=lambda w: (len(w), w))
 
 
 def test_require_word():
