@@ -6,7 +6,7 @@ closed-form catalogs of those sets for Fibonacci words and a harness
 that cross-checks the two.
 """
 
-from .closed_form import (CATEGORIES, EnumResult, FactorForm, enum_borders,
+from .closed_form import (EnumResult, FactorForm, enum_borders,
                           enum_circular_covers, enum_covers, enum_left_seeds,
                           enum_right_seeds, enum_seeds)
 from .engine import (SeedWitness, circular_covers_of, covers_of,
@@ -18,8 +18,8 @@ from .errors import SizeLimitError
 from .fib import (Decomposition, Expansion, ExpansionItem, border_indices,
                   decompose, expansion, fib_len, fib_occurrences, fib_word,
                   fib_words, materialization_limit, scan_occurrences)
-from .verify import (DEFAULT_CAPS, BatteryResult, QuasiReport, SuiteConfig,
-                     SuiteResult, check_category, run_suite)
+from .verify import (CATEGORIES, DEFAULT_CAPS, BatteryResult, QuasiReport,
+                     SuiteConfig, SuiteResult, check_category, run_suite)
 from .words import (borders, canonical, covered_prefix_extent,
                     covered_suffix_extent, is_cover, is_factor, occurrences,
                     period_of, superpose)

@@ -9,6 +9,9 @@ SIGPIPE death) when the reader closes stdout early, as in
 ``fibquasi gen 25 | head -c 10``. JSON mode
 (--json) emits exactly one JSON document on stdout; text mode is
 human-oriented and carries no stability promise.
+
+The set flags of analyze and enum, and the names verify --only accepts,
+come from the category registry in the verify module.
 """
 
 from __future__ import annotations
@@ -19,20 +22,11 @@ import json
 import os
 import sys
 
-from . import closed_form, engine, words
+from . import words
 from .fib import fib_len, fib_occurrences, fib_word, scan_occurrences
-from .verify import DEFAULT_CAPS, SuiteConfig, run_suite
+from .verify import CATEGORIES, REGISTRY, Category, SuiteConfig, run_suite
 
 MAX_INPUT_WORD = 10 ** 6
-
-_CATEGORY_FLAGS = [
-    ("borders", closed_form.CATEGORY_BORDERS),
-    ("covers", closed_form.CATEGORY_COVERS),
-    ("left-seeds", closed_form.CATEGORY_LEFT_SEEDS),
-    ("right-seeds", closed_form.CATEGORY_RIGHT_SEEDS),
-    ("seeds", closed_form.CATEGORY_SEEDS),
-    ("circular", closed_form.CATEGORY_CIRCULAR_COVERS),
-]
 
 
 def _emit(doc: dict) -> None:
@@ -83,48 +77,35 @@ def _load_word(args) -> str:
     return raw
 
 
+def _selected(args) -> list[Category]:
+    """The registry records whose set flags were given, in registry
+    order."""
+    return [c for c in REGISTRY.values() if getattr(args, c.name)]
+
+
 def _cmd_analyze(args) -> int:
     subject = _load_word(args)
-    requested = [(flag, cat) for flag, cat in _CATEGORY_FLAGS
-                 if getattr(args, flag.replace("-", "_"))]
+    requested = _selected(args)
     if not requested:
         raise ValueError("select at least one set to compute "
                          "(e.g. --covers, --seeds)")
     doc: dict = {"word": subject}
-    for flag, cat in requested:
-        if cat == closed_form.CATEGORY_BORDERS:
-            result = words.borders(subject)
-        elif cat == closed_form.CATEGORY_COVERS:
-            result = engine.covers_of(subject)
-        elif cat == closed_form.CATEGORY_LEFT_SEEDS:
-            result = engine.left_seeds_of(subject)
-        elif cat == closed_form.CATEGORY_RIGHT_SEEDS:
-            result = engine.right_seeds_of(subject)
-        elif cat == closed_form.CATEGORY_SEEDS:
-            result = engine.seeds_of(subject, force=args.force)
-        else:
-            result = engine.circular_covers_of(subject, force=args.force)
-        doc[cat] = list(result)
+    for category in requested:
+        doc[category.name] = list(category.oracle(subject, force=args.force))
     if args.json:
         _emit(doc)
     else:
-        for flag, cat in requested:
-            _print_words(cat, doc[cat])
+        for category in requested:
+            _print_words(category.name, doc[category.name])
     return 0
 
 
 def _cmd_enum(args) -> int:
-    chosen = [cat for flag, cat in _CATEGORY_FLAGS
-              if getattr(args, flag.replace("-", "_"))]
+    chosen = _selected(args)
     if len(chosen) != 1:
         raise ValueError("select exactly one catalog "
                          "(e.g. --covers or --seeds)")
-    category = chosen[0]
-    enumerator = closed_form.ENUMERATORS[category]
-    if category in (closed_form.CATEGORY_BORDERS, closed_form.CATEGORY_COVERS):
-        result = enumerator(args.n)
-    else:
-        result = enumerator(args.n, force=args.force)
+    result = chosen[0].enumerator(args.n, force=args.force)
     if args.json:
         _emit(result.to_json())
     else:
@@ -156,11 +137,8 @@ def _cmd_occurrences(args) -> int:
 
 
 def _parse_categories(raw: list[str]) -> tuple[str, ...]:
-    lookup: dict[str, str] = {}
-    for flag, cat in _CATEGORY_FLAGS:
-        for alias in (flag, flag.replace("-", "_"), cat,
-                      cat.replace("_", "-")):
-            lookup[alias] = cat
+    lookup = {alias: c.name for c in REGISTRY.values()
+              for alias in (c.flag, c.name, c.name.replace("_", "-"))}
     out = []
     for chunk in raw:
         for name in chunk.split(","):
@@ -173,11 +151,13 @@ def _parse_categories(raw: list[str]) -> tuple[str, ...]:
 
 def _cmd_verify(args) -> int:
     categories = (_parse_categories(args.only) if args.only
-                  else closed_form.CATEGORIES)
+                  else CATEGORIES)
     config = SuiteConfig(n_lo=args.min_n, n_hi=args.max_n,
-                         categories=categories, caps=dict(DEFAULT_CAPS))
-    # Open the report first, so an unwritable path fails before the
-    # suite runs rather than after.
+                         categories=categories)
+    # Validate, then open the report, so bad arguments leave an existing
+    # report untouched and an unwritable path fails before the suite
+    # runs rather than after.
+    config.validate()
     with (open(args.report, "w", encoding="ascii") if args.report
           else contextlib.nullcontext()) as report:
         result = run_suite(config)
@@ -229,15 +209,17 @@ def build_parser() -> argparse.ArgumentParser:
                           help="oracle sets for an arbitrary binary word")
     p_an.add_argument("word", nargs="?", default=None)
     p_an.add_argument("--file", help="read the word from a file")
-    for flag, _ in _CATEGORY_FLAGS:
-        p_an.add_argument(f"--{flag}", action="store_true")
+    for category in REGISTRY.values():
+        p_an.add_argument(f"--{category.flag}", dest=category.name,
+                          action="store_true")
     p_an.set_defaults(handler=_cmd_analyze)
 
     p_enum = sub.add_parser("enum", parents=[common],
                             help="closed-form catalog for F_n")
     p_enum.add_argument("n", type=int)
-    for flag, _ in _CATEGORY_FLAGS:
-        p_enum.add_argument(f"--{flag}", action="store_true")
+    for category in REGISTRY.values():
+        p_enum.add_argument(f"--{category.flag}", dest=category.name,
+                            action="store_true")
     p_enum.set_defaults(handler=_cmd_enum)
 
     p_occ = sub.add_parser("occurrences", parents=[common],

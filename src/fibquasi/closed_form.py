@@ -6,27 +6,19 @@ and the materialized word set, so a disputed member can always be traced
 back to the clause that produced it. The family definitions spelled out
 in the docstrings here are the authority: whether they agree with the
 brute-force oracles is decided by the verify module, never patched
-here.
+here; its category registry pairs each enumerator with its oracle. The
+seed-flavored catalogs hold O(|F_n|) to O(|F_n|^2) members, so those
+enumerators share the engine's size refusal and take ``force`` to
+override it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import SIZE_REFUSAL_LIMIT
-from .errors import SizeLimitError
+from .engine import refuse_oversize
 from .fib import _check_index, border_indices, fib_len, fib_words
 from .words import canonical
-
-CATEGORY_BORDERS = "borders"
-CATEGORY_COVERS = "covers"
-CATEGORY_LEFT_SEEDS = "left_seeds"
-CATEGORY_RIGHT_SEEDS = "right_seeds"
-CATEGORY_SEEDS = "seeds"
-CATEGORY_CIRCULAR_COVERS = "circular_covers"
-
-CATEGORIES = (CATEGORY_BORDERS, CATEGORY_COVERS, CATEGORY_LEFT_SEEDS,
-              CATEGORY_RIGHT_SEEDS, CATEGORY_SEEDS, CATEGORY_CIRCULAR_COVERS)
 
 KIND_PLAIN_FIB = "PlainFib"
 KIND_FIB_PLUS_PREFIX = "FibPlusPrefix"
@@ -162,22 +154,12 @@ def _build(n: int, category: str, families: list[list[FactorForm]],
                       tuple(canonical(words)))
 
 
-def _check_heavy(n: int, force: bool) -> None:
-    # The seed-flavored catalogs hold O(|F_n|) to O(|F_n|^2) members;
-    # same refusal threshold as the engine oracles.
-    if fib_len(n) > SIZE_REFUSAL_LIMIT and not force:
-        raise SizeLimitError(
-            f"refusing catalog enumeration at index {n} "
-            f"(|F_{n}| = {fib_len(n)} > {SIZE_REFUSAL_LIMIT}); "
-            f"pass force=True to override")
-
-
 def enum_borders(n: int, n_max: int | None = None) -> EnumResult:
     """Borders of F_n: F_{n-2}, F_{n-4}, ... down to F_1 or F_2; none
     for n <= 2."""
     _check_index(n, n_max)
     families = [[FactorForm(KIND_PLAIN_FIB, j) for j in border_indices(n)]]
-    return _build(n, CATEGORY_BORDERS, families, n_max)
+    return _build(n, "borders", families, n_max)
 
 
 def enum_covers(n: int, n_max: int | None = None) -> EnumResult:
@@ -189,7 +171,7 @@ def enum_covers(n: int, n_max: int | None = None) -> EnumResult:
         lowest = 3 if n % 2 else 4
         family += [FactorForm(KIND_PLAIN_FIB, j)
                    for j in range(n - 2, lowest - 1, -2)]
-    return _build(n, CATEGORY_COVERS, [family], n_max)
+    return _build(n, "covers", [family], n_max)
 
 
 def enum_left_seeds(n: int, n_max: int | None = None,
@@ -201,18 +183,18 @@ def enum_left_seeds(n: int, n_max: int | None = None,
     F_{m-1} stopping two letters short.
     """
     _check_index(n, n_max)
+    refuse_oversize(f"catalog enumeration at index {n}", fib_len(n), force)
     if n <= 2:
         families = [[FactorForm(KIND_PLAIN_FIB, n)]]
     elif n == 3:
         families = [[FactorForm(KIND_PLAIN_FIB, 2), FactorForm(KIND_PLAIN_FIB, 3)]]
     else:
-        _check_heavy(n, force)
         families = [[FactorForm(KIND_FIB_PLUS_PREFIX, n - 1, right_len=r)
                      for r in range(fib_len(n - 2) + 1)]]
         for m in range(3, n - 1):
             families.append([FactorForm(KIND_FIB_PLUS_PREFIX, m, right_len=r)
                              for r in range(fib_len(m - 1) - 1)])
-    return _build(n, CATEGORY_LEFT_SEEDS, families, n_max)
+    return _build(n, "left_seeds", families, n_max)
 
 
 def enum_right_seeds(n: int, n_max: int | None = None,
@@ -220,10 +202,10 @@ def enum_right_seeds(n: int, n_max: int | None = None,
     """Right seeds of F_n: the covers of F_n plus every suffix of
     F_{n-2} prepended to F_{n-3} F_{n-2}."""
     _check_index(n, n_max)
+    refuse_oversize(f"catalog enumeration at index {n}", fib_len(n), force)
     if n <= 2:
         families = [[FactorForm(KIND_PLAIN_FIB, n)]]
     else:
-        _check_heavy(n, force)
         lowest = 3 if n % 2 else 4
         plain = [FactorForm(KIND_PLAIN_FIB, n)]
         plain += [FactorForm(KIND_PLAIN_FIB, j)
@@ -231,7 +213,7 @@ def enum_right_seeds(n: int, n_max: int | None = None,
         ext = [FactorForm(KIND_SUFFIX_PLUS_FIB, n - 2, left_len=l)
                for l in range(fib_len(n - 2) + 1)]
         families = [plain, ext]
-    return _build(n, CATEGORY_RIGHT_SEEDS, families, n_max)
+    return _build(n, "right_seeds", families, n_max)
 
 
 def _seed_families(n: int) -> list[list[FactorForm]]:
@@ -274,15 +256,15 @@ def enum_seeds(n: int, n_max: int | None = None,
     """Seeds of F_n: all left and right seeds, the literal "baa" at
     n = 4, and for n >= 5 the three parametric families."""
     _check_index(n, n_max)
+    refuse_oversize(f"catalog enumeration at index {n}", fib_len(n), force)
     prevalidated = (list(enum_left_seeds(n, n_max, force).forms)
                     + list(enum_right_seeds(n, n_max, force).forms))
     families = []
     if n == 4:
         families.append([FactorForm(KIND_LITERAL, literal="baa")])
     if n >= 5:
-        _check_heavy(n, force)
         families.extend(_seed_families(n))
-    return _build(n, CATEGORY_SEEDS, families, n_max,
+    return _build(n, "seeds", families, n_max,
                   prevalidated=prevalidated)
 
 
@@ -296,12 +278,12 @@ def enum_circular_covers(n: int, n_max: int | None = None,
     seed bounds but bases capped at n-2 and n-3 respectively.
     """
     _check_index(n, n_max)
+    refuse_oversize(f"catalog enumeration at index {n}", fib_len(n), force)
     if n <= 3:
         families = [[FactorForm(KIND_PLAIN_FIB, n)]]
     elif n == 4:
         families = [[FactorForm(KIND_PLAIN_FIB, 4), FactorForm(KIND_PLAIN_FIB, 3)]]
     else:
-        _check_heavy(n, force)
         families = [[FactorForm(KIND_PLAIN_FIB, n)]]
         for m in range(3, n):
             families.append([FactorForm(KIND_FIB_PLUS_PREFIX, m, right_len=r)
@@ -320,17 +302,7 @@ def enum_circular_covers(n: int, n_max: int | None = None,
                 for l in range(0, len_m + 1)
                 for r in range(0, len_m1 + 1)
                 if l + r >= len_m])
-    return _build(n, CATEGORY_CIRCULAR_COVERS, families, n_max)
-
-
-ENUMERATORS = {
-    CATEGORY_BORDERS: enum_borders,
-    CATEGORY_COVERS: enum_covers,
-    CATEGORY_LEFT_SEEDS: enum_left_seeds,
-    CATEGORY_RIGHT_SEEDS: enum_right_seeds,
-    CATEGORY_SEEDS: enum_seeds,
-    CATEGORY_CIRCULAR_COVERS: enum_circular_covers,
-}
+    return _build(n, "circular_covers", families, n_max)
 
 
 def nearest_forms(word: str, n: int,

@@ -12,6 +12,10 @@ distinct factor, plus border-table queries for the seed head and tail
 (Iliopoulos, Moore & Park, "Covering a string"). is_seed_fast and
 is_circular_cover are their test references, and seeds_of re-checks
 every candidate against is_seed on small inputs at runtime.
+
+refuse_oversize is the one size refusal: seeds_of, circular_covers_of
+and the seed-flavored catalogs in closed_form decline subjects longer
+than SIZE_REFUSAL_LIMIT letters unless forced.
 """
 
 from __future__ import annotations
@@ -22,14 +26,24 @@ from .errors import SizeLimitError
 from .words import (canonical, covered_prefix_extent, covered_suffix_extent,
                     is_cover, occurrences, period_of, require_word)
 
-# seeds_of / circular_covers_of refuse longer words unless forced: their
-# candidate sets grow quadratically and each sweep slices every
-# candidate occurrence.
+# seeds_of / circular_covers_of and the seed-flavored catalogs refuse
+# longer words unless forced: their candidate sets grow quadratically
+# and each sweep slices every candidate occurrence.
 SIZE_REFUSAL_LIMIT = 2000
 
 # Below this length seeds_of runs every candidate through both the fast
 # criterion and the exhaustive oracle and insists they agree.
 DUAL_CHECK_LIMIT = 60
+
+
+def refuse_oversize(what: str, length: int, force: bool) -> None:
+    """The one size refusal: raise SizeLimitError for a subject of more
+    than SIZE_REFUSAL_LIMIT letters unless ``force`` is set."""
+    if length > SIZE_REFUSAL_LIMIT and not force:
+        raise SizeLimitError(
+            f"refusing {what}: {length} letters > {SIZE_REFUSAL_LIMIT}; "
+            f"pass --force (command line) or force=True (library) to "
+            f"override")
 
 
 def distinct_factors(y: str) -> list[str]:
@@ -217,10 +231,7 @@ def seeds_of(y: str, force: bool = False) -> list[str]:
     require_word(y)
     if not y:
         raise ValueError("word must be nonempty")
-    if len(y) > SIZE_REFUSAL_LIMIT and not force:
-        raise SizeLimitError(
-            f"refusing seed enumeration for |y|={len(y)} > "
-            f"{SIZE_REFUSAL_LIMIT}; pass force=True to override")
+    refuse_oversize("seed enumeration", len(y), force)
     n = len(y)
     prefix_borders = _border_table(y)
     suffix_borders = _border_table(y[::-1])
@@ -291,10 +302,7 @@ def circular_covers_of(y: str, unrestricted: bool = False,
     require_word(y)
     if not y:
         raise ValueError("word must be nonempty")
-    if len(y) > SIZE_REFUSAL_LIMIT and not force:
-        raise SizeLimitError(
-            f"refusing circular-cover enumeration for |y|={len(y)} > "
-            f"{SIZE_REFUSAL_LIMIT}; pass force=True to override")
+    refuse_oversize("circular-cover enumeration", len(y), force)
     n = len(y)
     yy = y + y
     out = []

@@ -1,5 +1,10 @@
 """Cross-validation harness: catalog enumerations against oracle sets.
 
+REGISTRY holds one Category record per quasiperiodicity set of the
+paper: its name, CLI flag, default oracle cap, set oracle, per-word
+predicate and closed-form enumerator. The harness and the CLI read
+every per-category choice from it.
+
 Every (index, category) cell compares the closed-form catalog with the
 brute-force oracle and reports the exact set difference. Disputed words
 are individually re-verified against the per-word predicate before they
@@ -19,54 +24,73 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import closed_form, engine, words
-from .closed_form import (CATEGORIES, CATEGORY_BORDERS,
-                          CATEGORY_CIRCULAR_COVERS, CATEGORY_COVERS,
-                          CATEGORY_LEFT_SEEDS, CATEGORY_RIGHT_SEEDS,
-                          CATEGORY_SEEDS, ENUMERATORS)
 from .errors import SizeLimitError
 from .fib import (KIND_SMALL, expansion, fib_len, fib_occurrences, fib_word,
                   fib_words, materialization_limit, scan_occurrences)
 
-DEFAULT_CAPS = {
-    CATEGORY_BORDERS: 14,
-    CATEGORY_COVERS: 14,
-    CATEGORY_LEFT_SEEDS: 14,
-    CATEGORY_RIGHT_SEEDS: 14,
-    CATEGORY_SEEDS: 10,
-    CATEGORY_CIRCULAR_COVERS: 10,
-}
+
+@dataclass(frozen=True)
+class Category:
+    """One quasiperiodicity set: ``oracle(y, force=False)`` computes it
+    for any binary word, ``predicate(u, y)`` decides one factor (used to
+    re-check disputed words), and ``enumerator(n, force=False)`` is the
+    closed-form catalog for F_n. ``force`` overrides the size refusal
+    where there is one. Cells above ``cap`` are skipped by default."""
+
+    name: str
+    flag: str
+    cap: int
+    oracle: Callable[..., list[str]]
+    predicate: Callable[[str, str], bool]
+    enumerator: Callable[..., closed_form.EnumResult]
+
+
+# The entries look functions up on their modules at call time, so a
+# wrapped or patched module function is the one that runs.
+REGISTRY = {c.name: c for c in (
+    Category("borders", "borders", 14,
+             lambda y, force=False: words.borders(y),
+             lambda u, y: u != y and y.startswith(u) and y.endswith(u),
+             lambda n, force=False: closed_form.enum_borders(n)),
+    Category("covers", "covers", 14,
+             lambda y, force=False: engine.covers_of(y),
+             lambda u, y: words.is_cover(u, y)[0],
+             lambda n, force=False: closed_form.enum_covers(n)),
+    Category("left_seeds", "left-seeds", 14,
+             lambda y, force=False: engine.left_seeds_of(y),
+             lambda u, y: engine.is_left_seed(u, y),
+             lambda n, force=False: closed_form.enum_left_seeds(
+                 n, force=force)),
+    Category("right_seeds", "right-seeds", 14,
+             lambda y, force=False: engine.right_seeds_of(y),
+             lambda u, y: engine.is_right_seed(u, y),
+             lambda n, force=False: closed_form.enum_right_seeds(
+                 n, force=force)),
+    Category("seeds", "seeds", 10,
+             lambda y, force=False: engine.seeds_of(y, force=force),
+             lambda u, y: u in y and engine.is_seed_fast(u, y),
+             lambda n, force=False: closed_form.enum_seeds(n, force=force)),
+    Category("circular_covers", "circular", 10,
+             lambda y, force=False: engine.circular_covers_of(
+                 y, force=force),
+             lambda u, y: u in y and engine.is_circular_cover(u, y),
+             lambda n, force=False: closed_form.enum_circular_covers(
+                 n, force=force)),
+)}
+
+CATEGORIES = tuple(REGISTRY)
+DEFAULT_CAPS = {name: c.cap for name, c in REGISTRY.items()}
 
 # Exhaustive length for the cover-chain battery (every binary word).
 COVER_CHAIN_MAX_LEN = 14
 
 
-_ORACLES = {
-    CATEGORY_BORDERS: words.borders,
-    CATEGORY_COVERS: engine.covers_of,
-    CATEGORY_LEFT_SEEDS: engine.left_seeds_of,
-    CATEGORY_RIGHT_SEEDS: engine.right_seeds_of,
-    CATEGORY_SEEDS: engine.seeds_of,
-    CATEGORY_CIRCULAR_COVERS: engine.circular_covers_of,
-}
-
-
-def _predicate(category: str, u: str, y: str) -> bool:
-    """Single-word oracle check, used to re-verify disputed words."""
-    if category == CATEGORY_BORDERS:
-        return u != y and y.startswith(u) and y.endswith(u)
-    if category == CATEGORY_COVERS:
-        return words.is_cover(u, y)[0]
-    if category == CATEGORY_LEFT_SEEDS:
-        return engine.is_left_seed(u, y)
-    if category == CATEGORY_RIGHT_SEEDS:
-        return engine.is_right_seed(u, y)
-    if category == CATEGORY_SEEDS:
-        return u in y and engine.is_seed_fast(u, y)
-    if category == CATEGORY_CIRCULAR_COVERS:
-        return u in y and engine.is_circular_cover(u, y)
-    raise ValueError(f"unknown category {category!r}")
+def _cap(category: Category, caps: dict | None) -> int:
+    """The cap given for this category, else its default."""
+    return (caps or {}).get(category.name, category.cap)
 
 
 @dataclass(frozen=True)
@@ -119,7 +143,8 @@ class BatteryResult:
 @dataclass(frozen=True)
 class SuiteConfig:
     """What to verify: an inclusive index range, the categories, and the
-    per-category oracle caps (cells above a cap are skipped)."""
+    per-category oracle caps (cells above a cap are skipped; a category
+    without a cap keeps its default)."""
 
     n_lo: int = 0
     n_hi: int = 12
@@ -135,11 +160,11 @@ class SuiteConfig:
             raise ValueError(
                 f"index range reaches {self.n_hi}, beyond the "
                 f"materialization guard N_max={limit}")
-        unknown = set(self.categories) - set(CATEGORIES)
+        unknown = set(self.categories) - set(REGISTRY)
         if unknown:
             raise ValueError(f"unknown categories: {sorted(unknown)}")
         for cat, cap in self.caps.items():
-            if cat not in CATEGORIES:
+            if cat not in REGISTRY:
                 raise ValueError(f"cap for unknown category {cat!r}")
             if fib_len(cap) > engine.SIZE_REFUSAL_LIMIT:
                 raise ValueError(
@@ -162,28 +187,30 @@ def _diagnose(word: str, n: int, enum_result,
 
 def check_category(n: int, category: str,
                    caps: dict | None = None) -> QuasiReport:
-    """Run one catalog-versus-oracle comparison cell."""
-    if category not in CATEGORIES:
+    """Run one catalog-versus-oracle comparison cell. ``caps`` maps
+    category names to oracle caps; a category it omits keeps its
+    default cap."""
+    record = REGISTRY.get(category)
+    if record is None:
         raise ValueError(f"unknown category {category!r}")
-    cap = (caps or DEFAULT_CAPS)[category]
+    cap = _cap(record, caps)
     if n > cap:
         raise SizeLimitError(
             f"index {n} exceeds the oracle cap {cap} for {category}")
     t0 = time.perf_counter()
-    enum_result = ENUMERATORS[category](n)
+    enum_result = record.enumerator(n)
     subject = fib_word(n)
-    oracle = _ORACLES[category](subject)
     enumerated = set(enum_result.words)
-    expected = set(oracle)
+    expected = set(record.oracle(subject))
     missing = tuple(words.canonical(expected - enumerated))
     extra = tuple(words.canonical(enumerated - expected))
     for w in missing:
-        if not _predicate(category, w, subject):
+        if not record.predicate(w, subject):
             raise RuntimeError(
                 f"unsound report: {w!r} classified missing but fails the "
                 f"{category} predicate at n={n}")
     for w in extra:
-        if _predicate(category, w, subject):
+        if record.predicate(w, subject):
             raise RuntimeError(
                 f"unsound report: {w!r} classified extra but passes the "
                 f"{category} predicate at n={n}")
@@ -340,12 +367,10 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     config.validate()
     cells = []
     for n in range(config.n_lo, config.n_hi + 1):
-        for category in CATEGORIES:
-            if category not in config.categories:
-                continue
-            if n > config.caps.get(category, DEFAULT_CAPS[category]):
-                continue
-            cells.append(check_category(n, category, config.caps))
+        for record in REGISTRY.values():
+            if (record.name in config.categories
+                    and n <= _cap(record, config.caps)):
+                cells.append(check_category(n, record.name, config.caps))
     batteries = [
         _battery_cover_chain(min(COVER_CHAIN_MAX_LEN, fib_len(config.n_hi))),
         _battery_expansion_determinism(config.n_lo, config.n_hi),

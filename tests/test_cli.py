@@ -109,6 +109,24 @@ def test_analyze_giant_word_needs_force(capsys):
     assert code == 2 and "--force" in err
 
 
+@pytest.mark.parametrize("flag", ["left-seeds", "right-seeds", "seeds",
+                                  "circular"])
+def test_enum_refusal_names_the_force_flag(capsys, flag):
+    code, out, err = run(capsys, "enum", "17", f"--{flag}")
+    assert code == 2 and out == ""
+    assert "--force" in err and "force=True" in err
+
+
+@pytest.mark.parametrize("flag", ["borders", "covers"])
+def test_enum_linear_catalogs_are_not_refused(capsys, flag):
+    assert run(capsys, "enum", "17", f"--{flag}")[0] == 0
+
+
+def test_analyze_refusal_names_the_force_flag(capsys):
+    code, _, err = run(capsys, "analyze", "ab" * 1001, "--circular")
+    assert code == 2 and "--force" in err
+
+
 def test_enum_covers_json(capsys):
     code, out, _ = run(capsys, "enum", "7", "--covers", "--json")
     assert code == 0
@@ -198,6 +216,15 @@ def test_verify_report_file(capsys, tmp_path):
     assert any("category" in d for d in docs)
 
 
+def test_verify_bad_range_keeps_existing_report(capsys, tmp_path):
+    path = tmp_path / "r.jsonl"
+    path.write_text("earlier report\n")
+    code, _, err = run(capsys, "verify", "--min-n", "5", "--max-n", "3",
+                       "--report", str(path))
+    assert code == 2 and err.startswith("error: ")
+    assert path.read_text() == "earlier report\n"
+
+
 def test_verify_unwritable_report_is_usage_error(capsys, tmp_path):
     path = tmp_path / "no" / "such" / "dir" / "r.jsonl"
     code, _, err = run(capsys, "verify", "--max-n", "2", "--report",
@@ -278,6 +305,21 @@ def test_verify_json_deterministic(capsys):
     a = json.dumps(_strip_timing(json.loads(first[1])))
     b = json.dumps(_strip_timing(json.loads(second[1])))
     assert a == b
+
+
+def test_verify_same_under_optimize_flag():
+    # Invariants are explicit raises, not asserts, so -O changes nothing.
+    env = dict(os.environ)
+    src = str(Path(fibquasi.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["-m", "fibquasi.cli", "verify", "--max-n", "6", "--json"]
+    runs = [subprocess.run([sys.executable, *flags, *argv], env=env,
+                           capture_output=True, text=True, timeout=120)
+            for flags in ([], ["-O"])]
+    assert [r.returncode for r in runs] == [1, 1]
+    plain, optimized = (_strip_timing(json.loads(r.stdout)) for r in runs)
+    assert plain == optimized
 
 
 def test_unknown_command(capsys):

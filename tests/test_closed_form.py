@@ -3,9 +3,8 @@ import json
 import pytest
 
 from fibquasi import fib
-from fibquasi.closed_form import (CATEGORIES, ENUMERATORS, FactorForm,
-                                  KIND_FIB_PLUS_PREFIX, KIND_LITERAL,
-                                  KIND_PLAIN_FIB, KIND_SUFFIX_FIB_FIB_PREFIX,
+from fibquasi.closed_form import (FactorForm, KIND_FIB_PLUS_PREFIX,
+                                  KIND_LITERAL, KIND_PLAIN_FIB, KIND_SUFFIX_FIB_FIB_PREFIX,
                                   KIND_SUFFIX_PLUS_FIB,
                                   KIND_SUFFIX_FIB_PREFIX, enum_borders,
                                   enum_circular_covers, enum_covers,
@@ -14,6 +13,7 @@ from fibquasi.closed_form import (CATEGORIES, ENUMERATORS, FactorForm,
 from fibquasi.engine import is_seed_fast
 from fibquasi.errors import SizeLimitError
 from fibquasi.fib import fib_len, fib_word, fib_words
+from fibquasi.verify import CATEGORIES, REGISTRY
 
 
 def test_borders_catalog():
@@ -79,14 +79,14 @@ def test_all_members_are_factors():
         for category in CATEGORIES:
             if category in ("seeds", "circular_covers") and n > 10:
                 continue
-            result = ENUMERATORS[category](n)
+            result = REGISTRY[category].enumerator(n)
             assert all(w in subject for w in result.words), (n, category)
 
 
 def test_forms_materialize_into_word_set():
     for n in range(0, 11):
         for category in CATEGORIES:
-            result = ENUMERATORS[category](n)
+            result = REGISTRY[category].enumerator(n)
             members = set(result.words)
             assert all(f.materialize() in members for f in result.forms)
 
@@ -94,7 +94,7 @@ def test_forms_materialize_into_word_set():
 def test_table_spelling_matches_materialize():
     for n in range(0, 13):
         for category in CATEGORIES:
-            result = ENUMERATORS[category](n)
+            result = REGISTRY[category].enumerator(n)
             assert set(result.words) == {
                 f.materialize() for f in result.forms}, (n, category)
 
@@ -129,7 +129,7 @@ def test_catalog_build_reads_guard_once_per_table(monkeypatch):
 def test_words_are_canonical():
     for n in range(0, 11):
         for category in CATEGORIES:
-            ws = ENUMERATORS[category](n).words
+            ws = REGISTRY[category].enumerator(n).words
             assert list(ws) == sorted(set(ws), key=lambda w: (len(w), w))
 
 
@@ -200,7 +200,8 @@ def test_serialization_shape():
 
 def test_enumerators_are_deterministic():
     for category in CATEGORIES:
-        assert ENUMERATORS[category](7) == ENUMERATORS[category](7)
+        enumerator = REGISTRY[category].enumerator
+        assert enumerator(7) == enumerator(7)
 
 
 def test_nearest_forms_shapes():

@@ -1,11 +1,14 @@
+import itertools
 import json
 
 import pytest
 
-from fibquasi.closed_form import CATEGORIES, enum_seeds
+from fibquasi.closed_form import enum_seeds
+from fibquasi.engine import distinct_factors
 from fibquasi.errors import SizeLimitError
-from fibquasi.verify import (DEFAULT_CAPS, SuiteConfig, _diagnose,
-                             check_category, run_suite)
+from fibquasi.fib import fib_word
+from fibquasi.verify import (CATEGORIES, DEFAULT_CAPS, REGISTRY, SuiteConfig,
+                             _diagnose, check_category, run_suite)
 
 EXPECTED_FINDING_CELLS = {(n, cat) for n in range(5, 11)
                           for cat in ("seeds", "circular_covers")}
@@ -60,6 +63,31 @@ def test_check_category_cap():
         check_category(15, "borders")
     with pytest.raises(ValueError):
         check_category(5, "periods")
+
+
+def test_partial_caps_fall_back_to_default_caps():
+    partial = {"seeds": 10}
+    suite = run_suite(SuiteConfig(n_hi=3, caps=partial))
+    assert {c.category for c in suite.cells} == set(CATEGORIES)
+    assert suite.all_passed
+    assert check_category(3, "borders", caps=partial).passed
+    with pytest.raises(SizeLimitError):
+        check_category(15, "borders", caps=partial)
+    with pytest.raises(SizeLimitError):
+        check_category(5, "seeds", caps={"seeds": 4})
+
+
+def test_registry_oracles_match_predicates():
+    # Predicates only run on disputed words in a verify cell, so this is
+    # what catches a predicate wired to the wrong category.
+    subjects = ["".join(letters) for length in range(1, 11)
+                for letters in itertools.product("ab", repeat=length)]
+    subjects += [fib_word(n) for n in range(10)]
+    for record in REGISTRY.values():
+        for y in subjects:
+            assert record.oracle(y) == [
+                u for u in distinct_factors(y)
+                if record.predicate(u, y)], (record.name, y)
 
 
 def test_config_validation():
