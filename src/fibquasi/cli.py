@@ -194,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit one JSON document on stdout")
-    common.add_argument("--force", action="store_true",
-                        help="override size refusals")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", parents=[common],
@@ -209,6 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="oracle sets for an arbitrary binary word")
     p_an.add_argument("word", nargs="?", default=None)
     p_an.add_argument("--file", help="read the word from a file")
+    p_an.add_argument("--force", action="store_true",
+                      help="override the input-size and set-size refusals")
     for category in REGISTRY.values():
         p_an.add_argument(f"--{category.flag}", dest=category.name,
                           action="store_true")
@@ -217,6 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enum", parents=[common],
                             help="closed-form catalog for F_n")
     p_enum.add_argument("n", type=int)
+    p_enum.add_argument("--force", action="store_true",
+                        help="override the catalog size refusal")
     for category in REGISTRY.values():
         p_enum.add_argument(f"--{category.flag}", dest=category.name,
                             action="store_true")

@@ -5,6 +5,10 @@ predicates favor being obviously correct over being fast: occurrence
 scanning plus explicit chain conditions. The exhaustive extension
 search in is_seed is the definitive seed oracle; is_seed_fast is the
 occurrence-gap criterion that must agree with it (a tested property).
+is_seed runs the cover test only on extension pairs whose extended word
+starts and ends with the candidate; every pair it skips would fail the
+cover test's first check, so the search is still exhaustive and finds
+the same canonical witness.
 
 The set oracles seeds_of and circular_covers_of decide all candidates
 of a subject in one sweep per factor length: occurrence gaps per
@@ -58,9 +62,10 @@ def covers_of(y: str) -> list[str]:
     require_word(y)
     if not y:
         raise ValueError("word must be nonempty")
+    # One candidate per length, shortest first: already canonical order.
     candidates = [y[:k] for k in range(1, len(y)) if y.endswith(y[:k])]
     candidates.append(y)
-    return canonical(u for u in candidates if is_cover(u, y)[0])
+    return [u for u in candidates if is_cover(u, y)[0]]
 
 
 def is_left_seed(z: str, y: str) -> bool:
@@ -147,22 +152,27 @@ def is_seed(u: str, y: str) -> tuple[bool, SeedWitness | None]:
     extension and every proper suffix as a right extension, and test the
     cover condition on the extended word.
 
-    The search runs shortest total extension first, ties broken by the
-    shorter left extension, so the witness is canonical.
+    A covered word starts and ends with u, and u is no longer than y, so
+    left extension u[:llen] can only work when y starts with u[llen:],
+    and right extension u[m-rlen:] only when y ends with u[:m-rlen].
+    Only those pairs reach is_cover: every skipped pair would fail its
+    first test, so the search stays exhaustive. It runs shortest total
+    extension first, ties broken by the shorter left extension, so the
+    witness is canonical.
     """
     if not u:
         raise ValueError("pattern must be nonempty")
     if u not in y:
         raise ValueError(f"{u!r} is not a factor of the subject word")
     m = len(u)
-    for total in range(0, 2 * m - 1):
-        for llen in range(max(0, total - (m - 1)), min(m - 1, total) + 1):
-            rlen = total - llen
-            left = u[:llen]
-            right = u[m - rlen:] if rlen else ""
-            ok, pos = is_cover(u, left + y + right)
-            if ok:
-                return True, SeedWitness(left, right, pos)
+    lefts = [llen for llen in range(m) if y.startswith(u[llen:])]
+    rights = [rlen for rlen in range(m) if y.endswith(u[:m - rlen])]
+    for _, llen, rlen in sorted((i + j, i, j) for i in lefts for j in rights):
+        left = u[:llen]
+        right = u[m - rlen:] if rlen else ""
+        ok, pos = is_cover(u, left + y + right)
+        if ok:
+            return True, SeedWitness(left, right, pos)
     return False, None
 
 

@@ -21,6 +21,7 @@ produce identical reports except for the timing fields.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -236,8 +237,10 @@ def _battery_cover_chain(max_len: int) -> BatteryResult:
     t0 = time.perf_counter()
     failures = []
     for length in range(1, max_len + 1):
-        for bits in range(1 << length):
-            y = "".join("ab"[(bits >> i) & 1] for i in range(length))
+        # product() varies the last letter fastest; reversing each word
+        # gives the order of counting up in binary with y[i] as bit i.
+        for letters in itertools.product("ab", repeat=length):
+            y = "".join(letters)[::-1]
             cov_y = set(engine.covers_of(y))
             proper = [u for u in cov_y if u != y]
             if not proper:

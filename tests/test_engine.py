@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fibquasi import engine
 from fibquasi.engine import (SeedWitness, circular_covers_of, covers_of,
                              distinct_factors, is_circular_cover,
                              is_left_seed, is_right_seed, is_seed,
@@ -110,6 +111,99 @@ def test_is_seed_witness_is_valid():
             assert len(witness.right_ext) < len(u)
             assert u.startswith(witness.left_ext)
             assert u.endswith(witness.right_ext)
+
+
+def _is_seed_all_pairs(u, y):
+    """The exhaustive seed search before pair pruning: every (left,
+    right) extension pair, shortest total first, ties broken by the
+    shorter left extension."""
+    if not u:
+        raise ValueError("pattern must be nonempty")
+    if u not in y:
+        raise ValueError(f"{u!r} is not a factor of the subject word")
+    m = len(u)
+    for total in range(0, 2 * m - 1):
+        for llen in range(max(0, total - (m - 1)), min(m - 1, total) + 1):
+            rlen = total - llen
+            left = u[:llen]
+            right = u[m - rlen:] if rlen else ""
+            ok, pos = is_cover(u, left + y + right)
+            if ok:
+                return True, SeedWitness(left, right, pos)
+    return False, None
+
+
+def test_is_seed_matches_all_pairs_reference():
+    subjects = list(all_words(10)) + [fib_word(n) for n in range(10)]
+    for y in subjects:
+        for u in distinct_factors(y):
+            assert is_seed(u, y) == _is_seed_all_pairs(u, y), (u, y)
+
+
+def test_is_seed_matches_all_pairs_reference_sampled():
+    # Uniform words mostly reach the rejection path and rotated powers
+    # the acceptance path. All factors of a 59-letter word cost the
+    # reference seconds, so take a few factors per word.
+    rng = random.Random(29)
+    for k in range(200):
+        if k % 2:
+            base = random_word(rng, 8)
+            y = (base * 60)[rng.randrange(len(base)):][:rng.randint(1, 59)]
+        else:
+            y = random_word(rng, 59)
+        for _ in range(3):
+            i = rng.randrange(len(y))
+            u = y[i:rng.randint(i + 1, len(y))]
+            assert is_seed(u, y) == _is_seed_all_pairs(u, y), (u, y)
+
+
+def test_is_seed_matches_all_pairs_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def factor_of_word(draw):
+        y = draw(st.text(alphabet="ab", min_size=1, max_size=60))
+        i = draw(st.integers(0, len(y) - 1))
+        j = draw(st.integers(i + 1, len(y)))
+        return y[i:j], y
+
+    @hypothesis.settings(deadline=None, database=None)
+    @hypothesis.given(factor_of_word())
+    def check(pair):
+        u, y = pair
+        assert is_seed(u, y) == _is_seed_all_pairs(u, y)
+
+    check()
+
+
+def _invert_one_seed_answer(monkeypatch, target):
+    """Patch engine.is_seed to give the wrong answer for ``target``;
+    returns the list of candidates it was called on."""
+    real = engine.is_seed
+    calls = []
+
+    def is_seed_wrong_on_target(u, y):
+        calls.append(u)
+        ok, witness = real(u, y)
+        return (not ok, None) if u == target else (ok, witness)
+
+    monkeypatch.setattr(engine, "is_seed", is_seed_wrong_on_target)
+    return calls
+
+
+def test_dual_check_fires_on_default_path(monkeypatch):
+    calls = _invert_one_seed_answer(monkeypatch, "baaba")
+    with pytest.raises(RuntimeError, match="seed criteria disagree"):
+        seeds_of(fib_word(9))
+    assert "baaba" in calls
+
+
+def test_dual_check_stops_above_limit(monkeypatch):
+    calls = _invert_one_seed_answer(monkeypatch, "baaba")
+    assert len(fib_word(10)) > engine.DUAL_CHECK_LIMIT
+    assert "baaba" in seeds_of(fib_word(10))
+    assert calls == []
 
 
 def test_is_seed_rejects():
