@@ -11,9 +11,8 @@ from .closed_form import (EnumResult, FactorForm, enum_borders,
                           enum_right_seeds, enum_seeds)
 from .engine import (SeedWitness, circular_covers_of, covers_of,
                      distinct_factors, is_circular_cover, is_left_seed,
-                     is_right_seed, is_seed, is_seed_fast,
-                     left_seeds_by_extension, left_seeds_of, right_seeds_of,
-                     seeds_of)
+                     is_right_seed, is_seed, is_seed_fast, left_seeds_of,
+                     right_seeds_of, seeds_of)
 from .errors import SizeLimitError
 from .fib import (Decomposition, Expansion, ExpansionItem, border_indices,
                   decompose, expansion, fib_len, fib_occurrences, fib_word,
@@ -21,8 +20,7 @@ from .fib import (Decomposition, Expansion, ExpansionItem, border_indices,
 from .verify import (CATEGORIES, DEFAULT_CAPS, BatteryResult, QuasiReport,
                      SuiteConfig, SuiteResult, check_category, run_suite)
 from .words import (borders, canonical, covered_prefix_extent,
-                    covered_suffix_extent, is_cover, is_factor, occurrences,
-                    period_of, superpose)
+                    covered_suffix_extent, is_cover, occurrences, period_of)
 
 __version__ = "0.1.0"
 
@@ -36,8 +34,8 @@ __all__ = [
     "enum_circular_covers", "enum_covers", "enum_left_seeds",
     "enum_right_seeds", "enum_seeds", "expansion", "fib_len",
     "fib_occurrences", "fib_word", "fib_words", "is_circular_cover",
-    "is_cover", "is_factor", "is_left_seed", "is_right_seed", "is_seed",
-    "is_seed_fast", "left_seeds_by_extension", "left_seeds_of",
+    "is_cover", "is_left_seed", "is_right_seed", "is_seed",
+    "is_seed_fast", "left_seeds_of",
     "materialization_limit", "occurrences", "period_of", "right_seeds_of",
-    "run_suite", "scan_occurrences", "seeds_of", "superpose",
+    "run_suite", "scan_occurrences", "seeds_of",
 ]

@@ -10,11 +10,21 @@ here; its category registry pairs each enumerator with its oracle. The
 seed-flavored catalogs hold O(|F_n|) to O(|F_n|^2) members, so those
 enumerators share the engine's size refusal and take ``force`` to
 override it.
+
+Every clause has one of the shapes in ``SHAPES``, the table that
+spelling, the low-base guard, ``prefix_source`` and ``nearest_forms``
+read. A catalog is a list of clause rows (kind, base, left range, right
+range, least |x|+|y|), each family's rows made by one builder, all
+spelled by one ``_build``. Row order is output order, because the JSON
+``forms`` list is pinned byte for byte: members come row by row (left
+length outer, right length inner, first of any repeat kept). The one member no
+shape produces is the literal "baa" at index 4 (``KIND_LITERAL``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .engine import refuse_oversize
 from .fib import _check_index, border_indices, fib_len, fib_words
@@ -30,23 +40,37 @@ KIND_SUFFIX_FIB_FIB_PREFIX = "SuffixFibFibPrefix"
 KIND_LITERAL = "Literal"
 
 
-# How far below its base each structural kind reads the Fibonacci
-# table; a negative index would silently wrap around the table.
-_READS_BELOW_BASE = {
-    KIND_PLAIN_FIB: 0,
-    KIND_FIB_PLUS_PREFIX: 1,
-    KIND_SUFFIX_PLUS_FIB: 1,
-    KIND_SUFFIX_FIB_PREFIX: 3,
-    KIND_SUFFIX_FIB_FIB_PREFIX: 1,
+# kind -> (has a left part x, core offsets, right-source offsets): at
+# base m the core and the source y is a prefix of are F_{m-d} for each
+# offset d, concatenated. Table order is nearest_forms' match order.
+SHAPES = {
+    KIND_PLAIN_FIB: (False, (0,), ()),
+    KIND_FIB_PLUS_PREFIX: (False, (0,), (1,)),
+    KIND_SUFFIX_FIB_PREFIX: (True, (0,), (3, 2)),
+    KIND_SUFFIX_FIB_FIB_PREFIX: (True, (1, 0), (1,)),
+    KIND_SUFFIX_PLUS_FIB: (True, (1, 0), ()),
 }
 
 
+def _shape(kind: str, m: int) -> tuple[bool, tuple, tuple]:
+    """The shape of ``kind``, refusing a base whose deepest offset would
+    read a negative index (which would silently wrap around the table)."""
+    shape = SHAPES.get(kind)
+    if shape is None:
+        raise ValueError(f"unknown form kind {kind!r}")
+    lowest = m - max(shape[1] + shape[2])
+    if lowest < 0:
+        raise ValueError("Fibonacci index must be nonnegative, got "
+                         f"{m if m < 0 else lowest}")
+    return shape
+
+
+def _join(table: list[str], m: int, offsets: tuple[int, ...]) -> str:
+    return "".join([table[m - d] for d in offsets])
+
+
 def _suffix(w: str, length: int) -> str:
-    return w[len(w) - length:] if length else ""
-
-
-def _prefix_source(table: list[str], m: int) -> str:
-    return table[m - 3] + table[m - 2]
+    return w[len(w) - length:]
 
 
 def prefix_source(m: int, n_max: int | None = None) -> str:
@@ -58,8 +82,9 @@ def prefix_source(m: int, n_max: int | None = None) -> str:
     prefixes from either word; only the long-extension family at the top
     base actually needs the swapped tail.
     """
-    _check_index(m - 3, n_max)
-    return _prefix_source(fib_words(m - 2, n_max), m)
+    source = SHAPES[KIND_SUFFIX_FIB_PREFIX][2]
+    _check_index(m - max(source), n_max)
+    return _join(fib_words(m - min(source), n_max), m, source)
 
 
 @dataclass(frozen=True)
@@ -78,27 +103,13 @@ class FactorForm:
     def spell(self, table: list[str]) -> str:
         """The word this clause spells, reading F_k as ``table[k]``; the
         table must reach F_base (see ``fib.fib_words``)."""
-        kind, m = self.kind, self.base
-        if kind == KIND_LITERAL:
+        if self.kind == KIND_LITERAL:
             return self.literal
-        if kind not in _READS_BELOW_BASE:
-            raise ValueError(f"unknown form kind {kind!r}")
-        lowest = m - _READS_BELOW_BASE[kind]
-        if lowest < 0:
-            raise ValueError("Fibonacci index must be nonnegative, got "
-                             f"{m if m < 0 else lowest}")
-        fm = table[m]
-        if kind == KIND_PLAIN_FIB:
-            return fm
-        if kind == KIND_FIB_PLUS_PREFIX:
-            return fm + table[m - 1][:self.right_len]
-        left = _suffix(fm, self.left_len)
-        if kind == KIND_SUFFIX_PLUS_FIB:
-            return left + table[m - 1] + fm
-        if kind == KIND_SUFFIX_FIB_PREFIX:
-            return left + fm + _prefix_source(table, m)[:self.right_len]
-        fm1 = table[m - 1]
-        return left + fm1 + fm + fm1[:self.right_len]
+        m = self.base
+        left, core, source = _shape(self.kind, m)
+        return (_suffix(table[m], self.left_len if left else 0)
+                + _join(table, m, core)
+                + _join(table, m, source)[:self.right_len])
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind, "m": self.base,
@@ -124,185 +135,176 @@ class EnumResult:
                 "words": list(self.words)}
 
 
-def _build(n: int, category: str, families: list[list[FactorForm]],
-           n_max: int | None = None,
-           prevalidated: list[FactorForm] | None = None) -> EnumResult:
-    """Materialize clause families, checking the internal invariants:
-    no duplicates inside a single family (duplicates across families are
-    absorbed by the set union), and every member a factor of the subject
-    word. ``prevalidated`` forms come from another enumerator that
-    already ran its own family checks. Every form is spelled from one
-    table F_0..F_n."""
+class Row(NamedTuple):
+    """One clause family: ``kind`` at base ``m`` with every left length
+    in ``lefts`` and right length in ``rights`` whose sum is at least
+    ``least``. A literal row spells ``literal`` alone."""
+
+    kind: str
+    m: int
+    lefts: range = range(1)
+    rights: range = range(1)
+    least: int = 0
+    literal: str = ""
+
+
+def _plain(*bases: int) -> list[Row]:
+    return [Row(KIND_PLAIN_FIB, m) for m in bases]
+
+
+def _cover_rows(n: int) -> list[Row]:
+    """F_n, then every second index down to F_3 (odd n) or F_4 (even
+    n): the covers of F_n, and the plain right seeds."""
+    return _plain(n, *range(n - 2, (3 if n % 2 else 4) - 1, -2))
+
+
+def _short_ext(m: int) -> Row:
+    """F_m extended by a prefix of F_{m-1} stopping two letters short."""
+    return Row(KIND_FIB_PLUS_PREFIX, m, rights=range(fib_len(m - 1) - 1))
+
+
+def _suffix_fib_prefix(m: int, long: bool = False) -> Row:
+    """x F_m y: x a nonempty proper suffix of F_m, y a nonempty prefix
+    of F_{m-3} F_{m-2} two letters short of |F_{m-1}| (up to all of it
+    when ``long``), |x|+|y| >= |F_{m-1}|."""
+    len_m1 = fib_len(m - 1)
+    return Row(KIND_SUFFIX_FIB_PREFIX, m, range(1, fib_len(m)),
+               range(1, len_m1 + 1 if long else len_m1 - 1), len_m1)
+
+
+def _suffix_fib_fib_prefix(m: int) -> Row:
+    """x F_{m-1} F_m y: x a suffix of F_m, y a prefix of F_{m-1}, both
+    possibly empty or full, |x|+|y| >= |F_m|."""
+    len_m = fib_len(m)
+    return Row(KIND_SUFFIX_FIB_FIB_PREFIX, m, range(len_m + 1),
+               range(fib_len(m - 1) + 1), len_m)
+
+
+def _build(n: int, category: str, rows_of: Callable[[int], list[Row]],
+           n_max: int | None = None, force: bool | None = None
+           ) -> EnumResult:
+    """Check the index guard and, unless ``force`` is None (the linear
+    catalogs), the size refusal; then spell ``rows_of(n)`` from one table
+    F_0..F_n, checking that no row repeats a member (repeats across rows
+    are absorbed by the set union) and every member is a factor of F_n."""
+    _check_index(n, n_max)
+    if force is not None:
+        refuse_oversize(f"catalog enumeration at index {n}", fib_len(n),
+                        force)
     table = fib_words(n, n_max)
     subject = table[n]
-    forms: list[FactorForm] = list(prevalidated or ())
-    words: list[str] = [form.spell(table) for form in forms]
-    for family in families:
-        members = [form.spell(table) for form in family]
+    forms, words = [], []
+    for kind, m, lefts, rights, least, literal in rows_of(n):
+        if kind == KIND_LITERAL:
+            row_forms, members = [FactorForm(kind, literal=literal)], [literal]
+        else:
+            _, core, source = _shape(kind, m)
+            core, source = _join(table, m, core), _join(table, m, source)
+            row_forms, members = [], []
+            for l in lefts:
+                head = _suffix(table[m], l) + core
+                for r in rights:
+                    if l + r >= least:
+                        row_forms.append(FactorForm(kind, m, l, r))
+                        members.append(head + source[:r])
         if len(set(members)) != len(members):
             raise RuntimeError(
                 f"family produced duplicate members at n={n}, "
-                f"category={category}: {family[0].kind}")
-        forms.extend(family)
+                f"category={category}: {kind}")
+        for form, word in zip(row_forms, members):
+            if word not in subject:
+                raise RuntimeError(
+                    f"{form} materialized {word!r}, not a factor of the "
+                    f"index-{n} word")
+        forms.extend(row_forms)
         words.extend(members)
-    for form, word in zip(forms, words):
-        if word not in subject:
-            raise RuntimeError(
-                f"{form} materialized {word!r}, not a factor of the "
-                f"index-{n} word")
     return EnumResult(n, category, tuple(dict.fromkeys(forms)),
                       tuple(canonical(words)))
+
+
+def _left_seed_rows(n: int) -> list[Row]:
+    if n <= 2:
+        return _plain(n)
+    if n == 3:
+        return _plain(2, 3)
+    return ([Row(KIND_FIB_PLUS_PREFIX, n - 1,
+                 rights=range(fib_len(n - 2) + 1))]
+            + [_short_ext(m) for m in range(3, n - 1)])
+
+
+def _right_seed_rows(n: int) -> list[Row]:
+    if n <= 2:
+        return _plain(n)
+    return _cover_rows(n) + [Row(KIND_SUFFIX_PLUS_FIB, n - 2,
+                                 lefts=range(fib_len(n - 2) + 1))]
+
+
+def _seed_rows(n: int) -> list[Row]:
+    rows = _left_seed_rows(n) + _right_seed_rows(n)
+    if n == 4:
+        rows.append(Row(KIND_LITERAL, 0, literal="baa"))
+    if n >= 5:
+        for m in range(3, n - 2):
+            rows += [_suffix_fib_prefix(m), _suffix_fib_fib_prefix(m)]
+        rows.append(_suffix_fib_prefix(n - 2, long=True))
+    return rows
+
+
+def _circular_rows(n: int) -> list[Row]:
+    if n <= 3:
+        return _plain(n)
+    if n == 4:
+        return _plain(4, 3)
+    return (_plain(n) + [_short_ext(m) for m in range(3, n)]
+            + [_suffix_fib_prefix(m) for m in range(3, n - 1)]
+            + [_suffix_fib_fib_prefix(m) for m in range(3, n - 2)])
 
 
 def enum_borders(n: int, n_max: int | None = None) -> EnumResult:
     """Borders of F_n: F_{n-2}, F_{n-4}, ... down to F_1 or F_2; none
     for n <= 2."""
-    _check_index(n, n_max)
-    families = [[FactorForm(KIND_PLAIN_FIB, j) for j in border_indices(n)]]
-    return _build(n, "borders", families, n_max)
+    return _build(n, "borders", lambda k: _plain(*border_indices(k)),
+                  n_max)
 
 
 def enum_covers(n: int, n_max: int | None = None) -> EnumResult:
     """Covers of F_n: F_n alone up to n = 4; from there every second
     index down to F_3 (odd n) or F_4 (even n)."""
-    _check_index(n, n_max)
-    family = [FactorForm(KIND_PLAIN_FIB, n)]
-    if n >= 5:
-        lowest = 3 if n % 2 else 4
-        family += [FactorForm(KIND_PLAIN_FIB, j)
-                   for j in range(n - 2, lowest - 1, -2)]
-    return _build(n, "covers", [family], n_max)
+    return _build(n, "covers", _cover_rows, n_max)
 
 
 def enum_left_seeds(n: int, n_max: int | None = None,
                     force: bool = False) -> EnumResult:
-    """Left seeds of F_n.
-
-    For n >= 4: F_{n-1} extended by any prefix of F_{n-2}, together
-    with, for each base 3 <= m <= n-2, F_m extended by a prefix of
-    F_{m-1} stopping two letters short.
-    """
-    _check_index(n, n_max)
-    refuse_oversize(f"catalog enumeration at index {n}", fib_len(n), force)
-    if n <= 2:
-        families = [[FactorForm(KIND_PLAIN_FIB, n)]]
-    elif n == 3:
-        families = [[FactorForm(KIND_PLAIN_FIB, 2), FactorForm(KIND_PLAIN_FIB, 3)]]
-    else:
-        families = [[FactorForm(KIND_FIB_PLUS_PREFIX, n - 1, right_len=r)
-                     for r in range(fib_len(n - 2) + 1)]]
-        for m in range(3, n - 1):
-            families.append([FactorForm(KIND_FIB_PLUS_PREFIX, m, right_len=r)
-                             for r in range(fib_len(m - 1) - 1)])
-    return _build(n, "left_seeds", families, n_max)
+    """Left seeds of F_n; for n >= 4: F_{n-1} extended by any prefix
+    of F_{n-2}, and for each base 3 <= m <= n-2, F_m extended by a
+    prefix of F_{m-1} stopping two letters short."""
+    return _build(n, "left_seeds", _left_seed_rows, n_max, force)
 
 
 def enum_right_seeds(n: int, n_max: int | None = None,
                      force: bool = False) -> EnumResult:
     """Right seeds of F_n: the covers of F_n plus every suffix of
     F_{n-2} prepended to F_{n-3} F_{n-2}."""
-    _check_index(n, n_max)
-    refuse_oversize(f"catalog enumeration at index {n}", fib_len(n), force)
-    if n <= 2:
-        families = [[FactorForm(KIND_PLAIN_FIB, n)]]
-    else:
-        lowest = 3 if n % 2 else 4
-        plain = [FactorForm(KIND_PLAIN_FIB, n)]
-        plain += [FactorForm(KIND_PLAIN_FIB, j)
-                  for j in range(n - 2, lowest - 1, -2)]
-        ext = [FactorForm(KIND_SUFFIX_PLUS_FIB, n - 2, left_len=l)
-               for l in range(fib_len(n - 2) + 1)]
-        families = [plain, ext]
-    return _build(n, "right_seeds", families, n_max)
-
-
-def _seed_families(n: int) -> list[list[FactorForm]]:
-    """The three parametric seed families for n >= 5.
-
-    (1) x F_m y with x a nonempty proper suffix of F_m, y a nonempty
-        prefix of F_{m-1} at least two short, |x|+|y| >= |F_{m-1}|, for
-        3 <= m <= n-3.
-    (2) x F_{m-1} F_m y with x a suffix of F_m and y a prefix of
-        F_{m-1}, both possibly empty or full, |x|+|y| >= |F_m|, same
-        bases.
-    (3) the top base m = n-2: x F_{n-2} y with y a nonempty prefix of
-        F_{n-5} F_{n-4} up to |F_{n-3}| letters and |x|+|y| >= |F_{n-3}|.
-    """
-    families: list[list[FactorForm]] = []
-    for m in range(3, n - 2):
-        len_m, len_m1 = fib_len(m), fib_len(m - 1)
-        families.append([
-            FactorForm(KIND_SUFFIX_FIB_PREFIX, m, left_len=l, right_len=r)
-            for l in range(1, len_m)
-            for r in range(1, len_m1 - 1)
-            if l + r >= len_m1])
-        families.append([
-            FactorForm(KIND_SUFFIX_FIB_FIB_PREFIX, m, left_len=l, right_len=r)
-            for l in range(0, len_m + 1)
-            for r in range(0, len_m1 + 1)
-            if l + r >= len_m])
-    top = n - 2
-    len_top, len_n3 = fib_len(top), fib_len(n - 3)
-    families.append([
-        FactorForm(KIND_SUFFIX_FIB_PREFIX, top, left_len=l, right_len=r)
-        for l in range(1, len_top)
-        for r in range(1, len_n3 + 1)
-        if l + r >= len_n3])
-    return families
+    return _build(n, "right_seeds", _right_seed_rows, n_max, force)
 
 
 def enum_seeds(n: int, n_max: int | None = None,
                force: bool = False) -> EnumResult:
     """Seeds of F_n: all left and right seeds, the literal "baa" at
-    n = 4, and for n >= 5 the three parametric families."""
-    _check_index(n, n_max)
-    refuse_oversize(f"catalog enumeration at index {n}", fib_len(n), force)
-    prevalidated = (list(enum_left_seeds(n, n_max, force).forms)
-                    + list(enum_right_seeds(n, n_max, force).forms))
-    families = []
-    if n == 4:
-        families.append([FactorForm(KIND_LITERAL, literal="baa")])
-    if n >= 5:
-        families.extend(_seed_families(n))
-    return _build(n, "seeds", families, n_max,
-                  prevalidated=prevalidated)
+    n = 4, and for n >= 5 the x F_m y and x F_{m-1} F_m y families for
+    3 <= m <= n-3, plus x F_{n-2} y with y up to all |F_{n-3}| letters
+    of F_{n-5} F_{n-4} (see ``_suffix_fib_prefix``)."""
+    return _build(n, "seeds", _seed_rows, n_max, force)
 
 
 def enum_circular_covers(n: int, n_max: int | None = None,
                          force: bool = False) -> EnumResult:
-    """Covers of the cyclic word over F_n.
-
-    F_n alone up to n = 3, plus F_{n-1} at n = 4; for n >= 5: F_n, each
-    F_m extended by a prefix of F_{m-1} stopping two letters short for
-    3 <= m <= n-1, and the x F_m y / x F_{m-1} F_m y families with the
-    seed bounds but bases capped at n-2 and n-3 respectively.
-    """
-    _check_index(n, n_max)
-    refuse_oversize(f"catalog enumeration at index {n}", fib_len(n), force)
-    if n <= 3:
-        families = [[FactorForm(KIND_PLAIN_FIB, n)]]
-    elif n == 4:
-        families = [[FactorForm(KIND_PLAIN_FIB, 4), FactorForm(KIND_PLAIN_FIB, 3)]]
-    else:
-        families = [[FactorForm(KIND_PLAIN_FIB, n)]]
-        for m in range(3, n):
-            families.append([FactorForm(KIND_FIB_PLUS_PREFIX, m, right_len=r)
-                             for r in range(fib_len(m - 1) - 1)])
-        for m in range(3, n - 1):
-            len_m, len_m1 = fib_len(m), fib_len(m - 1)
-            families.append([
-                FactorForm(KIND_SUFFIX_FIB_PREFIX, m, left_len=l, right_len=r)
-                for l in range(1, len_m)
-                for r in range(1, len_m1 - 1)
-                if l + r >= len_m1])
-        for m in range(3, n - 2):
-            len_m, len_m1 = fib_len(m), fib_len(m - 1)
-            families.append([
-                FactorForm(KIND_SUFFIX_FIB_FIB_PREFIX, m, left_len=l, right_len=r)
-                for l in range(0, len_m + 1)
-                for r in range(0, len_m1 + 1)
-                if l + r >= len_m])
-    return _build(n, "circular_covers", families, n_max)
+    """Covers of the cyclic word over F_n: F_n alone up to n = 3, plus
+    F_{n-1} at n = 4; for n >= 5: F_n, each F_m extended by a prefix of
+    F_{m-1} stopping two letters short for 3 <= m <= n-1, and the x F_m y
+    / x F_{m-1} F_m y families with the seed bounds but bases capped at
+    n-2 and n-3 respectively."""
+    return _build(n, "circular_covers", _circular_rows, n_max, force)
 
 
 def nearest_forms(word: str, n: int,
@@ -317,28 +319,17 @@ def nearest_forms(word: str, n: int,
         top += 1
     table = fib_words(top, n_max)
     for m in range(1, top + 1):
-        fm, fm1 = table[m], table[m - 1]
-        if word == fm:
-            matches.append(FactorForm(KIND_PLAIN_FIB, m))
-        if word.startswith(fm) and fm1.startswith(word[len(fm):]):
-            matches.append(FactorForm(KIND_FIB_PLUS_PREFIX, m,
-                                      right_len=len(word) - len(fm)))
+        fm = table[m]
+        shapes = [(kind, left, _join(table, m, core), _join(table, m, src))
+                  for kind, (left, core, src) in SHAPES.items()
+                  if m >= max(core + src)]
         for l in range(0, min(len(fm), len(word) - len(fm)) + 1):
             if word[:l] != _suffix(fm, l):
                 continue
             rest = word[l:]
-            if m >= 3:
-                if rest.startswith(fm) and _prefix_source(
-                        table, m).startswith(rest[len(fm):]):
-                    matches.append(FactorForm(
-                        KIND_SUFFIX_FIB_PREFIX, m, left_len=l,
-                        right_len=len(rest) - len(fm)))
-            block = fm1 + fm
-            if rest.startswith(block) and fm1.startswith(rest[len(block):]):
-                r = len(rest) - len(block)
-                matches.append(FactorForm(KIND_SUFFIX_FIB_FIB_PREFIX, m,
-                                          left_len=l, right_len=r))
-                if r == 0:
-                    matches.append(FactorForm(KIND_SUFFIX_PLUS_FIB, m,
-                                              left_len=l))
+            for kind, left, core, source in shapes:
+                if ((left or l == 0) and rest.startswith(core)
+                        and source.startswith(rest[len(core):])):
+                    matches.append(FactorForm(kind, m, l,
+                                              len(rest) - len(core)))
     return tuple(dict.fromkeys(matches))

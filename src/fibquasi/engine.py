@@ -87,27 +87,6 @@ def left_seeds_of(y: str) -> list[str]:
             if covered_prefix_extent(y[:k], y) >= p]
 
 
-def left_seeds_by_extension(y: str) -> list[str]:
-    """Independent left-seed oracle straight from the definition: z is a
-    left seed when it covers y extended by some right extension v.
-
-    Any covered extension y*v ends with z, so v is a suffix of z; trying
-    every suffix shorter than z is exhaustive.
-    """
-    require_word(y)
-    if not y:
-        raise ValueError("word must be nonempty")
-    out = []
-    for k in range(1, len(y) + 1):
-        z = y[:k]
-        for vlen in range(0, k):
-            v = z[k - vlen:] if vlen else ""
-            if is_cover(z, y + v)[0]:
-                out.append(z)
-                break
-    return out
-
-
 def is_right_seed(z: str, y: str) -> bool:
     """Mirror of is_left_seed: z must be a suffix of y covering a
     suffix at least as long as the period."""

@@ -34,12 +34,6 @@ def canonical(items) -> list[str]:
     return out
 
 
-def is_factor(u: str, y: str) -> bool:
-    """True iff u occurs contiguously in y. The empty word is a factor
-    of everything."""
-    return u in y
-
-
 def occurrences(u: str, y: str) -> tuple[int, ...]:
     """All (possibly overlapping) start positions of u in y, 1-based,
     ascending."""
@@ -120,20 +114,3 @@ def covered_suffix_extent(u: str, y: str) -> int:
         else:
             break
     return n - start + 1
-
-
-def superpose(u: str, v: str, overlap: int) -> str:
-    """Merge u and v over a shared part of the given length.
-
-    The last *overlap* letters of u must equal the first *overlap*
-    letters of v; the result is u followed by the remainder of v.
-    """
-    _require_nonempty(u, "left word")
-    _require_nonempty(v, "right word")
-    if not 1 <= overlap <= min(len(u), len(v)):
-        raise ValueError(
-            f"overlap {overlap} out of range [1, {min(len(u), len(v))}]")
-    if u[len(u) - overlap:] != v[:overlap]:
-        raise ValueError(
-            f"overlap mismatch: {u[len(u) - overlap:]!r} != {v[:overlap]!r}")
-    return u + v[overlap:]

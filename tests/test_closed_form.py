@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fibquasi import fib
+from fibquasi import closed_form, fib
 from fibquasi.closed_form import (FactorForm, KIND_FIB_PLUS_PREFIX,
                                   KIND_LITERAL, KIND_PLAIN_FIB, KIND_SUFFIX_FIB_FIB_PREFIX,
                                   KIND_SUFFIX_PLUS_FIB,
@@ -210,3 +210,153 @@ def test_nearest_forms_shapes():
                       right_len=0) in near
     assert FactorForm(KIND_PLAIN_FIB, 4) in nearest_forms(fib_word(4), 8)
     assert all(f.materialize() == "baaba" for f in near)
+
+
+# The per-kind spelling and shape matching that the SHAPES table
+# replaced, kept verbatim as test references.
+_READS_BELOW_BASE = {
+    KIND_PLAIN_FIB: 0,
+    KIND_FIB_PLUS_PREFIX: 1,
+    KIND_SUFFIX_PLUS_FIB: 1,
+    KIND_SUFFIX_FIB_PREFIX: 3,
+    KIND_SUFFIX_FIB_FIB_PREFIX: 1,
+}
+
+
+def _suffix(w: str, length: int) -> str:
+    return w[len(w) - length:] if length else ""
+
+
+def _prefix_source(table: list[str], m: int) -> str:
+    return table[m - 3] + table[m - 2]
+
+
+def _spell_by_kind(self, table: list[str]) -> str:
+    kind, m = self.kind, self.base
+    if kind == KIND_LITERAL:
+        return self.literal
+    if kind not in _READS_BELOW_BASE:
+        raise ValueError(f"unknown form kind {kind!r}")
+    lowest = m - _READS_BELOW_BASE[kind]
+    if lowest < 0:
+        raise ValueError("Fibonacci index must be nonnegative, got "
+                         f"{m if m < 0 else lowest}")
+    fm = table[m]
+    if kind == KIND_PLAIN_FIB:
+        return fm
+    if kind == KIND_FIB_PLUS_PREFIX:
+        return fm + table[m - 1][:self.right_len]
+    left = _suffix(fm, self.left_len)
+    if kind == KIND_SUFFIX_PLUS_FIB:
+        return left + table[m - 1] + fm
+    if kind == KIND_SUFFIX_FIB_PREFIX:
+        return left + fm + _prefix_source(table, m)[:self.right_len]
+    fm1 = table[m - 1]
+    return left + fm1 + fm + fm1[:self.right_len]
+
+
+def _nearest_forms_by_kind(word: str, n: int,
+                           n_max: int | None = None) -> tuple[FactorForm, ...]:
+    matches: list[FactorForm] = []
+    top = 0
+    while top < n and fib_len(top + 1) <= len(word):
+        top += 1
+    table = fib_words(top, n_max)
+    for m in range(1, top + 1):
+        fm, fm1 = table[m], table[m - 1]
+        if word == fm:
+            matches.append(FactorForm(KIND_PLAIN_FIB, m))
+        if word.startswith(fm) and fm1.startswith(word[len(fm):]):
+            matches.append(FactorForm(KIND_FIB_PLUS_PREFIX, m,
+                                      right_len=len(word) - len(fm)))
+        for l in range(0, min(len(fm), len(word) - len(fm)) + 1):
+            if word[:l] != _suffix(fm, l):
+                continue
+            rest = word[l:]
+            if m >= 3:
+                if rest.startswith(fm) and _prefix_source(
+                        table, m).startswith(rest[len(fm):]):
+                    matches.append(FactorForm(
+                        KIND_SUFFIX_FIB_PREFIX, m, left_len=l,
+                        right_len=len(rest) - len(fm)))
+            block = fm1 + fm
+            if rest.startswith(block) and fm1.startswith(rest[len(block):]):
+                r = len(rest) - len(block)
+                matches.append(FactorForm(KIND_SUFFIX_FIB_FIB_PREFIX, m,
+                                          left_len=l, right_len=r))
+                if r == 0:
+                    matches.append(FactorForm(KIND_SUFFIX_PLUS_FIB, m,
+                                              left_len=l))
+    return tuple(dict.fromkeys(matches))
+
+
+def _outcome(spell, form, table):
+    try:
+        return spell(form, table)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_spell_matches_per_kind_reference():
+    table = fib_words(12)
+    lengths = (0, 1, 2, 3, 5, 8, 13, 21, 34, 200)
+    kinds = (KIND_PLAIN_FIB, KIND_FIB_PLUS_PREFIX, KIND_SUFFIX_PLUS_FIB,
+             KIND_SUFFIX_FIB_PREFIX, KIND_SUFFIX_FIB_FIB_PREFIX, "Bogus")
+    refused = 0
+    for kind in kinds:
+        for base in range(-1, 13):
+            for left in lengths:
+                for right in lengths:
+                    form = FactorForm(kind, base, left, right)
+                    got = _outcome(FactorForm.spell, form, table)
+                    assert got == _outcome(_spell_by_kind, form, table), form
+                    refused += got.startswith("ValueError")
+    literal = FactorForm(KIND_LITERAL, literal="baa")
+    assert literal.spell(table) == _spell_by_kind(literal, table) == "baa"
+    # every base below each kind's deepest offset, plus the unknown kind
+    assert refused == (1 + 2 + 2 + 4 + 2 + 14) * len(lengths) ** 2
+
+
+def _binary_words(max_len):
+    for length in range(max_len + 1):
+        for bits in range(1 << length):
+            yield "".join("ab"[(bits >> i) & 1] for i in range(length))
+
+
+def test_nearest_forms_matches_per_kind_reference():
+    for word in _binary_words(11):
+        for n in (5, 9, 12):
+            assert ([f.to_json() for f in nearest_forms(word, n)]
+                    == [f.to_json() for f in _nearest_forms_by_kind(word, n)]
+                    ), (word, n)
+
+
+def test_nearest_forms_matches_reference_on_fibonacci_factors():
+    # F_2..F_11 are prefixes of F_12, so its factors include theirs; a
+    # factor of F_k never reads a base above k, so one n covers them all.
+    subject = fib_word(12)
+    factors = {subject[i:j] for i in range(len(subject))
+               for j in range(i + 1, len(subject) + 1)}
+    for word in factors:
+        assert ([f.to_json() for f in nearest_forms(word, 12)]
+                == [f.to_json() for f in _nearest_forms_by_kind(word, 12)]
+                ), word
+
+
+def test_seed_catalog_reads_one_table_and_refuses_once(monkeypatch):
+    calls = {"fib_words": 0, "refuse_oversize": 0}
+
+    def counted(name):
+        real = getattr(closed_form, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(closed_form, name, counted(name))
+    for n in range(13):
+        calls.update(fib_words=0, refuse_oversize=0)
+        enum_seeds(n)
+        assert calls == {"fib_words": 1, "refuse_oversize": 1}, n

@@ -6,11 +6,11 @@ from fibquasi import engine
 from fibquasi.engine import (SeedWitness, circular_covers_of, covers_of,
                              distinct_factors, is_circular_cover,
                              is_left_seed, is_right_seed, is_seed,
-                             is_seed_fast, left_seeds_by_extension,
-                             left_seeds_of, right_seeds_of, seeds_of)
+                             is_seed_fast, left_seeds_of, right_seeds_of,
+                             seeds_of)
 from fibquasi.errors import SizeLimitError
 from fibquasi.fib import fib_word
-from fibquasi.words import canonical, is_cover, occurrences
+from fibquasi.words import canonical, is_cover, occurrences, require_word
 
 F4 = "abaab"
 F5 = "abaababa"
@@ -51,9 +51,30 @@ def test_left_seeds_examples():
     assert left_seeds_of("aba") == ["ab", "aba"]
 
 
+def _left_seeds_by_extension(y: str) -> list[str]:
+    """Independent left-seed oracle straight from the definition: z is a
+    left seed when it covers y extended by some right extension v.
+
+    Any covered extension y*v ends with z, so v is a suffix of z; trying
+    every suffix shorter than z is exhaustive.
+    """
+    require_word(y)
+    if not y:
+        raise ValueError("word must be nonempty")
+    out = []
+    for k in range(1, len(y) + 1):
+        z = y[:k]
+        for vlen in range(0, k):
+            v = z[k - vlen:] if vlen else ""
+            if is_cover(z, y + v)[0]:
+                out.append(z)
+                break
+    return out
+
+
 def test_left_seeds_match_extension_oracle_exhaustive():
     for y in all_words(10):
-        assert left_seeds_of(y) == left_seeds_by_extension(y)
+        assert left_seeds_of(y) == _left_seeds_by_extension(y)
 
 
 def test_left_seeds_match_extension_oracle_sampled():
@@ -61,7 +82,7 @@ def test_left_seeds_match_extension_oracle_sampled():
     subjects = [random_word(rng, 40) for _ in range(200)]
     subjects += [fib_word(n) for n in range(1, 9)]
     for y in subjects:
-        assert left_seeds_of(y) == left_seeds_by_extension(y)
+        assert left_seeds_of(y) == _left_seeds_by_extension(y)
 
 
 def test_right_seeds_examples():

@@ -1,0 +1,64 @@
+"""Byte-identity pins for the catalog and verify outputs.
+
+The digests below were recorded from the CLI before ``closed_form`` was
+rebuilt around its shape and clause-row tables; a refactor that changes
+any form, word, order or byte of these documents fails here. Each enum
+digest hashes, for N = 0..12 in turn, the exit code, a newline and the
+stdout of ``enum N --<flag> --json``; the verify digest hashes the JSON
+of ``verify --max-n 12 --json`` with every ``elapsed_ms`` removed.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from fibquasi.cli import main
+
+ENUM_DIGESTS = {
+    "borders":
+        "0ea5963cf77ce947a3a2d896784c69448aac4e7ab1ecaad89c370a6f4f38e5dd",
+    "covers":
+        "822829454647a6e2c7190246a452bfc9d25fed0c71e063f8ccf1320e19b15eec",
+    "left-seeds":
+        "e94692e1bb0d9ef2ae9f274caa0654f1d400631785ea161203abd722dd46934b",
+    "right-seeds":
+        "9865e501660ecc1ca1624052f83285eaa2d1094fbf818ca44f664a5aee94dc3d",
+    "seeds":
+        "6963ea876711795ede7300be1115b5ce808c08a9cb7ebd5130c51ed7b865a893",
+    "circular":
+        "1178efe288c875c8d43990f032bef8bc29ace6de5f20a9a479a5edbbdeee52d6",
+}
+VERIFY_DIGEST = (
+    "82faedb528c7cded26e84d672999f4446915e160326d68d8088dc11a84e7fbc5")
+
+
+@pytest.fixture(autouse=True)
+def _default_guard(monkeypatch):
+    monkeypatch.delenv("FIBQUASI_NMAX", raising=False)
+
+
+def _strip_timing(obj):
+    if isinstance(obj, dict):
+        return {k: _strip_timing(v) for k, v in obj.items()
+                if k != "elapsed_ms"}
+    if isinstance(obj, list):
+        return [_strip_timing(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("flag", sorted(ENUM_DIGESTS))
+def test_enum_json_is_byte_identical(capsys, flag):
+    digest = hashlib.sha256()
+    for n in range(13):
+        code = main(["enum", str(n), f"--{flag}", "--json"])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == ENUM_DIGESTS[flag]
+
+
+def test_verify_json_is_byte_identical_modulo_timing(capsys):
+    code = main(["verify", "--max-n", "12", "--json"])
+    doc = _strip_timing(json.loads(capsys.readouterr().out))
+    assert code == 1
+    assert (hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+            == VERIFY_DIGEST)

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from fibquasi.words import (borders, canonical, covered_prefix_extent,
-                            covered_suffix_extent, is_cover, is_factor,
-                            occurrences, period_of, require_word, superpose)
+                            covered_suffix_extent, is_cover, occurrences,
+                            period_of, require_word)
 
 F5 = "abaababa"
 F6 = "abaababaabaab"
@@ -18,12 +18,6 @@ def random_factor(rng, y):
     i = rng.randrange(len(y))
     j = rng.randint(i + 1, len(y))
     return y[i:j]
-
-
-def test_is_factor():
-    assert is_factor("aba", "abaab")
-    assert not is_factor("bb", "abaab")
-    assert is_factor("", "ab")
 
 
 def test_occurrences_examples():
@@ -140,35 +134,6 @@ def test_suffix_extent_mirrors_prefix_extent():
         u = random_factor(rng, y)
         assert covered_suffix_extent(u, y) == \
             covered_prefix_extent(u[::-1], y[::-1])
-
-
-def test_superpose_examples():
-    assert superpose("aba", "aab", 1) == "abaab"
-    assert superpose("ab", "ba", 1) == "aba"
-    assert superpose("aba", "bab", 2) == "abab"
-
-
-def test_superpose_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        superpose("aba", "bab", 1)
-
-
-def test_superpose_overlap_out_of_range():
-    with pytest.raises(ValueError, match="range"):
-        superpose("aba", "bab", 4)
-    with pytest.raises(ValueError, match="range"):
-        superpose("aba", "bab", 0)
-
-
-def test_superpose_keeps_operands():
-    rng = random.Random(31)
-    for _ in range(300):
-        u = random_word(rng, 10)
-        overlap = rng.randint(1, len(u))
-        v = u[len(u) - overlap:] + random_word(rng, 6)
-        merged = superpose(u, v, overlap)
-        assert merged.startswith(u) and merged.endswith(v)
-        assert len(merged) == len(u) + len(v) - overlap
 
 
 def test_canonical_ordering():
