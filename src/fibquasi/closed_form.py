@@ -73,7 +73,7 @@ def _suffix(w: str, length: int) -> str:
     return w[len(w) - length:]
 
 
-def prefix_source(m: int, n_max: int | None = None) -> str:
+def prefix_source(m: int) -> str:
     """Right-extension source F_{m-3} F_{m-2} for the x*F_m*y families.
 
     It has the same length as F_{m-1} and agrees with it except in the
@@ -83,8 +83,8 @@ def prefix_source(m: int, n_max: int | None = None) -> str:
     base actually needs the swapped tail.
     """
     source = SHAPES[KIND_SUFFIX_FIB_PREFIX][2]
-    _check_index(m - max(source), n_max)
-    return _join(fib_words(m - min(source), n_max), m, source)
+    _check_index(m - max(source))
+    return _join(fib_words(m - min(source)), m, source)
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ class FactorForm:
     right_len: int = 0
     literal: str = ""
 
-    def materialize(self, n_max: int | None = None) -> str:
-        return self.spell(fib_words(self.base, n_max))
+    def materialize(self) -> str:
+        return self.spell(fib_words(self.base))
 
     def spell(self, table: list[str]) -> str:
         """The word this clause spells, reading F_k as ``table[k]``; the
@@ -181,17 +181,16 @@ def _suffix_fib_fib_prefix(m: int) -> Row:
 
 
 def _build(n: int, category: str, rows_of: Callable[[int], list[Row]],
-           n_max: int | None = None, force: bool | None = None
-           ) -> EnumResult:
+           force: bool | None = None) -> EnumResult:
     """Check the index guard and, unless ``force`` is None (the linear
     catalogs), the size refusal; then spell ``rows_of(n)`` from one table
     F_0..F_n, checking that no row repeats a member (repeats across rows
     are absorbed by the set union) and every member is a factor of F_n."""
-    _check_index(n, n_max)
+    _check_index(n)
     if force is not None:
         refuse_oversize(f"catalog enumeration at index {n}", fib_len(n),
                         force)
-    table = fib_words(n, n_max)
+    table = fib_words(n)
     subject = table[n]
     forms, words = [], []
     for kind, m, lefts, rights, least, literal in rows_of(n):
@@ -260,55 +259,49 @@ def _circular_rows(n: int) -> list[Row]:
             + [_suffix_fib_fib_prefix(m) for m in range(3, n - 2)])
 
 
-def enum_borders(n: int, n_max: int | None = None) -> EnumResult:
+def enum_borders(n: int) -> EnumResult:
     """Borders of F_n: F_{n-2}, F_{n-4}, ... down to F_1 or F_2; none
     for n <= 2."""
-    return _build(n, "borders", lambda k: _plain(*border_indices(k)),
-                  n_max)
+    return _build(n, "borders", lambda k: _plain(*border_indices(k)))
 
 
-def enum_covers(n: int, n_max: int | None = None) -> EnumResult:
+def enum_covers(n: int) -> EnumResult:
     """Covers of F_n: F_n alone up to n = 4; from there every second
     index down to F_3 (odd n) or F_4 (even n)."""
-    return _build(n, "covers", _cover_rows, n_max)
+    return _build(n, "covers", _cover_rows)
 
 
-def enum_left_seeds(n: int, n_max: int | None = None,
-                    force: bool = False) -> EnumResult:
+def enum_left_seeds(n: int, force: bool = False) -> EnumResult:
     """Left seeds of F_n; for n >= 4: F_{n-1} extended by any prefix
     of F_{n-2}, and for each base 3 <= m <= n-2, F_m extended by a
     prefix of F_{m-1} stopping two letters short."""
-    return _build(n, "left_seeds", _left_seed_rows, n_max, force)
+    return _build(n, "left_seeds", _left_seed_rows, force)
 
 
-def enum_right_seeds(n: int, n_max: int | None = None,
-                     force: bool = False) -> EnumResult:
+def enum_right_seeds(n: int, force: bool = False) -> EnumResult:
     """Right seeds of F_n: the covers of F_n plus every suffix of
     F_{n-2} prepended to F_{n-3} F_{n-2}."""
-    return _build(n, "right_seeds", _right_seed_rows, n_max, force)
+    return _build(n, "right_seeds", _right_seed_rows, force)
 
 
-def enum_seeds(n: int, n_max: int | None = None,
-               force: bool = False) -> EnumResult:
+def enum_seeds(n: int, force: bool = False) -> EnumResult:
     """Seeds of F_n: all left and right seeds, the literal "baa" at
     n = 4, and for n >= 5 the x F_m y and x F_{m-1} F_m y families for
     3 <= m <= n-3, plus x F_{n-2} y with y up to all |F_{n-3}| letters
     of F_{n-5} F_{n-4} (see ``_suffix_fib_prefix``)."""
-    return _build(n, "seeds", _seed_rows, n_max, force)
+    return _build(n, "seeds", _seed_rows, force)
 
 
-def enum_circular_covers(n: int, n_max: int | None = None,
-                         force: bool = False) -> EnumResult:
+def enum_circular_covers(n: int, force: bool = False) -> EnumResult:
     """Covers of the cyclic word over F_n: F_n alone up to n = 3, plus
     F_{n-1} at n = 4; for n >= 5: F_n, each F_m extended by a prefix of
     F_{m-1} stopping two letters short for 3 <= m <= n-1, and the x F_m y
     / x F_{m-1} F_m y families with the seed bounds but bases capped at
     n-2 and n-3 respectively."""
-    return _build(n, "circular_covers", _circular_rows, n_max, force)
+    return _build(n, "circular_covers", _circular_rows, force)
 
 
-def nearest_forms(word: str, n: int,
-                  n_max: int | None = None) -> tuple[FactorForm, ...]:
+def nearest_forms(word: str, n: int) -> tuple[FactorForm, ...]:
     """Relaxed structural matches for a word the catalogs did not
     produce: every way to read it as one of the family shapes with the
     range constraints dropped. Used to name the clause a disputed word
@@ -317,7 +310,7 @@ def nearest_forms(word: str, n: int,
     top = 0
     while top < n and fib_len(top + 1) <= len(word):
         top += 1
-    table = fib_words(top, n_max)
+    table = fib_words(top)
     for m in range(1, top + 1):
         fm = table[m]
         shapes = [(kind, left, _join(table, m, core), _join(table, m, src))

@@ -14,8 +14,9 @@ The set oracles seeds_of and circular_covers_of decide all candidates
 of a subject in one sweep per factor length: occurrence gaps per
 distinct factor, plus border-table queries for the seed head and tail
 (Iliopoulos, Moore & Park, "Covering a string"). is_seed_fast and
-is_circular_cover are their test references, and seeds_of re-checks
-every candidate against is_seed on small inputs at runtime.
+is_circular_cover are their test references, and the test suite proves
+seeds_of equal to the exhaustive is_seed on every binary word of up to
+10 letters and on sampled words of up to 60.
 
 refuse_oversize is the one size refusal: seeds_of, circular_covers_of
 and the seed-flavored catalogs in closed_form decline subjects longer
@@ -27,17 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SizeLimitError
-from .words import (canonical, covered_prefix_extent, covered_suffix_extent,
-                    is_cover, occurrences, period_of, require_word)
+from .words import (borders, canonical, covered_prefix_extent,
+                    covered_suffix_extent, is_cover, occurrences, period_of,
+                    require_word)
 
 # seeds_of / circular_covers_of and the seed-flavored catalogs refuse
 # longer words unless forced: their candidate sets grow quadratically
 # and each sweep slices every candidate occurrence.
 SIZE_REFUSAL_LIMIT = 2000
-
-# Below this length seeds_of runs every candidate through both the fast
-# criterion and the exhaustive oracle and insists they agree.
-DUAL_CHECK_LIMIT = 60
 
 
 def refuse_oversize(what: str, length: int, force: bool) -> None:
@@ -50,6 +48,13 @@ def refuse_oversize(what: str, length: int, force: bool) -> None:
             f"override")
 
 
+def _require_subject(y: str) -> None:
+    """The set oracles' subject check: a nonempty word over {a, b}."""
+    require_word(y)
+    if not y:
+        raise ValueError("word must be nonempty")
+
+
 def distinct_factors(y: str) -> list[str]:
     """All distinct nonempty factors of y, canonically ordered."""
     n = len(y)
@@ -59,13 +64,8 @@ def distinct_factors(y: str) -> list[str]:
 def covers_of(y: str) -> list[str]:
     """Every factor that covers y: the borders that pass the occurrence
     chain test, plus y itself."""
-    require_word(y)
-    if not y:
-        raise ValueError("word must be nonempty")
-    # One candidate per length, shortest first: already canonical order.
-    candidates = [y[:k] for k in range(1, len(y)) if y.endswith(y[:k])]
-    candidates.append(y)
-    return [u for u in candidates if is_cover(u, y)[0]]
+    _require_subject(y)
+    return [u for u in borders(y) + [y] if is_cover(u, y)[0]]
 
 
 def is_left_seed(z: str, y: str) -> bool:
@@ -79,9 +79,7 @@ def is_left_seed(z: str, y: str) -> bool:
 
 
 def left_seeds_of(y: str) -> list[str]:
-    require_word(y)
-    if not y:
-        raise ValueError("word must be nonempty")
+    _require_subject(y)
     p = period_of(y)
     return [y[:k] for k in range(1, len(y) + 1)
             if covered_prefix_extent(y[:k], y) >= p]
@@ -98,9 +96,7 @@ def is_right_seed(z: str, y: str) -> bool:
 
 
 def right_seeds_of(y: str) -> list[str]:
-    require_word(y)
-    if not y:
-        raise ValueError("word must be nonempty")
+    _require_subject(y)
     p = period_of(y)
     return [y[len(y) - k:] for k in range(1, len(y) + 1)
             if covered_suffix_extent(y[len(y) - k:], y) >= p]
@@ -206,6 +202,24 @@ def _has_border(table: list[int], length: int, lo: int, hi: int) -> bool:
     return b >= lo
 
 
+def _window_runs(text: str, count: int, m: int) -> dict[str, list]:
+    """Map each length-m factor of text that starts at one of its first
+    ``count`` positions to [first start, last start, gapped], 0-based;
+    gapped says whether two consecutive such starts lie more than m
+    apart."""
+    runs: dict[str, list] = {}
+    for i in range(count):
+        u = text[i:i + m]
+        run = runs.get(u)
+        if run is None:
+            runs[u] = [i, i, False]
+        else:
+            if i - run[1] > m:
+                run[2] = True
+            run[1] = i
+    return runs
+
+
 def seeds_of(y: str, force: bool = False) -> list[str]:
     """All distinct factors of y that are seeds of y.
 
@@ -213,46 +227,30 @@ def seeds_of(y: str, force: bool = False) -> list[str]:
     its first and last start and whether two consecutive starts lie
     more than m apart; the head and tail conditions of is_seed_fast
     become border queries on the KMP tables of y and of its reverse.
-    On words up to DUAL_CHECK_LIMIT letters every candidate is
-    additionally run through the exhaustive oracle and any disagreement
-    is a hard error.
+    The exhaustive is_seed stays the definitive oracle; the test suite
+    proves this sweep equal to it.
     """
-    require_word(y)
-    if not y:
-        raise ValueError("word must be nonempty")
+    _require_subject(y)
     refuse_oversize("seed enumeration", len(y), force)
     n = len(y)
     prefix_borders = _border_table(y)
     suffix_borders = _border_table(y[::-1])
-    dual = n <= DUAL_CHECK_LIMIT
     out = []
     for m in range(1, n + 1):
-        runs: dict[str, list] = {}  # factor -> [first, last, gap over m]
-        for i in range(n - m + 1):
-            u = y[i:i + m]
-            run = runs.get(u)
-            if run is None:
-                runs[u] = [i, i, False]
-            else:
-                if i - run[1] > m:
-                    run[2] = True
-                run[1] = i
+        runs = _window_runs(y, n - m + 1, m)
         for u in sorted(runs):
             first, last, gapped = runs[u]
             # Head: an occurrence hanging off the left edge must reach
             # back to the first start, i.e. y[:first+m] has a border of
             # length in [first, m-1]; the tail mirrors this on y[last:].
             tail = n - last - m
-            seed = (not gapped
+            if (not gapped
                     and (first == 0 or _has_border(
                         prefix_borders, first + m, first, m - 1))
                     and (tail == 0 or _has_border(
-                        suffix_borders, n - last, tail, m - 1)))
-            if dual and seed != is_seed(u, y)[0]:
-                raise RuntimeError(
-                    f"seed criteria disagree on {u!r} in {y!r}")
-            if seed:
+                        suffix_borders, n - last, tail, m - 1))):
                 out.append(u)
+        del runs  # never hold two lengths' runs at once (peak memory)
     return out
 
 
@@ -288,24 +286,13 @@ def circular_covers_of(y: str, unrestricted: bool = False,
     per length m, over the starts within the first period, applies the
     gap rule of is_circular_cover to every candidate at once.
     """
-    require_word(y)
-    if not y:
-        raise ValueError("word must be nonempty")
+    _require_subject(y)
     refuse_oversize("circular-cover enumeration", len(y), force)
     n = len(y)
     yy = y + y
     out = []
     for m in range(1, n + 1):
-        runs: dict[str, list] = {}  # factor -> [first, last, gap over m]
-        for i in range(n):
-            u = yy[i:i + m]
-            run = runs.get(u)
-            if run is None:
-                runs[u] = [i, i, False]
-            else:
-                if i - run[1] > m:
-                    run[2] = True
-                run[1] = i
+        runs = _window_runs(yy, n, m)
         for u in sorted(runs):
             first, last, gapped = runs[u]
             # A first start past n-m means u only occurs across the seam,
@@ -313,4 +300,5 @@ def circular_covers_of(y: str, unrestricted: bool = False,
             if (not gapped and first + n - last <= m
                     and (unrestricted or first <= n - m)):
                 out.append(u)
+        del runs  # never hold two lengths' runs at once (peak memory)
     return out

@@ -6,8 +6,8 @@ F_k = P_k * delta_k, the unique tiling of F_n by F_m and F_{m-1}
 factors, and closed-form placement of the occurrences of F_m in F_n.
 
 Words are only materialized up to a guard index (default 30, about
-1.3M letters; override with the FIBQUASI_NMAX environment variable or a
-``n_max`` argument). Exact lengths are available much further out.
+1.3M letters; override with the FIBQUASI_NMAX environment variable).
+Exact lengths are available much further out.
 ``fib_words(n)`` builds the whole table F_0..F_n with one guard read;
 ``fib_word`` and the catalog builders take their words from such a
 table, so building one catalog reads the guard once per table rather
@@ -44,10 +44,10 @@ def materialization_limit() -> int:
     return value
 
 
-def _check_index(n: int, n_max: int | None) -> None:
+def _check_index(n: int) -> None:
     if n < 0:
         raise ValueError(f"Fibonacci index must be nonnegative, got {n}")
-    limit = materialization_limit() if n_max is None else n_max
+    limit = materialization_limit()
     if n > limit:
         raise SizeLimitError(
             f"index {n} exceeds the materialization guard N_max={limit}")
@@ -66,18 +66,18 @@ def fib_len(n: int) -> int:
     return a
 
 
-def fib_words(n: int, n_max: int | None = None) -> list[str]:
+def fib_words(n: int) -> list[str]:
     """The table [F_0, F_1, ..., F_n], checked against the guard once."""
-    _check_index(n, n_max)
+    _check_index(n)
     table = ["b", "a"][:n + 1]
     while len(table) <= n:
         table.append(table[-1] + table[-2])
     return table
 
 
-def fib_word(n: int, n_max: int | None = None) -> str:
+def fib_word(n: int) -> str:
     """The materialized word F_n (iterative, no recursion depth)."""
-    return fib_words(n, n_max)[n]
+    return fib_words(n)[n]
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,12 @@ class Decomposition:
         return {"p": self.p_part, "delta": self.delta}
 
 
-def decompose(k: int, n_max: int | None = None) -> Decomposition:
+def decompose(k: int) -> Decomposition:
     """F_k = P_k * delta_k with P_k = F_{k-2} F_{k-3} ... F_1 (empty
     product when k = 2) and delta_k = "ab" for even k, "ba" for odd."""
     if k < 2:
         raise ValueError(f"decomposition needs index >= 2, got {k}")
-    table = fib_words(k, n_max)
+    table = fib_words(k)
     p_part = "".join(reversed(table[1:k - 1]))
     delta = "ab" if k % 2 == 0 else "ba"
     if p_part + delta != table[k]:
@@ -121,9 +121,9 @@ class Expansion:
     def starts(self) -> tuple[int, ...]:
         return tuple(item.start for item in self.items)
 
-    def materialize(self, n_max: int | None = None) -> str:
-        big = fib_word(self.base, n_max)
-        small = fib_word(self.base - 1, n_max)
+    def materialize(self) -> str:
+        big = fib_word(self.base)
+        small = fib_word(self.base - 1)
         return "".join(big if item.kind == KIND_BIG else small
                        for item in self.items)
 
@@ -132,8 +132,7 @@ class Expansion:
                  "start": item.start} for item in self.items]
 
 
-def expansion(n: int, m: int, order: str = "leftmost",
-              n_max: int | None = None) -> Expansion:
+def expansion(n: int, m: int, order: str = "leftmost") -> Expansion:
     """Rewrite F_n down to factors of index m and m-1.
 
     Indices above m are replaced by (index-1, index-2) until only m and
@@ -147,7 +146,7 @@ def expansion(n: int, m: int, order: str = "leftmost",
         raise ValueError(f"expansion base must be in [1, {n - 1}], got {m}")
     if order not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown rewrite order {order!r}")
-    _check_index(n, n_max)
+    _check_index(n)
 
     indices: list[int] = []
     if order == "leftmost":
@@ -197,7 +196,7 @@ def border_indices(n: int) -> tuple[int, ...]:
     return tuple(range(n - 2, lowest - 1, -2))
 
 
-def fib_occurrences(n: int, m: int, n_max: int | None = None) -> tuple[int, ...]:
+def fib_occurrences(n: int, m: int) -> tuple[int, ...]:
     """Start positions of all occurrences of F_m in F_n, without scanning.
 
     These are the item starts of the F_m,F_{m-1} tiling of F_n, except
@@ -210,8 +209,8 @@ def fib_occurrences(n: int, m: int, n_max: int | None = None) -> tuple[int, ...]
     if not 3 <= m <= n - 2:
         raise ValueError(
             f"closed-form placement needs 3 <= m <= n-2, got m={m}, n={n}")
-    _check_index(n, n_max)
-    exp = expansion(n, m, n_max=n_max)
+    _check_index(n)
+    exp = expansion(n, m)
     starts = list(exp.starts())
     if (m - 1) in border_indices(n):
         if exp.items[-1].kind != KIND_SMALL:
@@ -222,8 +221,8 @@ def fib_occurrences(n: int, m: int, n_max: int | None = None) -> tuple[int, ...]
     return tuple(starts)
 
 
-def scan_occurrences(n: int, m: int, n_max: int | None = None) -> tuple[int, ...]:
+def scan_occurrences(n: int, m: int) -> tuple[int, ...]:
     """Ground-truth occurrence positions of F_m in F_n by naive scan."""
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    return occurrences(fib_word(m, n_max), fib_word(n, n_max))
+    return occurrences(fib_word(m), fib_word(n))

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import fibquasi
-from fibquasi import cli, engine
+from fibquasi import cli
 from fibquasi.cli import main
 from fibquasi.fib import fib_word
 
@@ -135,19 +135,6 @@ def test_force_is_rejected_where_it_overrides_nothing(capsys, argv):
     code, out, err = run(capsys, *argv, "--force")
     assert code == 2 and out == ""
     assert "usage:" in err and "unrecognized arguments: --force" in err
-
-
-def test_analyze_dual_check_failure_is_internal_error(capsys, monkeypatch):
-    real = engine.is_seed
-
-    def is_seed_wrong_on_baaba(u, y):
-        ok, witness = real(u, y)
-        return (not ok, None) if u == "baaba" else (ok, witness)
-
-    monkeypatch.setattr(engine, "is_seed", is_seed_wrong_on_baaba)
-    code, out, err = run(capsys, "analyze", fib_word(9), "--seeds")
-    assert code == 3 and out == ""
-    assert err.startswith("internal error: seed criteria disagree")
 
 
 def test_analyze_refusal_names_the_force_flag(capsys):

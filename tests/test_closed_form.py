@@ -167,11 +167,12 @@ def test_prefix_source_shares_all_but_last_two_letters():
         assert src[-2:] == fm1[-2:][::-1]
 
 
-def test_guard_errors():
+def test_guard_errors(monkeypatch):
     with pytest.raises(SizeLimitError):
         enum_covers(31)
+    monkeypatch.setenv("FIBQUASI_NMAX", "8")
     with pytest.raises(SizeLimitError):
-        enum_borders(9, n_max=8)
+        enum_borders(9)
     with pytest.raises(ValueError):
         enum_covers(-1)
 
@@ -255,13 +256,12 @@ def _spell_by_kind(self, table: list[str]) -> str:
     return left + fm1 + fm + fm1[:self.right_len]
 
 
-def _nearest_forms_by_kind(word: str, n: int,
-                           n_max: int | None = None) -> tuple[FactorForm, ...]:
+def _nearest_forms_by_kind(word: str, n: int) -> tuple[FactorForm, ...]:
     matches: list[FactorForm] = []
     top = 0
     while top < n and fib_len(top + 1) <= len(word):
         top += 1
-    table = fib_words(top, n_max)
+    table = fib_words(top)
     for m in range(1, top + 1):
         fm, fm1 = table[m], table[m - 1]
         if word == fm:

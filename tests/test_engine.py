@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from fibquasi import engine
 from fibquasi.engine import (SeedWitness, circular_covers_of, covers_of,
                              distinct_factors, is_circular_cover,
                              is_left_seed, is_right_seed, is_seed,
@@ -99,6 +98,27 @@ def test_left_right_mirror():
     for y in subjects:
         mirrored = canonical(w[::-1] for w in left_seeds_of(y[::-1]))
         assert canonical(right_seeds_of(y)) == mirrored
+
+
+def test_left_right_mirror_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def word_and_suffix(draw):
+        y = draw(st.text(alphabet="ab", min_size=1, max_size=60))
+        k = draw(st.integers(1, len(y)))
+        return y, y[len(y) - k:]
+
+    @hypothesis.settings(deadline=None, database=None)
+    @hypothesis.given(word_and_suffix())
+    def check(pair):
+        y, z = pair
+        assert right_seeds_of(y) == [
+            w[::-1] for w in left_seeds_of(y[::-1])]
+        assert is_right_seed(z, y) == is_left_seed(z[::-1], y[::-1])
+
+    check()
 
 
 def test_membership_shapes():
@@ -198,33 +218,23 @@ def test_is_seed_matches_all_pairs_reference_property():
     check()
 
 
-def _invert_one_seed_answer(monkeypatch, target):
-    """Patch engine.is_seed to give the wrong answer for ``target``;
-    returns the list of candidates it was called on."""
-    real = engine.is_seed
-    calls = []
-
-    def is_seed_wrong_on_target(u, y):
-        calls.append(u)
-        ok, witness = real(u, y)
-        return (not ok, None) if u == target else (ok, witness)
-
-    monkeypatch.setattr(engine, "is_seed", is_seed_wrong_on_target)
-    return calls
-
-
-def test_dual_check_fires_on_default_path(monkeypatch):
-    calls = _invert_one_seed_answer(monkeypatch, "baaba")
-    with pytest.raises(RuntimeError, match="seed criteria disagree"):
-        seeds_of(fib_word(9))
-    assert "baaba" in calls
-
-
-def test_dual_check_stops_above_limit(monkeypatch):
-    calls = _invert_one_seed_answer(monkeypatch, "baaba")
-    assert len(fib_word(10)) > engine.DUAL_CHECK_LIMIT
-    assert "baaba" in seeds_of(fib_word(10))
-    assert calls == []
+def test_seeds_of_matches_exhaustive_oracle():
+    # The sweep in seeds_of against the exhaustive is_seed on every
+    # candidate: all short binary words, the short Fibonacci words, and
+    # sampled longer words of both kinds the sweep sees (few seeds on a
+    # uniform word, many on a rotated power of a short base).
+    rng = random.Random(29)
+    subjects = list(all_words(10)) + [fib_word(n) for n in range(11)]
+    for _ in range(40):
+        length = rng.randint(11, 60)
+        subjects.append("".join(rng.choice("ab") for _ in range(length)))
+        base = "".join(rng.choice("ab") for _ in range(rng.randint(2, 8)))
+        shift = rng.randrange(len(base))
+        subjects.append((base * (length // len(base) + 2))[
+            shift:shift + length])
+    for y in subjects:
+        assert seeds_of(y) == [
+            u for u in distinct_factors(y) if is_seed(u, y)[0]], y
 
 
 def test_is_seed_rejects():
@@ -323,10 +333,10 @@ def test_circular_sweep_matches_predicate_exhaustive():
             if len(u) <= len(y) and is_circular_cover(u, y)], y
 
 
-def test_sweeps_match_predicates_above_dual_check():
-    # Longer than DUAL_CHECK_LIMIT, so seeds_of runs no runtime
-    # cross-check on these and only this test compares the sweeps with
-    # the per-word predicates.
+def test_sweeps_match_predicates_on_long_words():
+    # Longer than the words of test_seeds_of_matches_exhaustive_oracle,
+    # so only this test compares the sweeps with the per-word
+    # predicates on these.
     subjects = [fib_word(n) for n in (10, 11, 12)]
     subjects += [("aab" * 40)[1:100], "ab" * 70]
     for y in subjects:

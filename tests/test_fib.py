@@ -36,23 +36,25 @@ def test_fib_word_recurrence():
         assert len(fib_word(n)) == fib_len(n)
 
 
-def test_fib_word_guard():
+def test_fib_word_guard(monkeypatch):
     assert materialization_limit() == 30
     with pytest.raises(SizeLimitError):
         fib_word(31)
+    monkeypatch.setenv("FIBQUASI_NMAX", "5")
     with pytest.raises(SizeLimitError):
-        fib_word(6, n_max=5)
+        fib_word(6)
     with pytest.raises(ValueError):
         fib_word(-2)
 
 
-def test_fib_words_table():
+def test_fib_words_table(monkeypatch):
     for n in range(0, 21):
         table = fib_words(n)
         assert len(table) == n + 1
         assert all(table[k] == fib_word(k) for k in range(n + 1)), n
+    monkeypatch.setenv("FIBQUASI_NMAX", "5")
     with pytest.raises(SizeLimitError):
-        fib_words(6, n_max=5)
+        fib_words(6)
     with pytest.raises(ValueError, match="got -1"):
         fib_words(-1)
 
@@ -60,7 +62,6 @@ def test_fib_words_table():
 def test_materialization_env_override(monkeypatch):
     monkeypatch.setenv("FIBQUASI_NMAX", "8")
     assert materialization_limit() == 8
-    assert fib_word(8) == fib_word(8, n_max=8)
     with pytest.raises(SizeLimitError):
         fib_word(9)
     monkeypatch.setenv("FIBQUASI_NMAX", "zzz")
