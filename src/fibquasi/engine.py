@@ -10,6 +10,13 @@ starts and ends with the candidate; every pair it skips would fail the
 cover test's first check, so the search is still exhaustive and finds
 the same canonical witness.
 
+covers_of takes the borders of y, the only candidates a proper cover
+can be, from the KMP failure chain and decides each on y with a gap
+walk: one bounded find per occurrence, stopped at the first gap longer
+than the border (the gap rule of Moore & Smyth and of Li & Smyth). That
+is the occurrence-chain condition of words.is_cover, its test
+reference.
+
 The set oracles seeds_of and circular_covers_of decide all candidates
 of a subject in one sweep per factor length: occurrence gaps per
 distinct factor, plus border-table queries for the seed head and tail
@@ -28,9 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SizeLimitError
-from .words import (borders, canonical, covered_prefix_extent,
-                    covered_suffix_extent, is_cover, occurrences, period_of,
-                    require_word)
+from .words import (canonical, covered_prefix_extent, covered_suffix_extent,
+                    is_cover, occurrences, period_of, require_word)
 
 # seeds_of / circular_covers_of and the seed-flavored catalogs refuse
 # longer words unless forced: their candidate sets grow quadratically
@@ -62,10 +68,34 @@ def distinct_factors(y: str) -> list[str]:
 
 
 def covers_of(y: str) -> list[str]:
-    """Every factor that covers y: the borders that pass the occurrence
-    chain test, plus y itself."""
+    """Every factor that covers y, shortest first: the borders of y
+    whose occurrences chain across y, plus y itself.
+
+    A cover of y is a border of y, so the candidates are the lengths on
+    the KMP failure chain of y. A border u = y[:k] covers y iff every
+    occurrence after the one at 0 starts at most k past the previous
+    one, up to the occurrence at n - k. The gap walk finds the next
+    occurrence after i with y.find(u, i + 1, i + 2k), which sees exactly
+    the occurrences that start in i + 1 .. i + k; -1 means the next gap
+    is longer than k, so u does not cover y. Each border is decided on
+    y itself, never from the covers of a shorter cover, so the verify
+    cover_chain battery compares two independent answers.
+    """
     _require_subject(y)
-    return [u for u in borders(y) + [y] if is_cover(u, y)[0]]
+    n = len(y)
+    table = _border_table(y)
+    out = [y]
+    k = table[n]
+    while k:
+        u = y[:k]
+        i = 0
+        while 0 <= i < n - k:
+            i = y.find(u, i + 1, i + 2 * k)
+        if i >= 0:
+            out.append(u)
+        k = table[k]
+    out.reverse()
+    return out
 
 
 def is_left_seed(z: str, y: str) -> bool:

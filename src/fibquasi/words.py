@@ -54,12 +54,11 @@ def borders(y: str) -> list[str]:
 
 
 def period_of(y: str) -> int:
-    """Length of the shortest period of y: |y| minus the longest border
-    length (0 when y has no border)."""
+    """Length of the shortest period of y: the least p such that y[p:]
+    is a prefix of y, i.e. |y| minus the longest border length (|y|
+    when y has no border)."""
     _require_nonempty(y, "word")
-    bs = borders(y)
-    longest = len(bs[-1]) if bs else 0
-    return len(y) - longest
+    return next(p for p in range(1, len(y) + 1) if y.startswith(y[p:]))
 
 
 def is_cover(u: str, y: str) -> tuple[bool, tuple[int, ...] | None]:

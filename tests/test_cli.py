@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import fibquasi
-from fibquasi import cli
+from fibquasi import cli, engine, words
 from fibquasi.cli import main
 from fibquasi.fib import fib_word
 
@@ -69,6 +69,30 @@ def test_analyze_multiple_sets(capsys):
     assert code == 0
     assert doc["borders"] == ["a", "aba"]
     assert len(doc["left_seeds"]) == 5
+
+
+def test_analyze_json_round_trip_property(capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(deadline=None, database=None)
+    @hypothesis.given(st.text(alphabet="ab", min_size=1, max_size=60))
+    def check(y):
+        code, out, _ = run(capsys, "analyze", y, "--borders", "--covers",
+                           "--left-seeds", "--right-seeds", "--seeds",
+                           "--circular", "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "word": y,
+            "borders": words.borders(y),
+            "covers": engine.covers_of(y),
+            "left_seeds": engine.left_seeds_of(y),
+            "right_seeds": engine.right_seeds_of(y),
+            "seeds": engine.seeds_of(y),
+            "circular_covers": engine.circular_covers_of(y),
+        }
+
+    check()
 
 
 def test_analyze_rejects_alphabet(capsys):
@@ -335,6 +359,37 @@ def test_verify_same_under_optimize_flag():
     assert [r.returncode for r in runs] == [1, 1]
     plain, optimized = (_strip_timing(json.loads(r.stdout)) for r in runs)
     assert plain == optimized
+
+
+# Run with -S (no site-packages, so no pytest or hypothesis) and -E (no
+# PYTHON* variables); the package source is put on sys.path by hand.
+STDLIB_ONLY_PROGRAM = """
+import importlib, importlib.util, pkgutil, sys
+sys.path.insert(0, sys.argv[1])
+for absent in ("pytest", "hypothesis"):
+    if importlib.util.find_spec(absent) is not None:
+        sys.exit(f"{absent} is importable without site-packages")
+import fibquasi
+for module in pkgutil.iter_modules(fibquasi.__path__):
+    importlib.import_module("fibquasi." + module.name)
+from fibquasi import cli
+sys.exit(cli.main(["verify", "--max-n", "3", "--json"]))
+"""
+
+
+def test_package_runs_on_the_standard_library_alone():
+    src = Path(fibquasi.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-E", "-c", STDLIB_ONLY_PROGRAM, str(src)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert json.loads(proc.stdout)["summary"]
+    try:
+        import tomllib
+    except ImportError:
+        return
+    with open(src.parent / "pyproject.toml", "rb") as handle:
+        assert tomllib.load(handle)["project"]["dependencies"] == []
 
 
 def test_unknown_command(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fibquasi import engine
 from fibquasi.engine import (SeedWitness, circular_covers_of, covers_of,
                              distinct_factors, is_circular_cover,
                              is_left_seed, is_right_seed, is_seed,
@@ -9,7 +10,9 @@ from fibquasi.engine import (SeedWitness, circular_covers_of, covers_of,
                              seeds_of)
 from fibquasi.errors import SizeLimitError
 from fibquasi.fib import fib_word
-from fibquasi.words import canonical, is_cover, occurrences, require_word
+from fibquasi.verify import _battery_cover_chain
+from fibquasi.words import (borders, canonical, is_cover, occurrences,
+                            require_word)
 
 F4 = "abaab"
 F5 = "abaababa"
@@ -42,6 +45,76 @@ def test_covers_members_are_borders_or_whole():
         y = random_word(rng)
         for u in covers_of(y):
             assert u == y or (y.startswith(u) and y.endswith(u))
+
+
+def _covers_of_reference(y):
+    """Reference cover oracle: every border, plus y, filtered by the
+    per-word is_cover predicate."""
+    return [u for u in borders(y) + [y] if is_cover(u, y)[0]]
+
+
+def test_covers_of_matches_reference():
+    # The battery's domain, the Fibonacci words, and longer sampled
+    # words: uniform ones have few borders, rotated powers of a short
+    # base have many borders and many covers.
+    rng = random.Random(31)
+    subjects = list(all_words(14)) + [fib_word(n) for n in range(17)]
+    for k in range(200):
+        length = rng.randint(15, 300)
+        if k % 2:
+            base = "".join(rng.choice("ab")
+                           for _ in range(rng.randint(2, 8)))
+            shift = rng.randrange(len(base))
+            subjects.append((base * (length // len(base) + 2))[
+                shift:shift + length])
+        else:
+            subjects.append("".join(rng.choice("ab") for _ in range(length)))
+    for y in subjects:
+        assert covers_of(y) == _covers_of_reference(y), y
+
+
+def test_covers_of_matches_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(deadline=None, database=None)
+    @hypothesis.given(st.text(alphabet="ab", min_size=1, max_size=80))
+    def check(y):
+        assert covers_of(y) == _covers_of_reference(y)
+
+    check()
+
+
+def test_cover_chain_battery_catches_a_dropped_cover(monkeypatch):
+    # abaaba is a proper cover of abaabaaba; hiding its own cover aba
+    # breaks the cover-chain fact at z = aba.
+    honest = engine.covers_of
+
+    def dropping(y):
+        return [u for u in honest(y) if (y, u) != ("abaaba", "aba")]
+
+    monkeypatch.setattr(engine, "covers_of", dropping)
+    result = _battery_cover_chain(9)
+    assert not result.passed
+    assert any("u=abaaba z=aba" in f for f in result.failures)
+
+
+def test_covers_of_decides_each_word_on_its_own(monkeypatch):
+    # One top-level call is one call: covers_of never asks for the
+    # covers of a shorter cover, so the cover-chain battery compares two
+    # independent answers.
+    honest = engine.covers_of
+    calls = []
+
+    def counting(y):
+        calls.append(y)
+        return honest(y)
+
+    monkeypatch.setattr(engine, "covers_of", counting)
+    for y in all_words(10):
+        calls.clear()
+        engine.covers_of(y)
+        assert calls == [y]
 
 
 def test_left_seeds_examples():

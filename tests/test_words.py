@@ -61,9 +61,12 @@ def test_period_examples():
 
 
 def test_period_duality():
+    # Every binary word up to 12 letters, then longer sampled ones.
     rng = random.Random(11)
-    for _ in range(300):
-        y = random_word(rng)
+    subjects = ["".join("ab"[(bits >> i) & 1] for i in range(length))
+                for length in range(1, 13) for bits in range(1 << length)]
+    subjects += [random_word(rng) for _ in range(300)]
+    for y in subjects:
         bs = borders(y)
         longest = len(bs[-1]) if bs else 0
         assert period_of(y) + longest == len(y)
