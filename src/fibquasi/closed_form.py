@@ -19,11 +19,18 @@ spelled by one ``_build``. Row order is output order, because the JSON
 ``forms`` list is pinned byte for byte: members come row by row (left
 length outer, right length inner, first of any repeat kept). The one member no
 shape produces is the literal "baa" at index 4 (``KIND_LITERAL``).
+
+Because a catalog can hold O(|F_n|^2) members, ``_build`` spells each
+row in bulk and no Python frame runs per member: a ``FactorForm`` is a
+NamedTuple, made by ``tuple.__new__`` and hashed as a plain tuple.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 from .engine import refuse_oversize
@@ -87,9 +94,12 @@ def prefix_source(m: int) -> str:
     return _join(fib_words(m - min(source)), m, source)
 
 
-@dataclass(frozen=True)
-class FactorForm:
-    """One symbolic clause instance; materializes to exactly one word."""
+class FactorForm(NamedTuple):
+    """One symbolic clause instance; materializes to exactly one word.
+
+    A NamedTuple, so a form equals and hashes as the plain tuple of its
+    fields, and ``_build`` can make forms in bulk without running a
+    Python constructor per form."""
 
     kind: str
     base: int = 0
@@ -185,36 +195,57 @@ def _build(n: int, category: str, rows_of: Callable[[int], list[Row]],
     """Check the index guard and, unless ``force`` is None (the linear
     catalogs), the size refusal; then spell ``rows_of(n)`` from one table
     F_0..F_n, checking that no row repeats a member (repeats across rows
-    are absorbed by the set union) and every member is a factor of F_n."""
+    are absorbed by the set union) and every member is a factor of F_n.
+
+    A row is spelled in bulk: its core, its source and the prefixes of
+    the source it uses are spelled once, and for each left length the
+    members and forms come from C-level ``map`` calls, with no Python
+    frame per member. The factor check reads one member per (row, left
+    length), the longest: every other member at that left length is a
+    prefix of it, and a prefix of a factor of F_n is a factor too. When
+    it fails, the non-factors at that left length are a suffix of its
+    right lengths, so the first one in row order is named."""
     _check_index(n)
     if force is not None:
         refuse_oversize(f"catalog enumeration at index {n}", fib_len(n),
                         force)
     table = fib_words(n)
     subject = table[n]
+    new_form = partial(tuple.__new__, FactorForm)
     forms, words = [], []
     for kind, m, lefts, rights, least, literal in rows_of(n):
         if kind == KIND_LITERAL:
             row_forms, members = [FactorForm(kind, literal=literal)], [literal]
+            ends = [1]
         else:
             _, core, source = _shape(kind, m)
             core, source = _join(table, m, core), _join(table, m, source)
-            row_forms, members = [], []
+            prefixes = [source[:r] for r in rights]
+            # ends: where each left length's members stop in ``members``
+            row_forms, members, ends = [], [], []
             for l in lefts:
+                k = bisect_left(rights, least - l)  # first r with l+r >= least
+                if k == len(rights):
+                    continue
                 head = _suffix(table[m], l) + core
-                for r in rights:
-                    if l + r >= least:
-                        row_forms.append(FactorForm(kind, m, l, r))
-                        members.append(head + source[:r])
+                members.extend(map(head.__add__, prefixes[k:]))
+                row_forms.extend(map(new_form, zip(
+                    repeat(kind), repeat(m), repeat(l), rights[k:],
+                    repeat(""))))
+                ends.append(len(members))
         if len(set(members)) != len(members):
             raise RuntimeError(
                 f"family produced duplicate members at n={n}, "
                 f"category={category}: {kind}")
-        for form, word in zip(row_forms, members):
-            if word not in subject:
+        begin = 0
+        for end in ends:
+            if members[end - 1] not in subject:
+                i = next(i for i in range(begin, end)
+                         if members[i] not in subject)
                 raise RuntimeError(
-                    f"{form} materialized {word!r}, not a factor of the "
-                    f"index-{n} word")
+                    f"{row_forms[i]} materialized {members[i]!r}, not a "
+                    f"factor of the index-{n} word")
+            begin = end
         forms.extend(row_forms)
         words.extend(members)
     return EnumResult(n, category, tuple(dict.fromkeys(forms)),

@@ -29,8 +29,9 @@ from typing import Callable
 
 from . import closed_form, engine, words
 from .errors import SizeLimitError
-from .fib import (KIND_SMALL, expansion, fib_len, fib_occurrences, fib_word,
-                  fib_words, materialization_limit, scan_occurrences)
+from .fib import (KIND_SMALL, LENGTH_INDEX_LIMIT, expansion, fib_len,
+                  fib_occurrences, fib_word, fib_words,
+                  materialization_limit, scan_occurrences)
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,12 @@ class SuiteConfig:
         for cat, cap in self.caps.items():
             if cat not in REGISTRY:
                 raise ValueError(f"cap for unknown category {cat!r}")
+            if cap < 0:
+                raise ValueError(f"cap {cap} for {cat} must be nonnegative")
+            if cap > LENGTH_INDEX_LIMIT:
+                raise SizeLimitError(
+                    f"cap {cap} for {cat} exceeds the exact length limit, "
+                    f"index {LENGTH_INDEX_LIMIT}")
             if fib_len(cap) > engine.SIZE_REFUSAL_LIMIT:
                 raise ValueError(
                     f"cap {cap} for {cat} exceeds the engine refusal "

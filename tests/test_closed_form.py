@@ -1,18 +1,21 @@
 import json
+import sys
 
 import pytest
 
 from fibquasi import closed_form, fib
-from fibquasi.closed_form import (FactorForm, KIND_FIB_PLUS_PREFIX,
+from fibquasi.closed_form import (EnumResult, FactorForm, KIND_FIB_PLUS_PREFIX,
                                   KIND_LITERAL, KIND_PLAIN_FIB, KIND_SUFFIX_FIB_FIB_PREFIX,
                                   KIND_SUFFIX_PLUS_FIB,
-                                  KIND_SUFFIX_FIB_PREFIX, enum_borders,
+                                  KIND_SUFFIX_FIB_PREFIX, Row, _build, _join,
+                                  _shape, enum_borders,
                                   enum_circular_covers, enum_covers,
                                   enum_left_seeds, enum_right_seeds,
                                   enum_seeds, nearest_forms, prefix_source)
-from fibquasi.engine import is_seed_fast
+from fibquasi.engine import is_seed_fast, refuse_oversize
 from fibquasi.errors import SizeLimitError
-from fibquasi.fib import fib_len, fib_word, fib_words
+from fibquasi.fib import _check_index, fib_len, fib_word, fib_words
+from fibquasi.words import canonical
 from fibquasi.verify import CATEGORIES, REGISTRY
 
 
@@ -360,3 +363,136 @@ def test_seed_catalog_reads_one_table_and_refuses_once(monkeypatch):
         calls.update(fib_words=0, refuse_oversize=0)
         enum_seeds(n)
         assert calls == {"fib_words": 1, "refuse_oversize": 1}, n
+
+
+# The per-member `_build` loop that bulk spelling replaced, kept verbatim
+# as the test reference (its `_suffix` is the one above).
+def _build_reference(n, category, rows_of, force=None):
+    _check_index(n)
+    if force is not None:
+        refuse_oversize(f"catalog enumeration at index {n}", fib_len(n),
+                        force)
+    table = fib_words(n)
+    subject = table[n]
+    forms, words = [], []
+    for kind, m, lefts, rights, least, literal in rows_of(n):
+        if kind == KIND_LITERAL:
+            row_forms, members = [FactorForm(kind, literal=literal)], [literal]
+        else:
+            _, core, source = _shape(kind, m)
+            core, source = _join(table, m, core), _join(table, m, source)
+            row_forms, members = [], []
+            for l in lefts:
+                head = _suffix(table[m], l) + core
+                for r in rights:
+                    if l + r >= least:
+                        row_forms.append(FactorForm(kind, m, l, r))
+                        members.append(head + source[:r])
+        if len(set(members)) != len(members):
+            raise RuntimeError(
+                f"family produced duplicate members at n={n}, "
+                f"category={category}: {kind}")
+        for form, word in zip(row_forms, members):
+            if word not in subject:
+                raise RuntimeError(
+                    f"{form} materialized {word!r}, not a factor of the "
+                    f"index-{n} word")
+        forms.extend(row_forms)
+        words.extend(members)
+    return EnumResult(n, category, tuple(dict.fromkeys(forms)),
+                      tuple(canonical(words)))
+
+
+def _assert_same_result(got, want):
+    assert (got.n, got.category, got.words) == (want.n, want.category,
+                                                 want.words)
+    assert type(got.words) is tuple
+    assert len(got.forms) == len(want.forms)
+    for mine, theirs in zip(got.forms, want.forms):
+        assert type(mine) is FactorForm and type(theirs) is FactorForm
+        for name in FactorForm._fields:
+            a, b = getattr(mine, name), getattr(theirs, name)
+            assert type(a) is type(b) and a == b, (mine, theirs)
+
+
+@pytest.mark.parametrize("category", CATEGORIES)
+def test_bulk_build_matches_reference(monkeypatch, category):
+    enumerator = REGISTRY[category].enumerator
+    top = 15 if category in ("seeds", "circular_covers") else 14
+    got = [enumerator(n) for n in range(top + 1)]
+    monkeypatch.setattr(closed_form, "_build", _build_reference)
+    for n in range(top + 1):
+        _assert_same_result(got[n], enumerator(n))
+
+
+def _build_error(rows, n=7):
+    with pytest.raises(RuntimeError) as caught:
+        _build(n, "test", lambda k: rows)
+    with pytest.raises(RuntimeError) as reference:
+        _build_reference(n, "test", lambda k: rows)
+    assert str(caught.value) == str(reference.value)
+    return str(caught.value)
+
+
+def test_build_names_first_non_factor_mid_row():
+    # F_5 plus a prefix of F_4, also with a one-letter left extension:
+    # every member at l = 0 and the first four at l = 1 are factors of
+    # F_7, so the longest member at l = 1 fails but the shortest passes.
+    row = Row(KIND_FIB_PLUS_PREFIX, 5, lefts=range(2), rights=range(6))
+    assert _build_error([row]) == (
+        "FactorForm(kind='FibPlusPrefix', base=5, left_len=1, right_len=4,"
+        " literal='') materialized 'aabaababaabaa', not a factor of the "
+        "index-7 word")
+
+
+def test_build_duplicate_check_precedes_factor_check():
+    duplicate = "family produced duplicate members at n=7, category=test: "
+    # F_3 twice (PlainFib has no source, so every right length spells it)
+    assert _build_error([Row(KIND_PLAIN_FIB, 3, rights=range(2))]) == (
+        duplicate + KIND_PLAIN_FIB)
+    # F_7 twice, and a letter before F_7, which is too long for F_7
+    both = Row(KIND_PLAIN_FIB, 7, lefts=range(2), rights=range(2))
+    assert _build_error([both]) == duplicate + KIND_PLAIN_FIB
+
+
+def test_build_checks_literal_rows():
+    assert _build_error([Row(KIND_LITERAL, 0, literal="bb")]) == (
+        "FactorForm(kind='Literal', base=0, left_len=0, right_len=0, "
+        "literal='bb') materialized 'bb', not a factor of the index-7 word")
+
+
+@pytest.mark.parametrize("enumerator", [enum_seeds, enum_circular_covers])
+def test_build_runs_no_python_frame_per_member(enumerator):
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = enumerator(12)
+    finally:
+        sys.setprofile(previous)
+    assert calls < len(result.forms) // 4, (calls, len(result.forms))
+
+
+def test_factor_form_contract():
+    form = FactorForm(KIND_SUFFIX_FIB_PREFIX, 3, 2, 1)
+    assert repr(form) == ("FactorForm(kind='SuffixFibPrefix', base=3, "
+                          "left_len=2, right_len=1, literal='')")
+    literal = FactorForm(KIND_LITERAL, literal="baa")
+    assert (literal.base, literal.left_len, literal.right_len) == (0, 0, 0)
+    assert literal == (KIND_LITERAL, 0, 0, 0, "baa")
+    assert literal.to_json() == {"kind": KIND_LITERAL, "m": 0,
+                                 "left_len": 0, "right_len": 0,
+                                 "word": "baa"}
+    assert form.to_json() == {"kind": KIND_SUFFIX_FIB_PREFIX, "m": 3,
+                              "left_len": 2, "right_len": 1}
+    same = FactorForm(kind=KIND_SUFFIX_FIB_PREFIX, base=3, left_len=2,
+                      right_len=1)
+    assert list(dict.fromkeys([form, literal, same, literal])) == [
+        form, literal]
+    with pytest.raises(AttributeError):
+        form.base = 4

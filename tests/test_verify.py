@@ -105,6 +105,16 @@ def test_config_validation():
     SuiteConfig(n_hi=12).validate()
 
 
+def test_cap_errors_name_the_cap_and_category():
+    with pytest.raises(ValueError,
+                       match=r"^cap -1 for seeds must be nonnegative$"):
+        SuiteConfig(n_hi=3, caps={"seeds": -1}).validate()
+    with pytest.raises(SizeLimitError,
+                       match=r"^cap 95 for seeds exceeds the exact length "
+                             r"limit, index 90$"):
+        SuiteConfig(n_hi=3, caps={"seeds": 95}).validate()
+
+
 def test_suite_cell_outcomes(full_suite):
     failing = {(c.n, c.category) for c in full_suite.cells if not c.passed}
     assert failing == EXPECTED_FINDING_CELLS
