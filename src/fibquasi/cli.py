@@ -40,8 +40,6 @@ def _print_words(label: str, items) -> None:
 
 
 def _cmd_gen(args) -> int:
-    if args.n < 0:
-        raise ValueError(f"index must be nonnegative, got {args.n}")
     if args.len:
         length = fib_len(args.n)
         if args.json:
@@ -118,10 +116,6 @@ def _cmd_enum(args) -> int:
 
 def _cmd_occurrences(args) -> int:
     n, m = args.n, args.m
-    if n < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
-    if m > n:
-        raise ValueError(f"pattern index {m} exceeds subject index {n}")
     if args.naive or not 3 <= m <= n - 2:
         method = "scan"
         positions = scan_occurrences(n, m)

@@ -11,14 +11,15 @@ seed-flavored catalogs hold O(|F_n|) to O(|F_n|^2) members, so those
 enumerators share the engine's size refusal and take ``force`` to
 override it.
 
-Every clause has one of the shapes in ``SHAPES``, the table that
-spelling, the low-base guard, ``prefix_source`` and ``nearest_forms``
-read. A catalog is a list of clause rows (kind, base, left range, right
-range, least |x|+|y|), each family's rows made by one builder, all
-spelled by one ``_build``. Row order is output order, because the JSON
-``forms`` list is pinned byte for byte: members come row by row (left
-length outer, right length inner, first of any repeat kept). The one member no
-shape produces is the literal "baa" at index 4 (``KIND_LITERAL``).
+Every clause has one of the shapes in ``SHAPES``, which only ``_parts``
+reads: it spells a kind's left source, core and right source at a base
+and refuses a base too low for the kind, for spelling, ``_build`` and
+``nearest_forms`` alike. A catalog is a list of clause rows (kind,
+base, left range, right range, least |x|+|y|), each family's rows made
+by one builder, all spelled by one ``_build``. Row order is output
+order, because the JSON ``forms`` list is pinned byte for byte: members
+come row by row (left length outer, right length inner, first of any
+repeat kept). The one member no shape produces is the literal "baa" at index 4 (``KIND_LITERAL``).
 
 Because a catalog can hold O(|F_n|^2) members, ``_build`` spells each
 row in bulk and no Python frame runs per member: a ``FactorForm`` is a
@@ -59,39 +60,26 @@ SHAPES = {
 }
 
 
-def _shape(kind: str, m: int) -> tuple[bool, tuple, tuple]:
-    """The shape of ``kind``, refusing a base whose deepest offset would
-    read a negative index (which would silently wrap around the table)."""
+def _parts(kind: str, m: int, table: list[str]) -> tuple[str, str, str]:
+    """The left source, core and right source of ``kind`` at base m,
+    reading F_k as ``table[k]``: F_m (or "" when the kind has no left
+    part), then F_{m-d} over the core and the source offsets. Refuses an
+    unknown kind, and a base whose deepest offset would read a negative
+    index (which would silently wrap around the table)."""
     shape = SHAPES.get(kind)
     if shape is None:
         raise ValueError(f"unknown form kind {kind!r}")
-    lowest = m - max(shape[1] + shape[2])
+    left, core, source = shape
+    lowest = m - max(core + source)
     if lowest < 0:
         raise ValueError("Fibonacci index must be nonnegative, got "
                          f"{m if m < 0 else lowest}")
-    return shape
-
-
-def _join(table: list[str], m: int, offsets: tuple[int, ...]) -> str:
-    return "".join([table[m - d] for d in offsets])
+    return (table[m] if left else "", "".join([table[m - d] for d in core]),
+            "".join([table[m - d] for d in source]))
 
 
 def _suffix(w: str, length: int) -> str:
     return w[len(w) - length:]
-
-
-def prefix_source(m: int) -> str:
-    """Right-extension source F_{m-3} F_{m-2} for the x*F_m*y families.
-
-    It has the same length as F_{m-1} and agrees with it except in the
-    final two letters (which appear swapped), so families whose right
-    part stays at least two letters short of |F_{m-1}| read identical
-    prefixes from either word; only the long-extension family at the top
-    base actually needs the swapped tail.
-    """
-    source = SHAPES[KIND_SUFFIX_FIB_PREFIX][2]
-    _check_index(m - max(source))
-    return _join(fib_words(m - min(source)), m, source)
 
 
 class FactorForm(NamedTuple):
@@ -115,11 +103,8 @@ class FactorForm(NamedTuple):
         table must reach F_base (see ``fib.fib_words``)."""
         if self.kind == KIND_LITERAL:
             return self.literal
-        m = self.base
-        left, core, source = _shape(self.kind, m)
-        return (_suffix(table[m], self.left_len if left else 0)
-                + _join(table, m, core)
-                + _join(table, m, source)[:self.right_len])
+        left, core, source = _parts(self.kind, self.base, table)
+        return _suffix(left, self.left_len) + core + source[:self.right_len]
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind, "m": self.base,
@@ -218,8 +203,7 @@ def _build(n: int, category: str, rows_of: Callable[[int], list[Row]],
             row_forms, members = [FactorForm(kind, literal=literal)], [literal]
             ends = [1]
         else:
-            _, core, source = _shape(kind, m)
-            core, source = _join(table, m, core), _join(table, m, source)
+            left, core, source = _parts(kind, m, table)
             prefixes = [source[:r] for r in rights]
             # ends: where each left length's members stop in ``members``
             row_forms, members, ends = [], [], []
@@ -227,7 +211,7 @@ def _build(n: int, category: str, rows_of: Callable[[int], list[Row]],
                 k = bisect_left(rights, least - l)  # first r with l+r >= least
                 if k == len(rights):
                     continue
-                head = _suffix(table[m], l) + core
+                head = _suffix(left, l) + core
                 members.extend(map(head.__add__, prefixes[k:]))
                 row_forms.extend(map(new_form, zip(
                     repeat(kind), repeat(m), repeat(l), rights[k:],
@@ -344,9 +328,12 @@ def nearest_forms(word: str, n: int) -> tuple[FactorForm, ...]:
     table = fib_words(top)
     for m in range(1, top + 1):
         fm = table[m]
-        shapes = [(kind, left, _join(table, m, core), _join(table, m, src))
-                  for kind, (left, core, src) in SHAPES.items()
-                  if m >= max(core + src)]
+        shapes = []
+        for kind in SHAPES:
+            try:
+                shapes.append((kind, *_parts(kind, m, table)))
+            except ValueError:  # base m is too low for this kind
+                pass
         for l in range(0, min(len(fm), len(word) - len(fm)) + 1):
             if word[:l] != _suffix(fm, l):
                 continue

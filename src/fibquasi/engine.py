@@ -101,8 +101,6 @@ def covers_of(y: str) -> list[str]:
 def is_left_seed(z: str, y: str) -> bool:
     """A prefix z of y is a left seed iff it covers a prefix of y at
     least as long as the period of y."""
-    if not z:
-        raise ValueError("pattern must be nonempty")
     if not y.startswith(z):
         return False
     return covered_prefix_extent(z, y) >= period_of(y)
@@ -118,8 +116,6 @@ def left_seeds_of(y: str) -> list[str]:
 def is_right_seed(z: str, y: str) -> bool:
     """Mirror of is_left_seed: z must be a suffix of y covering a
     suffix at least as long as the period."""
-    if not z:
-        raise ValueError("pattern must be nonempty")
     if not y.endswith(z):
         return False
     return covered_suffix_extent(z, y) >= period_of(y)
@@ -190,8 +186,6 @@ def is_seed_fast(u: str, y: str) -> bool:
     y[1..e] is a suffix of u, e reaching back to the first occurrence),
     and (c) symmetrically for the tail after the last occurrence.
     """
-    if not u:
-        raise ValueError("pattern must be nonempty")
     occ = occurrences(u, y)
     if not occ:
         raise ValueError(f"{u!r} is not a factor of the subject word")
@@ -292,8 +286,6 @@ def is_circular_cover(u: str, y: str) -> bool:
     is at most |u| (an occurrence reaches |u|-1 past its start, so a gap
     over |u| strands the letters in between).
     """
-    if not u:
-        raise ValueError("pattern must be nonempty")
     n = len(y)
     if len(u) > n:
         return False

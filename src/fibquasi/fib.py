@@ -148,25 +148,17 @@ def expansion(n: int, m: int, order: str = "leftmost") -> Expansion:
         raise ValueError(f"unknown rewrite order {order!r}")
     _check_index(n)
 
+    # F_k = F_{k-1} F_{k-2}; rightmost pops F_{k-2} first, so it emits
+    # the tiling back to front.
     indices: list[int] = []
-    if order == "leftmost":
-        stack = [n]
-        while stack:
-            k = stack.pop()
-            if k > m:
-                stack.append(k - 2)
-                stack.append(k - 1)
-            else:
-                indices.append(k)
-    else:
-        stack = [n]
-        while stack:
-            k = stack.pop()
-            if k > m:
-                stack.append(k - 1)
-                stack.append(k - 2)
-            else:
-                indices.append(k)
+    stack = [n]
+    while stack:
+        k = stack.pop()
+        if k > m:
+            stack += (k - 2, k - 1) if order == "leftmost" else (k - 1, k - 2)
+        else:
+            indices.append(k)
+    if order == "rightmost":
         indices.reverse()
 
     items = []
@@ -209,7 +201,6 @@ def fib_occurrences(n: int, m: int) -> tuple[int, ...]:
     if not 3 <= m <= n - 2:
         raise ValueError(
             f"closed-form placement needs 3 <= m <= n-2, got m={m}, n={n}")
-    _check_index(n)
     exp = expansion(n, m)
     starts = list(exp.starts())
     if (m - 1) in border_indices(n):

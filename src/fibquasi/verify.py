@@ -29,9 +29,9 @@ from typing import Callable
 
 from . import closed_form, engine, words
 from .errors import SizeLimitError
-from .fib import (KIND_SMALL, LENGTH_INDEX_LIMIT, expansion, fib_len,
-                  fib_occurrences, fib_word, fib_words,
-                  materialization_limit, scan_occurrences)
+from .fib import (KIND_SMALL, LENGTH_INDEX_LIMIT, _check_index, expansion,
+                  fib_len, fib_occurrences, fib_word, fib_words,
+                  scan_occurrences)
 
 
 @dataclass(frozen=True)
@@ -157,11 +157,7 @@ class SuiteConfig:
         if self.n_lo < 0 or self.n_hi < self.n_lo:
             raise ValueError(
                 f"invalid index range [{self.n_lo}, {self.n_hi}]")
-        limit = materialization_limit()
-        if self.n_hi > limit:
-            raise ValueError(
-                f"index range reaches {self.n_hi}, beyond the "
-                f"materialization guard N_max={limit}")
+        _check_index(self.n_hi)
         unknown = set(self.categories) - set(REGISTRY)
         if unknown:
             raise ValueError(f"unknown categories: {sorted(unknown)}")
@@ -248,17 +244,14 @@ def _battery_cover_chain(max_len: int) -> BatteryResult:
         # gives the order of counting up in binary with y[i] as bit i.
         for letters in itertools.product("ab", repeat=length):
             y = "".join(letters)[::-1]
-            cov_y = set(engine.covers_of(y))
-            proper = [u for u in cov_y if u != y]
-            if not proper:
-                continue
-            factors = engine.distinct_factors(y)
-            for u in proper:
-                cov_u = set(engine.covers_of(u))
-                for z in factors:
-                    if len(z) > len(u) or z == u:
-                        continue
-                    if (z in cov_y) != (z in cov_u):
+            cov_y = engine.covers_of(y)
+            for u in cov_y:
+                if u == y:
+                    continue
+                # z breaks the law iff it is in one cover set only
+                differ = set(cov_y) ^ set(engine.covers_of(u))
+                for z in words.canonical(differ):
+                    if len(z) <= len(u) and z != u and z in y:
                         failures.append(f"y={y} u={u} z={z}")
     return _battery("cover_chain",
                     f"all binary words up to length {max_len}",

@@ -218,6 +218,16 @@ def test_occurrences_bad_pair(capsys):
     assert run(capsys, "occurrences", "3", "6")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [["gen", "-1", "--len"],
+                                  ["occurrences", "-1", "3"],
+                                  ["occurrences", "6", "-1"],
+                                  ["verify", "--max-n", "31"]])
+def test_bad_index_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_verify_rejects_out_of_range(capsys):
     assert run(capsys, "verify", "--max-n", "999")[0] == 2
 
@@ -344,6 +354,23 @@ def test_verify_json_deterministic(capsys):
     a = json.dumps(_strip_timing(json.loads(first[1])))
     b = json.dumps(_strip_timing(json.loads(second[1])))
     assert a == b
+
+
+def test_verify_json_same_under_any_hash_seed():
+    # Two runs in one process share one hash seed; set iteration order
+    # only changes between processes.
+    src = str(Path(fibquasi.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fibquasi.cli", "verify", "--max-n", "8",
+             "--json"], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        outputs.append(json.dumps(_strip_timing(json.loads(proc.stdout))))
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_same_under_optimize_flag():

@@ -7,11 +7,11 @@ from fibquasi import closed_form, fib
 from fibquasi.closed_form import (EnumResult, FactorForm, KIND_FIB_PLUS_PREFIX,
                                   KIND_LITERAL, KIND_PLAIN_FIB, KIND_SUFFIX_FIB_FIB_PREFIX,
                                   KIND_SUFFIX_PLUS_FIB,
-                                  KIND_SUFFIX_FIB_PREFIX, Row, _build, _join,
-                                  _shape, enum_borders,
+                                  KIND_SUFFIX_FIB_PREFIX, SHAPES, Row, _build,
+                                  _parts, enum_borders,
                                   enum_circular_covers, enum_covers,
                                   enum_left_seeds, enum_right_seeds,
-                                  enum_seeds, nearest_forms, prefix_source)
+                                  enum_seeds, nearest_forms)
 from fibquasi.engine import is_seed_fast, refuse_oversize
 from fibquasi.errors import SizeLimitError
 from fibquasi.fib import _check_index, fib_len, fib_word, fib_words
@@ -162,8 +162,12 @@ def test_parametric_family_members_are_seeds():
 
 
 def test_prefix_source_shares_all_but_last_two_letters():
+    # The right source F_{m-3} F_{m-2} of x F_m y is F_{m-1} with its
+    # last two letters swapped, so only a right part within two letters
+    # of |F_{m-1}| reads the swapped tail.
     for m in range(3, 13):
-        src = prefix_source(m)
+        left, core, src = _parts(KIND_SUFFIX_FIB_PREFIX, m, fib_words(m))
+        assert (left, core) == (fib_word(m), fib_word(m))
         fm1 = fib_word(m - 1)
         assert len(src) == len(fm1)
         assert src[:-2] == fm1[:-2]
@@ -365,8 +369,9 @@ def test_seed_catalog_reads_one_table_and_refuses_once(monkeypatch):
         assert calls == {"fib_words": 1, "refuse_oversize": 1}, n
 
 
-# The per-member `_build` loop that bulk spelling replaced, kept verbatim
-# as the test reference (its `_suffix` is the one above).
+# The per-member `_build` loop that bulk spelling replaced, kept as the
+# test reference (its `_suffix` is the one above); it reads SHAPES itself
+# and prepends the left part whatever the kind.
 def _build_reference(n, category, rows_of, force=None):
     _check_index(n)
     if force is not None:
@@ -379,8 +384,9 @@ def _build_reference(n, category, rows_of, force=None):
         if kind == KIND_LITERAL:
             row_forms, members = [FactorForm(kind, literal=literal)], [literal]
         else:
-            _, core, source = _shape(kind, m)
-            core, source = _join(table, m, core), _join(table, m, source)
+            _, core, source = SHAPES[kind]
+            core = "".join(table[m - d] for d in core)
+            source = "".join(table[m - d] for d in source)
             row_forms, members = [], []
             for l in lefts:
                 head = _suffix(table[m], l) + core
@@ -435,14 +441,44 @@ def _build_error(rows, n=7):
 
 
 def test_build_names_first_non_factor_mid_row():
-    # F_5 plus a prefix of F_4, also with a one-letter left extension:
-    # every member at l = 0 and the first four at l = 1 are factors of
-    # F_7, so the longest member at l = 1 fails but the shortest passes.
-    row = Row(KIND_FIB_PLUS_PREFIX, 5, lefts=range(2), rights=range(6))
+    # x F_4 F_5 y with |x| = 1 or 2: at |x| = 1 the member with y empty
+    # is a factor of F_7 but the longest is not, so the first non-factor
+    # is the row's second member, and it spells what the message names.
+    row = Row(KIND_SUFFIX_FIB_FIB_PREFIX, 5, lefts=range(1, 3),
+              rights=range(6))
     assert _build_error([row]) == (
-        "FactorForm(kind='FibPlusPrefix', base=5, left_len=1, right_len=4,"
-        " literal='') materialized 'aabaababaabaa', not a factor of the "
-        "index-7 word")
+        "FactorForm(kind='SuffixFibFibPrefix', base=5, left_len=1, "
+        "right_len=1, literal='') materialized 'aabaababaababaa', not a "
+        "factor of the index-7 word")
+    named = FactorForm(KIND_SUFFIX_FIB_FIB_PREFIX, 5, 1, 1)
+    assert named.materialize() == "aabaababaababaa"
+
+
+def test_build_refuses_a_left_range_for_a_kind_without_left_part():
+    # FibPlusPrefix has no left part, so every left length spells the
+    # same members; the row repeats them and is refused.
+    row = Row(KIND_FIB_PLUS_PREFIX, 5, lefts=range(2), rights=range(6))
+    with pytest.raises(RuntimeError, match=(
+            r"^family produced duplicate members at n=7, category=test: "
+            r"FibPlusPrefix$")):
+        _build(7, "test", lambda k: [row])
+
+
+@pytest.mark.parametrize("kind", [*SHAPES, KIND_LITERAL])
+def test_build_forms_spell_their_own_members(kind):
+    # One row per build, so forms and members are one to one: spelling
+    # each form must give the member list back, with no repeat.
+    table = fib_words(12)
+    for m in range(3, 9):
+        if kind == KIND_LITERAL:
+            row = Row(kind, 0, literal="baa")
+        else:
+            left, _, source = _parts(kind, m, table)
+            row = Row(kind, m, range(len(left) + 1), range(len(source) + 1))
+        result = _build(12, "test", lambda k: [row])
+        spelled = [f.spell(table) for f in result.forms]
+        assert len(set(spelled)) == len(spelled) == len(result.words)
+        assert tuple(canonical(spelled)) == result.words, row
 
 
 def test_build_duplicate_check_precedes_factor_check():

@@ -99,6 +99,22 @@ def test_cover_chain_battery_catches_a_dropped_cover(monkeypatch):
     assert any("u=abaaba z=aba" in f for f in result.failures)
 
 
+def test_cover_chain_failures_follow_covers_of_order(monkeypatch):
+    # Hiding the cover a of a^k for 1 < k < 8 breaks the law only on
+    # y = a^8, once per proper cover u; the failures come in covers_of
+    # order, whatever the hash seed.
+    honest = engine.covers_of
+
+    def dropping(y):
+        if 1 < len(y) < 8 and y == "a" * len(y):
+            return [u for u in honest(y) if u != "a"]
+        return honest(y)
+
+    monkeypatch.setattr(engine, "covers_of", dropping)
+    assert _battery_cover_chain(8).failures == tuple(
+        f"y=aaaaaaaa u={'a' * k} z=a" for k in range(2, 8))
+
+
 def test_covers_of_decides_each_word_on_its_own(monkeypatch):
     # One top-level call is one call: covers_of never asks for the
     # covers of a shorter cover, so the cover-chain battery compares two
@@ -200,6 +216,13 @@ def test_membership_shapes():
         y = random_word(rng)
         assert all(y.startswith(z) for z in left_seeds_of(y))
         assert all(y.endswith(z) for z in right_seeds_of(y))
+
+
+@pytest.mark.parametrize("predicate", [
+    is_left_seed, is_right_seed, is_seed, is_seed_fast, is_circular_cover])
+def test_empty_pattern_is_refused(predicate):
+    with pytest.raises(ValueError, match=r"^pattern must be nonempty$"):
+        predicate("", F5)
 
 
 def test_is_seed_accepts_rotated_cover():
