@@ -24,6 +24,9 @@ repeat kept). The one member no shape produces is the literal "baa" at index 4 (
 Because a catalog can hold O(|F_n|^2) members, ``_build`` spells each
 row in bulk and no Python frame runs per member: a ``FactorForm`` is a
 NamedTuple, made by ``tuple.__new__`` and hashed as a plain tuple.
+``seed_groups`` and ``circular_cover_groups`` spell no member at all:
+they walk the same rows (``_heads``) and place each (row, left length)
+in F_n as one ``Group``, for verify's handle cells.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .engine import refuse_oversize
-from .fib import _check_index, border_indices, fib_len, fib_words
+from .fib import border_indices, fib_len, fib_words
 from .words import canonical
 
 KIND_PLAIN_FIB = "PlainFib"
@@ -175,12 +178,32 @@ def _suffix_fib_fib_prefix(m: int) -> Row:
                range(fib_len(m - 1) + 1), len_m)
 
 
+def _heads(row: Row, left: str, core: str,
+           source: str) -> Iterator[tuple[int, int, str, str]]:
+    """The row walk shared by ``_build`` and ``_groups``, given the
+    row's parts (see ``_parts``): for each left length l that spells a
+    member, (l, i, head, longest). The row takes the right lengths
+    rights[i:] at l (the first r with l + r >= least onward), head is
+    the suffix of length l of the left source followed by the core, and
+    longest is the longest member, head + source[:rights[-1]]. Every
+    member at l is a prefix of longest. A generator, so a caller that
+    reads one head at a time holds one longest member at a time."""
+    _, _, lefts, rights, least, _ = row
+    longest_right = source[:rights[-1]] if rights else ""
+    for l in lefts:
+        i = bisect_left(rights, least - l)
+        if i < len(rights):
+            head = _suffix(left, l) + core
+            yield l, i, head, head + longest_right
+
+
 def _build(n: int, category: str, rows_of: Callable[[int], list[Row]],
            force: bool | None = None) -> EnumResult:
-    """Check the index guard and, unless ``force`` is None (the linear
-    catalogs), the size refusal; then spell ``rows_of(n)`` from one table
-    F_0..F_n, checking that no row repeats a member (repeats across rows
-    are absorbed by the set union) and every member is a factor of F_n.
+    """Build the table F_0..F_n (the one index guard read) and, unless
+    ``force`` is None (the linear catalogs), check the size refusal;
+    then spell ``rows_of(n)`` from the table, checking that no row
+    repeats a member (repeats across rows are absorbed by the set union)
+    and every member is a factor of F_n.
 
     A row is spelled in bulk: its core, its source and the prefixes of
     the source it uses are spelled once, and for each left length the
@@ -190,40 +213,37 @@ def _build(n: int, category: str, rows_of: Callable[[int], list[Row]],
     prefix of it, and a prefix of a factor of F_n is a factor too. When
     it fails, the non-factors at that left length are a suffix of its
     right lengths, so the first one in row order is named."""
-    _check_index(n)
+    table = fib_words(n)
     if force is not None:
         refuse_oversize(f"catalog enumeration at index {n}", fib_len(n),
                         force)
-    table = fib_words(n)
     subject = table[n]
     new_form = partial(tuple.__new__, FactorForm)
     forms, words = [], []
-    for kind, m, lefts, rights, least, literal in rows_of(n):
+    for row in rows_of(n):
+        kind, m, _, rights, _, literal = row
         if kind == KIND_LITERAL:
             row_forms, members = [FactorForm(kind, literal=literal)], [literal]
-            ends = [1]
+            ends = [(1, literal)]
         else:
             left, core, source = _parts(kind, m, table)
             prefixes = [source[:r] for r in rights]
-            # ends: where each left length's members stop in ``members``
+            # ends: where each left length's members stop in ``members``,
+            # with the longest of them
             row_forms, members, ends = [], [], []
-            for l in lefts:
-                k = bisect_left(rights, least - l)  # first r with l+r >= least
-                if k == len(rights):
-                    continue
-                head = _suffix(left, l) + core
-                members.extend(map(head.__add__, prefixes[k:]))
+            for l, i, head, longest in _heads(row, left, core, source):
+                members.extend(map(head.__add__, prefixes[i:]))
                 row_forms.extend(map(new_form, zip(
-                    repeat(kind), repeat(m), repeat(l), rights[k:],
+                    repeat(kind), repeat(m), repeat(l), rights[i:],
                     repeat(""))))
-                ends.append(len(members))
+                ends.append((len(members), longest))
         if len(set(members)) != len(members):
             raise RuntimeError(
                 f"family produced duplicate members at n={n}, "
                 f"category={category}: {kind}")
         begin = 0
-        for end in ends:
-            if members[end - 1] not in subject:
+        for end, longest in ends:
+            if longest not in subject:
                 i = next(i for i in range(begin, end)
                          if members[i] not in subject)
                 raise RuntimeError(
@@ -234,6 +254,60 @@ def _build(n: int, category: str, rows_of: Callable[[int], list[Row]],
         words.extend(members)
     return EnumResult(n, category, tuple(dict.fromkeys(forms)),
                       tuple(canonical(words)))
+
+
+class Group(NamedTuple):
+    """The members of one (row, left length) of a catalog, placed in
+    F_n: F_n[p:p+k] for every length k from lo to hi. ``row`` is the
+    row's place in the catalog, and ``form`` the clause instance of the
+    shortest member."""
+
+    row: int
+    lo: int
+    hi: int
+    p: int
+    form: FactorForm
+
+    def form_at(self, k: int) -> FactorForm:
+        """The clause instance of the member of length k."""
+        return self.form._replace(right_len=self.form.right_len + k - self.lo)
+
+
+def _groups(n: int, category: str,
+            rows_of: Callable[[int], list[Row]]) -> list[Group]:
+    """The catalog ``rows_of(n)`` as groups, in row order, with no member
+    spelled: the members at one (row, left length) are prefixes of the
+    longest, so one ``find`` of it in F_n places them all. Needs
+    O(|F_n|) letters, however many members the catalog has.
+
+    A row the groups cannot stand for (a longest member that is not a
+    factor of F_n, or a right length past the end of the source, which
+    repeats a member) is spelled by ``_build``, so its error is the one
+    raised. The repeats of a member across the left lengths of a row are
+    for the caller to find, one length at a time; ``_build`` raises
+    those too."""
+    table = fib_words(n)
+    subject = table[n]
+    groups = []
+    for index, row in enumerate(rows_of(n)):
+        kind, m, _, rights, _, literal = row
+        if kind == KIND_LITERAL:
+            spans = [(FactorForm(kind, literal=literal), len(literal),
+                      len(literal), literal)]
+        else:
+            spans = ((FactorForm(kind, m, l, rights[i]),
+                      len(head) + rights[i], len(head) + rights[-1], longest)
+                     for l, i, head, longest in _heads(
+                         row, *_parts(kind, m, table)))
+        for form, lo, hi, longest in spans:
+            p = subject.find(longest)
+            if p < 0 or lo < 1 or hi != len(longest) or rights.step != 1:
+                _build(n, category, rows_of)
+                raise RuntimeError(
+                    f"row {index} of the {category} catalog at n={n} is "
+                    f"not a run of prefixes: {row}")
+            groups.append(Group(index, lo, hi, p, form))
+    return groups
 
 
 def _left_seed_rows(n: int) -> list[Row]:
@@ -316,31 +390,54 @@ def enum_circular_covers(n: int, force: bool = False) -> EnumResult:
     return _build(n, "circular_covers", _circular_rows, force)
 
 
+def seed_groups(n: int) -> list[Group]:
+    """The seed catalog of F_n as groups (see ``_groups``); unlike
+    ``enum_seeds`` it has no size refusal."""
+    return _groups(n, "seeds", _seed_rows)
+
+
+def circular_cover_groups(n: int) -> list[Group]:
+    """The circular-cover catalog of F_n as groups (see ``_groups``);
+    unlike ``enum_circular_covers`` it has no size refusal."""
+    return _groups(n, "circular_covers", _circular_rows)
+
+
 def nearest_forms(word: str, n: int) -> tuple[FactorForm, ...]:
     """Relaxed structural matches for a word the catalogs did not
     produce: every way to read it as one of the family shapes with the
     range constraints dropped. Used to name the clause a disputed word
-    is nearest to."""
-    matches: list[FactorForm] = []
+    is nearest to.
+
+    The bases are read from the top down, and the scan stops at the
+    first base whose longest shape (all of its left source, core and
+    right source) is shorter than the word: a shape only grows with its
+    base, so no lower base can match either. Matches are listed by base
+    upward, then by left length, then in ``SHAPES`` order."""
     top = 0
     while top < n and fib_len(top + 1) <= len(word):
         top += 1
     table = fib_words(top)
-    for m in range(1, top + 1):
-        fm = table[m]
+    by_base: list[list[FactorForm]] = []
+    for m in range(top, 0, -1):
         shapes = []
         for kind in SHAPES:
             try:
                 shapes.append((kind, *_parts(kind, m, table)))
             except ValueError:  # base m is too low for this kind
                 pass
+        if max(len(a) + len(b) + len(c) for _, a, b, c in shapes) < len(word):
+            break
+        fm = table[m]
+        found = []
         for l in range(0, min(len(fm), len(word) - len(fm)) + 1):
-            if word[:l] != _suffix(fm, l):
+            if not fm.endswith(word[:l]):
                 continue
             rest = word[l:]
             for kind, left, core, source in shapes:
                 if ((left or l == 0) and rest.startswith(core)
                         and source.startswith(rest[len(core):])):
-                    matches.append(FactorForm(kind, m, l,
-                                              len(rest) - len(core)))
-    return tuple(dict.fromkeys(matches))
+                    found.append(FactorForm(kind, m, l,
+                                            len(rest) - len(core)))
+        by_base.append(found)
+    return tuple(dict.fromkeys(f for found in reversed(by_base)
+                               for f in found))

@@ -17,30 +17,38 @@ than the border (the gap rule of Moore & Smyth and of Li & Smyth). That
 is the occurrence-chain condition of words.is_cover, its test
 reference.
 
-The set oracles seeds_of and circular_covers_of decide all candidates
-of a subject in one sweep per factor length: occurrence gaps per
-distinct factor, plus border-table queries for the seed head and tail
-(Iliopoulos, Moore & Park, "Covering a string"). is_seed_fast and
-is_circular_cover are their test references, and the test suite proves
-seeds_of equal to the exhaustive is_seed on every binary word of up to
-10 letters and on sampled words of up to 60.
+The sweeps seed_sweep and circular_sweep decide all candidates of a
+subject one factor length at a time, on names rather than words: each
+factor of the length is named by its first start (Karp, Miller &
+Rosenberg), and the gap rule and the border-table queries for the seed
+head and tail (Iliopoulos, Moore & Park, "Covering a string") run on
+those ints. A sweep holds one length at a time, O(|y|) ints. The set
+oracles seeds_of and circular_covers_of spell the names a sweep
+accepts; verify compares the names with the catalogs directly.
+is_seed_fast and is_circular_cover are their test references, and the
+test suite proves seeds_of equal to the exhaustive is_seed on every
+binary word of up to 10 letters and on sampled words of up to 60.
 
 refuse_oversize is the one size refusal: seeds_of, circular_covers_of
 and the seed-flavored catalogs in closed_form decline subjects longer
-than SIZE_REFUSAL_LIMIT letters unless forced.
+than SIZE_REFUSAL_LIMIT letters unless forced. The sweeps themselves
+have no refusal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
+from typing import Iterator
 
 from .errors import SizeLimitError
 from .words import (canonical, covered_prefix_extent, covered_suffix_extent,
                     is_cover, occurrences, period_of, require_word)
 
 # seeds_of / circular_covers_of and the seed-flavored catalogs refuse
-# longer words unless forced: their candidate sets grow quadratically
-# and each sweep slices every candidate occurrence.
+# longer words unless forced: the word sets they spell grow
+# quadratically in letters.
 SIZE_REFUSAL_LIMIT = 2000
 
 
@@ -226,56 +234,93 @@ def _has_border(table: list[int], length: int, lo: int, hi: int) -> bool:
     return b >= lo
 
 
-def _window_runs(text: str, count: int, m: int) -> dict[str, list]:
-    """Map each length-m factor of text that starts at one of its first
-    ``count`` positions to [first start, last start, gapped], 0-based;
-    gapped says whether two consecutive such starts lie more than m
-    apart."""
-    runs: dict[str, list] = {}
-    for i in range(count):
-        u = text[i:i + m]
-        run = runs.get(u)
-        if run is None:
-            runs[u] = [i, i, False]
-        else:
-            if i - run[1] > m:
-                run[2] = True
-            run[1] = i
-    return runs
+def _factor_names(text: str, count: int) -> Iterator[tuple[int, list[int]]]:
+    """Name the factors of ``text`` one length at a time (the naming
+    step of Karp, Miller & Rosenberg, STOC 1972): for k = 1, 2, ...
+    yield (k, names), where names[i] is the first start of text[i:i+k]
+    among the starts 0..len(names)-1. The starts are the first ``count``
+    positions that still have k letters, and k runs up to ``count``
+    while there is one.
 
-
-def seeds_of(y: str, force: bool = False) -> list[str]:
-    """All distinct factors of y that are seeds of y.
-
-    One sweep per factor length m records, for every distinct factor,
-    its first and last start and whether two consecutive starts lie
-    more than m apart; the head and tail conditions of is_seed_fast
-    become border queries on the KMP tables of y and of its reverse.
-    The exhaustive is_seed stays the definitive oracle; the test suite
-    proves this sweep equal to it.
+    A name is the factor's first start, so a factor is spelled from its
+    name alone, and ``names`` is one list of ints, updated in place
+    between lengths; only one length is held at a time. From k-1 to k a
+    start keeps its name when its k-th letter equals the k-th letter at
+    that name's start; the starts that differ from their name's start
+    take the first of them with the same old name as their new name.
     """
-    _require_subject(y)
-    refuse_oversize("seed enumeration", len(y), force)
+    size = min(count, len(text))
+    first = dict(zip(reversed(text[:size]), range(size - 1, -1, -1)))
+    names = list(map(first.__getitem__, text[:size]))
+    k = 1
+    while True:
+        yield k, names
+        k += 1
+        size = min(count, len(text) - k + 1)
+        if k > count or size <= 0:
+            return
+        del names[size:]
+        letters = text[k - 1:k - 1 + len(names)]
+        moved = list(compress(range(len(names)), map(
+            ne, map(letters.__getitem__, names), letters)))
+        old = list(map(names.__getitem__, moved))
+        renamed = dict(zip(reversed(old), reversed(moved)))
+        for i, x in zip(moved, old):
+            names[i] = renamed[x]
+
+
+def _gap_runs(names: list[int], k: int) -> tuple[list[int], set[int]]:
+    """(last, gapped) for the names of one length k: last[x] is the last
+    start named x (for every x that is a name), and gapped holds the
+    names with two consecutive starts more than k apart."""
+    last = list(range(len(names)))
+    gapped = set()
+    for i, x in enumerate(names):
+        if i - last[x] > k:
+            gapped.add(x)
+        last[x] = i
+    return last, gapped
+
+
+def seed_sweep(y: str) -> Iterator[tuple[int, list[int], list[int]]]:
+    """The seeds of y, one length at a time: for k = 1..|y|, yield
+    (k, names, seeds), where names are ``_factor_names`` of y at k and
+    seeds lists the names x whose factor y[x:x+k] is a seed of y.
+
+    A seed's occurrences leave no gap longer than k (the gap rule of
+    is_seed_fast), and the head and tail conditions become border
+    queries on the KMP tables of y and of its reverse (Iliopoulos, Moore
+    & Park, "Covering a string"). The head needs a border of y[:x+k] at
+    least x long and shorter than k, so only first starts x < k can
+    pass. The exhaustive is_seed stays the definitive oracle; the test
+    suite proves this sweep equal to it.
+    """
     n = len(y)
     prefix_borders = _border_table(y)
     suffix_borders = _border_table(y[::-1])
-    out = []
-    for m in range(1, n + 1):
-        runs = _window_runs(y, n - m + 1, m)
-        for u in sorted(runs):
-            first, last, gapped = runs[u]
-            # Head: an occurrence hanging off the left edge must reach
-            # back to the first start, i.e. y[:first+m] has a border of
-            # length in [first, m-1]; the tail mirrors this on y[last:].
-            tail = n - last - m
-            if (not gapped
-                    and (first == 0 or _has_border(
-                        prefix_borders, first + m, first, m - 1))
+    for k, names in _factor_names(y, n):
+        last, gapped = _gap_runs(names, k)
+        seeds = []
+        for x in range(min(k, len(names))):
+            if names[x] != x or x in gapped:
+                continue
+            tail = n - last[x] - k
+            # an occurrence hanging off the left edge must reach back to
+            # the first start; the tail mirrors this on y[last:]
+            if ((x == 0 or _has_border(prefix_borders, x + k, x, k - 1))
                     and (tail == 0 or _has_border(
-                        suffix_borders, n - last, tail, m - 1))):
-                out.append(u)
-        del runs  # never hold two lengths' runs at once (peak memory)
-    return out
+                        suffix_borders, n - last[x], tail, k - 1))):
+                seeds.append(x)
+        yield k, names, seeds
+
+
+def seeds_of(y: str, force: bool = False) -> list[str]:
+    """All distinct factors of y that are seeds of y, spelled from
+    ``seed_sweep``."""
+    _require_subject(y)
+    refuse_oversize("seed enumeration", len(y), force)
+    return [u for k, _, seeds in seed_sweep(y)
+            for u in sorted([y[x:x + k] for x in seeds])]
 
 
 def is_circular_cover(u: str, y: str) -> bool:
@@ -298,29 +343,36 @@ def is_circular_cover(u: str, y: str) -> bool:
     return starts[0] + n - starts[-1] <= m
 
 
+def circular_sweep(y: str, unrestricted: bool = False
+                   ) -> Iterator[tuple[int, list[int], list[int]]]:
+    """The covers of the cyclic word over y, one length at a time: for
+    k = 1..|y|, yield (k, names, covers), where names are
+    ``_factor_names`` of y*y over the starts 0..|y|-1 and covers lists
+    the names x whose factor (y*y)[x:x+k] covers the cycle.
+
+    The gap rule of is_circular_cover on all candidates at once: no gap
+    longer than k, including the one across the seam, so the first start
+    is below k. A first start past |y|-k means the factor only occurs
+    across the seam, so it is not a factor of the linear y; it is a
+    candidate only when ``unrestricted``.
+    """
+    n = len(y)
+    for k, names in _factor_names(y + y, n):
+        last, gapped = _gap_runs(names, k)
+        yield k, names, [x for x in range(min(k, n))
+                         if names[x] == x and x not in gapped
+                         and x + n - last[x] <= k
+                         and (unrestricted or x <= n - k)]
+
+
 def circular_covers_of(y: str, unrestricted: bool = False,
                        force: bool = False) -> list[str]:
-    """All covers of the cyclic word over y.
-
-    Candidates are the factors of the linear y by default; with
-    ``unrestricted`` they are all factors of y*y no longer than y,
-    which admits covers that only exist as rotations. One sweep of y*y
-    per length m, over the starts within the first period, applies the
-    gap rule of is_circular_cover to every candidate at once.
-    """
+    """All covers of the cyclic word over y, spelled from
+    ``circular_sweep``. Candidates are the factors of the linear y by
+    default; with ``unrestricted`` they are all factors of y*y no longer
+    than y, which admits covers that only exist as rotations."""
     _require_subject(y)
     refuse_oversize("circular-cover enumeration", len(y), force)
-    n = len(y)
     yy = y + y
-    out = []
-    for m in range(1, n + 1):
-        runs = _window_runs(yy, n, m)
-        for u in sorted(runs):
-            first, last, gapped = runs[u]
-            # A first start past n-m means u only occurs across the seam,
-            # so it is not a factor of the linear y.
-            if (not gapped and first + n - last <= m
-                    and (unrestricted or first <= n - m)):
-                out.append(u)
-        del runs  # never hold two lengths' runs at once (peak memory)
-    return out
+    return [u for k, _, covers in circular_sweep(y, unrestricted)
+            for u in sorted([yy[x:x + k] for x in covers])]

@@ -2,11 +2,17 @@
 
 REGISTRY holds one Category record per quasiperiodicity set of the
 paper: its name, CLI flag, default oracle cap, set oracle, per-word
-predicate and closed-form enumerator. The harness and the CLI read
-every per-category choice from it.
+predicate and closed-form enumerator, plus, for the seed and
+circular-cover sets, the catalog's groups and the oracle's sweep. The
+harness and the CLI read every per-category choice from it.
 
 Every (index, category) cell compares the closed-form catalog with the
-brute-force oracle and reports the exact set difference. Disputed words
+brute-force oracle and reports the exact set difference. A word cell
+spells both sides and compares word sets. A handle cell, the only one
+for the seed and circular-cover sets, whose catalogs hold Theta(|F_n|^2)
+members, spells neither: it compares names of factors in F_n one length
+at a time, so it holds O(|F_n|) letters and has no size refusal. Both
+give the same report. Disputed words
 are individually re-verified against the per-word predicate before they
 are emitted, and annotated with the clause that produced them (extra
 words) or the nearest clause shape (missing words). Property batteries
@@ -25,7 +31,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import closed_form, engine, words
 from .errors import SizeLimitError
@@ -48,6 +54,11 @@ class Category:
     oracle: Callable[..., list[str]]
     predicate: Callable[[str, str], bool]
     enumerator: Callable[..., closed_form.EnumResult]
+    # The handle cell: ``groups(n)`` places the catalog in F_n and
+    # ``sweep(y)`` names the oracle set one length at a time. A category
+    # without them has a word cell, which compares spelled word sets.
+    groups: Callable[[int], list[closed_form.Group]] | None = None
+    sweep: Callable[[str], Iterator] | None = None
 
 
 # The entries look functions up on their modules at call time, so a
@@ -74,13 +85,17 @@ REGISTRY = {c.name: c for c in (
     Category("seeds", "seeds", 10,
              lambda y, force=False: engine.seeds_of(y, force=force),
              lambda u, y: u in y and engine.is_seed_fast(u, y),
-             lambda n, force=False: closed_form.enum_seeds(n, force=force)),
+             lambda n, force=False: closed_form.enum_seeds(n, force=force),
+             lambda n: closed_form.seed_groups(n),
+             lambda y: engine.seed_sweep(y)),
     Category("circular_covers", "circular", 10,
              lambda y, force=False: engine.circular_covers_of(
                  y, force=force),
              lambda u, y: u in y and engine.is_circular_cover(u, y),
              lambda n, force=False: closed_form.enum_circular_covers(
-                 n, force=force)),
+                 n, force=force),
+             lambda n: closed_form.circular_cover_groups(n),
+             lambda y: engine.circular_sweep(y)),
 )}
 
 CATEGORIES = tuple(REGISTRY)
@@ -170,30 +185,91 @@ class SuiteConfig:
                 raise SizeLimitError(
                     f"cap {cap} for {cat} exceeds the exact length limit, "
                     f"index {LENGTH_INDEX_LIMIT}")
-            if fib_len(cap) > engine.SIZE_REFUSAL_LIMIT:
+            # a handle cell holds O(|F_n|) letters, so only the word
+            # cells are sized by the engine refusal
+            if (REGISTRY[cat].sweep is None
+                    and fib_len(cap) > engine.SIZE_REFUSAL_LIMIT):
                 raise ValueError(
                     f"cap {cap} for {cat} exceeds the engine refusal "
                     f"threshold")
 
 
-def _diagnose(word: str, n: int, enum_result,
-              side: str) -> dict:
+def _extra_diagnosis(word: str, forms) -> dict:
+    return {"word": word, "side": "extra",
+            "clauses": [f.to_json() for f in forms]}
+
+
+def _diagnose(word: str, n: int, enum_result, side: str) -> dict:
     if side == "extra":
         table = fib_words(n)
-        producing = [f.to_json() for f in enum_result.forms
-                     if f.spell(table) == word]
-        return {"word": word, "side": side, "clauses": producing}
+        return _extra_diagnosis(word, [f for f in enum_result.forms
+                                       if f.spell(table) == word])
     near = [f.to_json() for f in closed_form.nearest_forms(word, n)]
     return {"word": word, "side": side, "clauses": near,
             "note": "oracle-only word; listed clauses are relaxed shape "
                     "matches that no printed family instantiates"}
 
 
+def _word_cell(n: int, record: Category, subject: str):
+    """A cell on spelled word sets: (catalog size, oracle size, missing
+    words, {extra word: its diagnosis})."""
+    enum_result = record.enumerator(n)
+    enumerated = set(enum_result.words)
+    expected = set(record.oracle(subject))
+    extra = {w: _diagnose(w, n, enum_result, "extra")
+             for w in enumerated - expected}
+    return len(enumerated), len(expected), expected - enumerated, extra
+
+
+def _handle_cell(n: int, record: Category, subject: str):
+    """A cell compared one factor length k at a time, on names, with no
+    member spelled; returns what ``_word_cell`` returns.
+
+    The oracle sweep names the factors of length k (a name is the first
+    start) and lists the names in the set. The catalog at k is the names
+    at the starts of the groups whose lengths span k. Only disputed
+    names are spelled. A row with two groups of one name at k repeats a
+    member, so the word catalog is spelled to raise the builder's
+    error."""
+    groups = record.groups(n)
+    rows = [g.row for g in groups]
+    opening = [[] for _ in range(len(subject) + 2)]
+    closing = [[] for _ in range(len(subject) + 2)]
+    for g, group in enumerate(groups):
+        opening[group.lo].append(g)
+        closing[group.hi + 1].append(g)
+    active: dict[int, int] = {}  # group -> its start in F_n
+    enumerated = expected = 0
+    missing, extra = [], {}
+    for k, names, accepted in record.sweep(subject):
+        for g in closing[k]:
+            del active[g]
+        for g in opening[k]:
+            active[g] = groups[g].p
+        found = list(map(names.__getitem__, active.values()))
+        catalog = set(found)
+        if len(set(zip(map(rows.__getitem__, active), found))) < len(found):
+            record.enumerator(n, force=True)
+            raise RuntimeError(
+                f"a row of the {record.name} catalog at n={n} repeats a "
+                f"member of length {k}, but the word catalog has no repeat")
+        wanted = set(accepted)
+        enumerated += len(catalog)
+        expected += len(wanted)
+        missing += [subject[x:x + k] for x in wanted - catalog]
+        for x in catalog - wanted:
+            forms = [groups[g].form_at(k) for g in sorted(active)
+                     if names[groups[g].p] == x]
+            word = subject[x:x + k]
+            extra[word] = _extra_diagnosis(word, dict.fromkeys(forms))
+    return enumerated, expected, missing, extra
+
+
 def check_category(n: int, category: str,
                    caps: dict | None = None) -> QuasiReport:
-    """Run one catalog-versus-oracle comparison cell. ``caps`` maps
-    category names to oracle caps; a category it omits keeps its
-    default cap."""
+    """Run one catalog-versus-oracle comparison cell: a handle cell when
+    the category has a sweep, else a word cell. ``caps`` maps category
+    names to oracle caps; a category it omits keeps its default cap."""
     record = REGISTRY.get(category)
     if record is None:
         raise ValueError(f"unknown category {category!r}")
@@ -202,29 +278,26 @@ def check_category(n: int, category: str,
         raise SizeLimitError(
             f"index {n} exceeds the oracle cap {cap} for {category}")
     t0 = time.perf_counter()
-    enum_result = record.enumerator(n)
     subject = fib_word(n)
-    enumerated = set(enum_result.words)
-    expected = set(record.oracle(subject))
-    missing = tuple(words.canonical(expected - enumerated))
-    extra = tuple(words.canonical(enumerated - expected))
+    cell = _word_cell if record.sweep is None else _handle_cell
+    enumerated, expected, missing, extra = cell(n, record, subject)
+    missing = tuple(words.canonical(missing))
+    extra_words = tuple(words.canonical(extra))
     for w in missing:
         if not record.predicate(w, subject):
             raise RuntimeError(
                 f"unsound report: {w!r} classified missing but fails the "
                 f"{category} predicate at n={n}")
-    for w in extra:
+    for w in extra_words:
         if record.predicate(w, subject):
             raise RuntimeError(
                 f"unsound report: {w!r} classified extra but passes the "
                 f"{category} predicate at n={n}")
-    diagnostics = tuple(_diagnose(w, n, enum_result, "missing")
-                        for w in missing)
-    diagnostics += tuple(_diagnose(w, n, enum_result, "extra")
-                         for w in extra)
+    diagnostics = tuple(_diagnose(w, n, None, "missing") for w in missing)
+    diagnostics += tuple(extra[w] for w in extra_words)
     elapsed = (time.perf_counter() - t0) * 1000.0
-    return QuasiReport(n, category, len(enumerated), len(expected),
-                       missing, extra, diagnostics, elapsed)
+    return QuasiReport(n, category, enumerated, expected, missing,
+                       extra_words, diagnostics, elapsed)
 
 
 def _battery(name: str, detail: str, failures: list[str],

@@ -8,10 +8,10 @@ from fibquasi.closed_form import (EnumResult, FactorForm, KIND_FIB_PLUS_PREFIX,
                                   KIND_LITERAL, KIND_PLAIN_FIB, KIND_SUFFIX_FIB_FIB_PREFIX,
                                   KIND_SUFFIX_PLUS_FIB,
                                   KIND_SUFFIX_FIB_PREFIX, SHAPES, Row, _build,
-                                  _parts, enum_borders,
+                                  _parts, circular_cover_groups, enum_borders,
                                   enum_circular_covers, enum_covers,
                                   enum_left_seeds, enum_right_seeds,
-                                  enum_seeds, nearest_forms)
+                                  enum_seeds, nearest_forms, seed_groups)
 from fibquasi.engine import is_seed_fast, refuse_oversize
 from fibquasi.errors import SizeLimitError
 from fibquasi.fib import _check_index, fib_len, fib_word, fib_words
@@ -127,6 +127,58 @@ def test_catalog_build_reads_guard_once_per_table(monkeypatch):
     monkeypatch.setattr(fib, "materialization_limit", counting)
     enum_seeds(12)
     assert 0 < len(reads) <= 20
+
+
+@pytest.mark.parametrize("build", [lambda: enum_covers(5),
+                                   lambda: enum_seeds(8)])
+def test_catalog_build_reads_guard_once(monkeypatch, build):
+    reads = []
+    real = fib.materialization_limit
+
+    def counting():
+        reads.append(1)
+        return real()
+
+    monkeypatch.setattr(fib, "materialization_limit", counting)
+    build()
+    assert len(reads) == 1
+
+
+@pytest.mark.parametrize("groups, enumerator", [
+    (seed_groups, enum_seeds), (circular_cover_groups, enum_circular_covers)])
+def test_groups_place_every_catalog_member(groups, enumerator):
+    # Each group stands for the members F_n[p:p+k], lo <= k <= hi, and
+    # form_at(k) spells that member; together they are the catalog.
+    for n in range(13):
+        table = fib_words(n)
+        subject = table[n]
+        placed = set()
+        for group in groups(n):
+            for k in range(group.lo, group.hi + 1):
+                word = subject[group.p:group.p + k]
+                assert group.form_at(k).spell(table) == word, (n, group, k)
+                placed.add(word)
+        assert placed == set(enumerator(n).words), n
+
+
+@pytest.mark.parametrize("row", [
+    Row(KIND_FIB_PLUS_PREFIX, 5, rights=range(0, 6, 2)),
+    Row(KIND_LITERAL, 0, literal=""),
+])
+def test_groups_refuse_a_row_that_is_not_a_run_of_prefixes(row):
+    # _build spells both rows without error, but neither is a run of
+    # members one letter apart that a group can stand for
+    _build(7, "test", lambda k: [row])
+    with pytest.raises(RuntimeError, match=(
+            r"^row 0 of the test catalog at n=7 is not a run of "
+            r"prefixes: Row\(")):
+        closed_form._groups(7, "test", lambda k: [row])
+
+
+def test_groups_have_no_size_refusal():
+    assert len(seed_groups(17)) > len(circular_cover_groups(17)) > 0
+    with pytest.raises(SizeLimitError):
+        enum_seeds(17)
 
 
 def test_words_are_canonical():

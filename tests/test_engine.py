@@ -415,6 +415,25 @@ def test_circular_examples():
         "aba", "abaab", "baaba", "abaaba", "abaababa"]
 
 
+def test_factor_names_are_first_starts():
+    # names[i] at length k is the first start of the factor at i, over
+    # the starts the sweep holds at k: every start with k letters left
+    # (a linear sweep), or the first |y| starts of y*y (a circular one)
+    rng = random.Random(31)
+    subjects = list(all_words(8)) + [fib_word(n) for n in range(9)]
+    subjects += [random_word(rng, 40) for _ in range(30)]
+    for y in subjects:
+        for text, count in ((y, len(y)), (y + y, len(y))):
+            lengths = []
+            for k, names in engine._factor_names(text, count):
+                starts = min(count, len(text) - k + 1)
+                factors = [text[i:i + k] for i in range(starts)]
+                assert names == [factors.index(u) for u in factors], (
+                    text, count, k)
+                lengths.append(k)
+            assert lengths == list(range(1, len(y) + 1)), (text, count)
+
+
 def test_circular_unrestricted_candidates():
     assert circular_covers_of("ab") == ["ab"]
     assert circular_covers_of("ab", unrestricted=True) == ["ab", "ba"]

@@ -1,14 +1,24 @@
+import dataclasses
 import itertools
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from fibquasi.closed_form import enum_seeds
+from fibquasi import closed_form, words
+from fibquasi.closed_form import (KIND_FIB_PLUS_PREFIX, KIND_LITERAL,
+                                  KIND_PLAIN_FIB, KIND_SUFFIX_FIB_FIB_PREFIX,
+                                  Row, enum_seeds)
 from fibquasi.engine import distinct_factors
 from fibquasi.errors import SizeLimitError
-from fibquasi.fib import fib_word
-from fibquasi.verify import (CATEGORIES, DEFAULT_CAPS, REGISTRY, SuiteConfig,
-                             _diagnose, check_category, run_suite)
+from fibquasi.fib import fib_len, fib_word
+from fibquasi.verify import (CATEGORIES, DEFAULT_CAPS, REGISTRY, QuasiReport,
+                             SuiteConfig, _cap, _diagnose, check_category,
+                             run_suite)
 
 EXPECTED_FINDING_CELLS = {(n, cat) for n in range(5, 11)
                           for cat in ("seeds", "circular_covers")}
@@ -105,6 +115,15 @@ def test_config_validation():
     SuiteConfig(n_hi=12).validate()
 
 
+def test_handle_cell_caps_pass_the_size_bound():
+    # the seed and circular cells hold O(|F_n|) letters, so only the
+    # index guard bounds their caps; the word cells keep the size bound
+    SuiteConfig(n_hi=5, caps={"seeds": 18}).validate()
+    SuiteConfig(n_hi=5, caps={"circular_covers": 18}).validate()
+    with pytest.raises(ValueError, match="engine refusal threshold"):
+        SuiteConfig(n_hi=5, caps={"borders": 17}).validate()
+
+
 def test_cap_errors_name_the_cap_and_category():
     with pytest.raises(ValueError,
                        match=r"^cap -1 for seeds must be nonnegative$"):
@@ -179,3 +198,184 @@ def test_json_lines_shape(full_suite):
 def test_cells_in_deterministic_order(full_suite):
     order = [(c.n, CATEGORIES.index(c.category)) for c in full_suite.cells]
     assert order == sorted(order)
+
+
+# The word cell that every category ran before the seed and circular
+# cells moved to the handle sweep, kept verbatim as the test reference:
+# it spells both sides and compares word sets.
+def _check_category_by_words(n, category, caps=None):
+    record = REGISTRY.get(category)
+    if record is None:
+        raise ValueError(f"unknown category {category!r}")
+    cap = _cap(record, caps)
+    if n > cap:
+        raise SizeLimitError(
+            f"index {n} exceeds the oracle cap {cap} for {category}")
+    t0 = time.perf_counter()
+    enum_result = record.enumerator(n)
+    subject = fib_word(n)
+    enumerated = set(enum_result.words)
+    expected = set(record.oracle(subject))
+    missing = tuple(words.canonical(expected - enumerated))
+    extra = tuple(words.canonical(enumerated - expected))
+    for w in missing:
+        if not record.predicate(w, subject):
+            raise RuntimeError(
+                f"unsound report: {w!r} classified missing but fails the "
+                f"{category} predicate at n={n}")
+    for w in extra:
+        if record.predicate(w, subject):
+            raise RuntimeError(
+                f"unsound report: {w!r} classified extra but passes the "
+                f"{category} predicate at n={n}")
+    diagnostics = tuple(_diagnose(w, n, enum_result, "missing")
+                        for w in missing)
+    diagnostics += tuple(_diagnose(w, n, enum_result, "extra")
+                         for w in extra)
+    elapsed = (time.perf_counter() - t0) * 1000.0
+    return QuasiReport(n, category, len(enumerated), len(expected),
+                       missing, extra, diagnostics, elapsed)
+
+
+HANDLE_CATEGORIES = ("seeds", "circular_covers")
+ROWS_OF = {"seeds": "_seed_rows", "circular_covers": "_circular_rows"}
+
+
+def _untimed(report):
+    return dataclasses.replace(report, elapsed_ms=0.0)
+
+
+def _assert_handle_equals_words(n, category):
+    caps = {category: n}
+    assert (_untimed(check_category(n, category, caps))
+            == _untimed(_check_category_by_words(n, category, caps)))
+
+
+def _add_rows(monkeypatch, category, extra_rows):
+    real = getattr(closed_form, ROWS_OF[category])
+    monkeypatch.setattr(closed_form, ROWS_OF[category],
+                        lambda n: real(n) + extra_rows)
+
+
+def test_handle_cells_have_a_sweep_and_word_cells_do_not():
+    for record in REGISTRY.values():
+        handle = record.name in HANDLE_CATEGORIES
+        assert (record.sweep is not None) == handle, record.name
+        assert (record.groups is not None) == handle, record.name
+
+
+@pytest.mark.parametrize("category", HANDLE_CATEGORIES)
+def test_handle_cell_equals_word_cell(category):
+    for n in range(15):
+        _assert_handle_equals_words(n, category)
+        report = check_category(n, category, {category: n})
+        assert report.missing == (("baaba",) if n >= 5 else ()), n
+        assert report.extra == (), n
+
+
+@pytest.mark.parametrize("category", HANDLE_CATEGORIES)
+def test_handle_cell_reports_a_mutant_row_like_the_word_cell(
+        monkeypatch, category):
+    # F_5 extended by up to all of F_4 (the printed row stops two
+    # letters short), one of its members as a literal in an earlier row,
+    # and F_2 = "ab" twice, as a plain row and as a literal. The extra
+    # words must come with the same clauses, in row order, also where a
+    # later row's group spans more lengths than an earlier one's.
+    _add_rows(monkeypatch, category, [
+        Row(KIND_LITERAL, 0, literal="abaababaabaa"),
+        Row(KIND_FIB_PLUS_PREFIX, 5, rights=range(fib_len(4) + 1)),
+        Row(KIND_PLAIN_FIB, 2), Row(KIND_LITERAL, 0, literal="ab")])
+    for n in (7, 8, 9):
+        _assert_handle_equals_words(n, category)
+    report = check_category(9, category, {category: 9})
+    assert report.extra == ("ab", "abaababaabaa")
+    assert report.diagnostics[1:] == (
+        {"word": "ab", "side": "extra", "clauses": [
+            {"kind": KIND_PLAIN_FIB, "m": 2, "left_len": 0, "right_len": 0},
+            {"kind": KIND_LITERAL, "m": 0, "left_len": 0, "right_len": 0,
+             "word": "ab"}]},
+        {"word": "abaababaabaa", "side": "extra", "clauses": [
+            {"kind": KIND_LITERAL, "m": 0, "left_len": 0, "right_len": 0,
+             "word": "abaababaabaa"},
+            {"kind": KIND_FIB_PLUS_PREFIX, "m": 5, "left_len": 0,
+             "right_len": 4}]})
+
+
+def _word_cell_error(n, category):
+    with pytest.raises(RuntimeError) as caught:
+        REGISTRY[category].enumerator(n, force=True)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("category", HANDLE_CATEGORIES)
+@pytest.mark.parametrize("row", [
+    # a row whose longest member at one left length is not a factor of
+    # F_7, and a literal that is not one
+    Row(KIND_SUFFIX_FIB_FIB_PREFIX, 5, lefts=range(1, 3), rights=range(6)),
+    Row(KIND_LITERAL, 0, literal="bb"),
+])
+def test_handle_cell_raises_the_builders_non_factor_error(
+        monkeypatch, category, row):
+    _add_rows(monkeypatch, category, [row])
+    message = _word_cell_error(7, category)
+    assert "not a factor of the index-7 word" in message
+    with pytest.raises(RuntimeError) as caught:
+        check_category(7, category, {category: 7})
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("category", HANDLE_CATEGORIES)
+@pytest.mark.parametrize("row", [
+    # two left lengths of a kind without a left part spell the same
+    # members, which only the length sweep sees
+    Row(KIND_FIB_PLUS_PREFIX, 5, lefts=range(2), rights=range(6)),
+    # a right length past the end of the source repeats the member
+    Row(KIND_PLAIN_FIB, 3, rights=range(2)),
+])
+def test_handle_cell_raises_the_builders_duplicate_error(
+        monkeypatch, category, row):
+    _add_rows(monkeypatch, category, [row])
+    message = _word_cell_error(7, category)
+    assert message == (f"family produced duplicate members at n=7, "
+                       f"category={category}: {row.kind}")
+    with pytest.raises(RuntimeError) as caught:
+        check_category(7, category, {category: 7})
+    assert str(caught.value) == message
+
+
+# The cells at indices 15 and 16, printed by a child process. The word
+# cell at index 16 holds every member of both sides as a string (about
+# 670 MB); the handle cell holds O(|F_n|) letters.
+_F16_CELLS = """
+from fibquasi.verify import check_category
+for n in (15, 16):
+    for category in ("seeds", "circular_covers"):
+        r = check_category(n, category, caps={category: n})
+        print(n, category, r.missing, r.extra, r.enumerated_count,
+              r.oracle_count)
+"""
+# Runs the script given as its argument in a child and prints the
+# child's peak RSS in kilobytes. A forked child's peak RSS starts at its
+# parent's RSS, so the cells run as the child of this small process,
+# not of the test process.
+_PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-c", sys.argv[1]], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_handle_cells_through_f16_fit_in_100_mb():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("FIBQUASI_NMAX", None)
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, _F16_CELLS],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    *cells, peak_kb = proc.stdout.splitlines()
+    assert cells == [
+        "15 seeds ('baaba',) () 115246 115247",
+        "15 circular_covers ('baaba',) () 114492 114493",
+        "16 seeds ('baaba',) () 301457 301458",
+        "16 circular_covers ('baaba',) () 300237 300238"]
+    assert int(peak_kb) < 100 * 1024
