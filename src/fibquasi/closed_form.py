@@ -24,9 +24,8 @@ repeat kept). The one member no shape produces is the literal "baa" at index 4 (
 Because a catalog can hold O(|F_n|^2) members, ``_build`` spells each
 row in bulk and no Python frame runs per member: a ``FactorForm`` is a
 NamedTuple, made by ``tuple.__new__`` and hashed as a plain tuple.
-``seed_groups`` and ``circular_cover_groups`` spell no member at all:
-they walk the same rows (``_heads``) and place each (row, left length)
-in F_n as one ``Group``, for verify's handle cells.
+``groups`` spells no member: it walks the same rows (``_heads``) and
+places each (row, left length) in F_n as one ``Group``, for verify.
 """
 
 from __future__ import annotations
@@ -180,7 +179,7 @@ def _suffix_fib_fib_prefix(m: int) -> Row:
 
 def _heads(row: Row, left: str, core: str,
            source: str) -> Iterator[tuple[int, int, str, str]]:
-    """The row walk shared by ``_build`` and ``_groups``, given the
+    """The row walk shared by ``_build`` and ``groups``, given the
     row's parts (see ``_parts``): for each left length l that spells a
     member, (l, i, head, longest). The row takes the right lengths
     rights[i:] at l (the first r with l + r >= least onward), head is
@@ -273,12 +272,13 @@ class Group(NamedTuple):
         return self.form._replace(right_len=self.form.right_len + k - self.lo)
 
 
-def _groups(n: int, category: str,
-            rows_of: Callable[[int], list[Row]]) -> list[Group]:
+def groups(table: list[str], category: str,
+           rows_of: Callable[[int], list[Row]]) -> list[Group]:
     """The catalog ``rows_of(n)`` as groups, in row order, with no member
-    spelled: the members at one (row, left length) are prefixes of the
-    longest, so one ``find`` of it in F_n places them all. Needs
-    O(|F_n|) letters, however many members the catalog has.
+    spelled, where ``table`` is ``fib_words(n)``: the members at one
+    (row, left length) are prefixes of the longest, so one ``find`` of it
+    in F_n places them all. Needs O(|F_n|) letters, however many members
+    the catalog has, and has no size refusal.
 
     A row the groups cannot stand for (a longest member that is not a
     factor of F_n, or a right length past the end of the source, which
@@ -286,9 +286,9 @@ def _groups(n: int, category: str,
     raised. The repeats of a member across the left lengths of a row are
     for the caller to find, one length at a time; ``_build`` raises
     those too."""
-    table = fib_words(n)
+    n = len(table) - 1
     subject = table[n]
-    groups = []
+    placed = []
     for index, row in enumerate(rows_of(n)):
         kind, m, _, rights, _, literal = row
         if kind == KIND_LITERAL:
@@ -306,8 +306,8 @@ def _groups(n: int, category: str,
                 raise RuntimeError(
                     f"row {index} of the {category} catalog at n={n} is "
                     f"not a run of prefixes: {row}")
-            groups.append(Group(index, lo, hi, p, form))
-    return groups
+            placed.append(Group(index, lo, hi, p, form))
+    return placed
 
 
 def _left_seed_rows(n: int) -> list[Row]:
@@ -348,10 +348,14 @@ def _circular_rows(n: int) -> list[Row]:
             + [_suffix_fib_fib_prefix(m) for m in range(3, n - 2)])
 
 
+def _border_rows(n: int) -> list[Row]:
+    return _plain(*border_indices(n))
+
+
 def enum_borders(n: int) -> EnumResult:
     """Borders of F_n: F_{n-2}, F_{n-4}, ... down to F_1 or F_2; none
     for n <= 2."""
-    return _build(n, "borders", lambda k: _plain(*border_indices(k)))
+    return _build(n, "borders", _border_rows)
 
 
 def enum_covers(n: int) -> EnumResult:
@@ -390,23 +394,11 @@ def enum_circular_covers(n: int, force: bool = False) -> EnumResult:
     return _build(n, "circular_covers", _circular_rows, force)
 
 
-def seed_groups(n: int) -> list[Group]:
-    """The seed catalog of F_n as groups (see ``_groups``); unlike
-    ``enum_seeds`` it has no size refusal."""
-    return _groups(n, "seeds", _seed_rows)
-
-
-def circular_cover_groups(n: int) -> list[Group]:
-    """The circular-cover catalog of F_n as groups (see ``_groups``);
-    unlike ``enum_circular_covers`` it has no size refusal."""
-    return _groups(n, "circular_covers", _circular_rows)
-
-
-def nearest_forms(word: str, n: int) -> tuple[FactorForm, ...]:
-    """Relaxed structural matches for a word the catalogs did not
-    produce: every way to read it as one of the family shapes with the
-    range constraints dropped. Used to name the clause a disputed word
-    is nearest to.
+def nearest_forms(word: str, table: list[str]) -> tuple[FactorForm, ...]:
+    """Relaxed structural matches for a word the catalogs of F_n did not
+    produce, where ``table`` is ``fib_words(n)``: every way to read it as
+    one of the family shapes with the range constraints dropped. Used to
+    name the clause a disputed word is nearest to.
 
     The bases are read from the top down, and the scan stops at the
     first base whose longest shape (all of its left source, core and
@@ -414,9 +406,8 @@ def nearest_forms(word: str, n: int) -> tuple[FactorForm, ...]:
     base, so no lower base can match either. Matches are listed by base
     upward, then by left length, then in ``SHAPES`` order."""
     top = 0
-    while top < n and fib_len(top + 1) <= len(word):
+    while top < len(table) - 1 and len(table[top + 1]) <= len(word):
         top += 1
-    table = fib_words(top)
     by_base: list[list[FactorForm]] = []
     for m in range(top, 0, -1):
         shapes = []

@@ -17,21 +17,21 @@ than the border (the gap rule of Moore & Smyth and of Li & Smyth). That
 is the occurrence-chain condition of words.is_cover, its test
 reference.
 
-The sweeps seed_sweep and circular_sweep decide all candidates of a
-subject one factor length at a time, on names rather than words: each
-factor of the length is named by its first start (Karp, Miller &
-Rosenberg), and the gap rule and the border-table queries for the seed
-head and tail (Iliopoulos, Moore & Park, "Covering a string") run on
-those ints. A sweep holds one length at a time, O(|y|) ints. The set
-oracles seeds_of and circular_covers_of spell the names a sweep
-accepts; verify compares the names with the catalogs directly.
-is_seed_fast and is_circular_cover are their test references, and the
-test suite proves seeds_of equal to the exhaustive is_seed on every
-binary word of up to 10 letters and on sampled words of up to 60.
+The rules (border_rule, cover_rule, left_seed_rule, right_seed_rule,
+seed_rule, circular_rule) decide every candidate one factor length at a
+time on names: each factor is named by its first start (Karp, Miller &
+Rosenberg), and one naming pass can feed several rules. The gap rule
+and, for seeds, border-table queries for the head and tail (Iliopoulos,
+Moore & Park, "Covering a string") run on those ints, O(|y|) of them.
+seeds_of and circular_covers_of spell what their rules accept; verify
+compares the names with the catalogs. The other set oracles and the
+per-word predicates are the rules' test references; the test suite
+proves seeds_of equal to the exhaustive is_seed on every binary word of
+up to 10 letters and on sampled words of up to 60.
 
 refuse_oversize is the one size refusal: seeds_of, circular_covers_of
 and the seed-flavored catalogs in closed_form decline subjects longer
-than SIZE_REFUSAL_LIMIT letters unless forced. The sweeps themselves
+than SIZE_REFUSAL_LIMIT letters unless forced. The rules themselves
 have no refusal.
 """
 
@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import ne
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import SizeLimitError
 from .words import (canonical, covered_prefix_extent, covered_suffix_extent,
@@ -282,10 +282,72 @@ def _gap_runs(names: list[int], k: int) -> tuple[list[int], set[int]]:
     return last, gapped
 
 
-def seed_sweep(y: str) -> Iterator[tuple[int, list[int], list[int]]]:
-    """The seeds of y, one length at a time: for k = 1..|y|, yield
-    (k, names, seeds), where names are ``_factor_names`` of y at k and
-    seeds lists the names x whose factor y[x:x+k] is a seed of y.
+# A rule decides one set of a subject one factor length at a time: fed
+# every (k, names) of a ``_factor_names`` pass in order, it returns the
+# names whose factor of length k is in the set.
+Rule = Callable[[int, list[int]], list[int]]
+
+
+def _reaches(starts: Iterable[int], k: int, goal: int) -> bool:
+    """Whether the chain from the first of ``starts``, by steps of at
+    most k, reaches a start at least ``goal`` away from the first."""
+    it = iter(starts)
+    first = last = next(it)
+    for s in it:
+        if goal <= abs(last - first) or abs(s - last) > k:
+            break
+        last = s
+    return goal <= abs(last - first)
+
+
+def _chain_rule(y: str, suffix: bool, need: int) -> Rule:
+    """A rule accepting y[:k] (y[n-k:] when ``suffix``) iff the chain of
+    its occurrences from 0 (back from n-k) covers at least ``need``
+    letters of y: ``words.covered_prefix_extent`` (or
+    ``covered_suffix_extent``) is at least ``need``. The starts of y[:k]
+    are those of y[:k-1] still named 0; a start of y[n-k:] is one before
+    a start of y[n-k+1:] named as y[n-k:]."""
+    n = len(y)
+    starts = range(n + 1)  # the starts of the empty prefix or suffix
+
+    def accept(k: int, names: list[int]) -> list[int]:
+        nonlocal starts
+        if suffix:
+            x = names[n - k]
+            starts = [s - 1 for s in starts if s and names[s - 1] == x]
+        else:
+            x = 0
+            starts = [s for s in starts if s <= n - k and names[s] == 0]
+        # the chain covers k letters from the farthest start it reaches
+        chain = reversed(starts) if suffix else starts
+        return [x] if _reaches(chain, k, need - k) else []
+    return accept
+
+
+def border_rule(y: str) -> Rule:
+    """The borders of y: y[:k], k < |y|, is one iff y[|y|-k:] is named
+    0, the name of y[:k]."""
+    n = len(y)
+    return lambda k, names: [0] if k < n and names[n - k] == 0 else []
+
+
+def cover_rule(y: str) -> Rule:
+    """The covers of y: the prefixes whose chain covers all of y."""
+    return _chain_rule(y, False, len(y))
+
+
+def left_seed_rule(y: str) -> Rule:
+    """The left seeds of y: the prefixes whose chain covers a period."""
+    return _chain_rule(y, False, period_of(y))
+
+
+def right_seed_rule(y: str) -> Rule:
+    """The mirror of ``left_seed_rule`` on the suffixes of y."""
+    return _chain_rule(y, True, period_of(y))
+
+
+def seed_rule(y: str) -> Rule:
+    """The seeds of y, fed the names of y.
 
     A seed's occurrences leave no gap longer than k (the gap rule of
     is_seed_fast), and the head and tail conditions become border
@@ -293,12 +355,13 @@ def seed_sweep(y: str) -> Iterator[tuple[int, list[int], list[int]]]:
     & Park, "Covering a string"). The head needs a border of y[:x+k] at
     least x long and shorter than k, so only first starts x < k can
     pass. The exhaustive is_seed stays the definitive oracle; the test
-    suite proves this sweep equal to it.
+    suite proves this rule equal to it.
     """
     n = len(y)
     prefix_borders = _border_table(y)
     suffix_borders = _border_table(y[::-1])
-    for k, names in _factor_names(y, n):
+
+    def accept(k: int, names: list[int]) -> list[int]:
         last, gapped = _gap_runs(names, k)
         seeds = []
         for x in range(min(k, len(names))):
@@ -311,16 +374,23 @@ def seed_sweep(y: str) -> Iterator[tuple[int, list[int], list[int]]]:
                     and (tail == 0 or _has_border(
                         suffix_borders, n - last[x], tail, k - 1))):
                 seeds.append(x)
-        yield k, names, seeds
+        return seeds
+    return accept
+
+
+def _accepted(text: str, count: int, rule: Rule) -> list[str]:
+    """The words ``rule`` accepts over ``_factor_names(text, count)``,
+    spelled, shortest first and sorted within a length."""
+    return [u for k, names in _factor_names(text, count)
+            for u in sorted([text[x:x + k] for x in rule(k, names)])]
 
 
 def seeds_of(y: str, force: bool = False) -> list[str]:
     """All distinct factors of y that are seeds of y, spelled from
-    ``seed_sweep``."""
+    ``seed_rule``."""
     _require_subject(y)
     refuse_oversize("seed enumeration", len(y), force)
-    return [u for k, _, seeds in seed_sweep(y)
-            for u in sorted([y[x:x + k] for x in seeds])]
+    return _accepted(y, len(y), seed_rule(y))
 
 
 def is_circular_cover(u: str, y: str) -> bool:
@@ -343,12 +413,9 @@ def is_circular_cover(u: str, y: str) -> bool:
     return starts[0] + n - starts[-1] <= m
 
 
-def circular_sweep(y: str, unrestricted: bool = False
-                   ) -> Iterator[tuple[int, list[int], list[int]]]:
-    """The covers of the cyclic word over y, one length at a time: for
-    k = 1..|y|, yield (k, names, covers), where names are
-    ``_factor_names`` of y*y over the starts 0..|y|-1 and covers lists
-    the names x whose factor (y*y)[x:x+k] covers the cycle.
+def circular_rule(y: str, unrestricted: bool = False) -> Rule:
+    """The covers of the cyclic word over y, fed the names of y*y over
+    the starts 0..|y|-1.
 
     The gap rule of is_circular_cover on all candidates at once: no gap
     longer than k, including the one across the seam, so the first start
@@ -357,22 +424,22 @@ def circular_sweep(y: str, unrestricted: bool = False
     candidate only when ``unrestricted``.
     """
     n = len(y)
-    for k, names in _factor_names(y + y, n):
+
+    def accept(k: int, names: list[int]) -> list[int]:
         last, gapped = _gap_runs(names, k)
-        yield k, names, [x for x in range(min(k, n))
-                         if names[x] == x and x not in gapped
-                         and x + n - last[x] <= k
-                         and (unrestricted or x <= n - k)]
+        return [x for x in range(min(k, n))
+                if names[x] == x and x not in gapped
+                and x + n - last[x] <= k
+                and (unrestricted or x <= n - k)]
+    return accept
 
 
 def circular_covers_of(y: str, unrestricted: bool = False,
                        force: bool = False) -> list[str]:
     """All covers of the cyclic word over y, spelled from
-    ``circular_sweep``. Candidates are the factors of the linear y by
+    ``circular_rule``. Candidates are the factors of the linear y by
     default; with ``unrestricted`` they are all factors of y*y no longer
     than y, which admits covers that only exist as rotations."""
     _require_subject(y)
     refuse_oversize("circular-cover enumeration", len(y), force)
-    yy = y + y
-    return [u for k, _, covers in circular_sweep(y, unrestricted)
-            for u in sorted([yy[x:x + k] for x in covers])]
+    return _accepted(y + y, len(y), circular_rule(y, unrestricted))

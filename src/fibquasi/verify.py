@@ -2,23 +2,23 @@
 
 REGISTRY holds one Category record per quasiperiodicity set of the
 paper: its name, CLI flag, default oracle cap, set oracle, per-word
-predicate and closed-form enumerator, plus, for the seed and
-circular-cover sets, the catalog's groups and the oracle's sweep. The
+predicate, closed-form enumerator, clause rows and per-length rule. The
 harness and the CLI read every per-category choice from it.
 
-Every (index, category) cell compares the closed-form catalog with the
-brute-force oracle and reports the exact set difference. A word cell
-spells both sides and compares word sets. A handle cell, the only one
-for the seed and circular-cover sets, whose catalogs hold Theta(|F_n|^2)
-members, spells neither: it compares names of factors in F_n one length
-at a time, so it holds O(|F_n|) letters and has no size refusal. Both
-give the same report. Disputed words
-are individually re-verified against the per-word predicate before they
-are emitted, and annotated with the clause that produced them (extra
-words) or the nearest clause shape (missing words). Property batteries
-cover the structural facts the catalogs rely on: the cover chain, the
-order-independence of the tiling rewrite, the occurrence fast path, and
-the two families of near-miss extensions that must never be seeds.
+Every (index, category) cell compares the catalog with the oracle and
+reports the exact set difference, with no member spelled on either
+side: one factor length k at a time, it compares the names of the
+factors at the starts of the catalog's groups (``closed_form.groups``)
+with the names the rule accepts (``engine.Rule``). Per index, F_0..F_n
+is built once, the linear cells share one naming pass over F_n and the
+circular-cover cell runs one over F_n F_n, so a cell holds O(|F_n|)
+letters and has no size refusal. Disputed words are spelled, re-checked
+with the per-word predicate, and annotated with the clauses that
+produced them (extra words) or the nearest clause shapes (missing
+words). Property batteries cover the structural facts the catalogs rely
+on: the cover chain, the order-independence of the tiling rewrite, the
+occurrence fast path, and the two families of near-miss extensions that
+must never be seeds.
 
 Mismatches are findings, not errors: the suite completes every cell and
 the summary says what failed. Two runs with the same configuration
@@ -31,7 +31,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import closed_form, engine, words
 from .errors import SizeLimitError
@@ -44,9 +44,11 @@ from .fib import (KIND_SMALL, LENGTH_INDEX_LIMIT, _check_index, expansion,
 class Category:
     """One quasiperiodicity set: ``oracle(y, force=False)`` computes it
     for any binary word, ``predicate(u, y)`` decides one factor (used to
-    re-check disputed words), and ``enumerator(n, force=False)`` is the
-    closed-form catalog for F_n. ``force`` overrides the size refusal
-    where there is one. Cells above ``cap`` are skipped by default."""
+    re-check disputed words), ``enumerator(n, force=False)`` spells the
+    closed-form catalog of F_n from the clause rows ``rows(n)``, and
+    ``force`` overrides the size refusal where there is one. ``rule(y)``
+    decides the set on the factor names of y (of y*y when ``cyclic``).
+    Cells above ``cap`` are skipped by default."""
 
     name: str
     flag: str
@@ -54,11 +56,9 @@ class Category:
     oracle: Callable[..., list[str]]
     predicate: Callable[[str, str], bool]
     enumerator: Callable[..., closed_form.EnumResult]
-    # The handle cell: ``groups(n)`` places the catalog in F_n and
-    # ``sweep(y)`` names the oracle set one length at a time. A category
-    # without them has a word cell, which compares spelled word sets.
-    groups: Callable[[int], list[closed_form.Group]] | None = None
-    sweep: Callable[[str], Iterator] | None = None
+    rows: Callable[[int], list[closed_form.Row]]
+    rule: Callable[[str], engine.Rule]
+    cyclic: bool = False
 
 
 # The entries look functions up on their modules at call time, so a
@@ -67,35 +67,43 @@ REGISTRY = {c.name: c for c in (
     Category("borders", "borders", 14,
              lambda y, force=False: words.borders(y),
              lambda u, y: u != y and y.startswith(u) and y.endswith(u),
-             lambda n, force=False: closed_form.enum_borders(n)),
+             lambda n, force=False: closed_form.enum_borders(n),
+             lambda n: closed_form._border_rows(n),
+             lambda y: engine.border_rule(y)),
     Category("covers", "covers", 14,
              lambda y, force=False: engine.covers_of(y),
              lambda u, y: words.is_cover(u, y)[0],
-             lambda n, force=False: closed_form.enum_covers(n)),
+             lambda n, force=False: closed_form.enum_covers(n),
+             lambda n: closed_form._cover_rows(n),
+             lambda y: engine.cover_rule(y)),
     Category("left_seeds", "left-seeds", 14,
              lambda y, force=False: engine.left_seeds_of(y),
              lambda u, y: engine.is_left_seed(u, y),
              lambda n, force=False: closed_form.enum_left_seeds(
-                 n, force=force)),
+                 n, force=force),
+             lambda n: closed_form._left_seed_rows(n),
+             lambda y: engine.left_seed_rule(y)),
     Category("right_seeds", "right-seeds", 14,
              lambda y, force=False: engine.right_seeds_of(y),
              lambda u, y: engine.is_right_seed(u, y),
              lambda n, force=False: closed_form.enum_right_seeds(
-                 n, force=force)),
+                 n, force=force),
+             lambda n: closed_form._right_seed_rows(n),
+             lambda y: engine.right_seed_rule(y)),
     Category("seeds", "seeds", 10,
              lambda y, force=False: engine.seeds_of(y, force=force),
              lambda u, y: u in y and engine.is_seed_fast(u, y),
              lambda n, force=False: closed_form.enum_seeds(n, force=force),
-             lambda n: closed_form.seed_groups(n),
-             lambda y: engine.seed_sweep(y)),
+             lambda n: closed_form._seed_rows(n),
+             lambda y: engine.seed_rule(y)),
     Category("circular_covers", "circular", 10,
              lambda y, force=False: engine.circular_covers_of(
                  y, force=force),
              lambda u, y: u in y and engine.is_circular_cover(u, y),
              lambda n, force=False: closed_form.enum_circular_covers(
                  n, force=force),
-             lambda n: closed_form.circular_cover_groups(n),
-             lambda y: engine.circular_sweep(y)),
+             lambda n: closed_form._circular_rows(n),
+             lambda y: engine.circular_rule(y), cyclic=True),
 )}
 
 CATEGORIES = tuple(REGISTRY)
@@ -112,7 +120,9 @@ def _cap(category: Category, caps: dict | None) -> int:
 
 @dataclass(frozen=True)
 class QuasiReport:
-    """Exact comparison record for one (index, category) cell."""
+    """Exact comparison record for one (index, category) cell. Its
+    ``elapsed_ms`` counts the whole naming pass the cell shares with the
+    other cells of its index, plus its own work."""
 
     n: int
     category: str
@@ -185,91 +195,124 @@ class SuiteConfig:
                 raise SizeLimitError(
                     f"cap {cap} for {cat} exceeds the exact length limit, "
                     f"index {LENGTH_INDEX_LIMIT}")
-            # a handle cell holds O(|F_n|) letters, so only the word
-            # cells are sized by the engine refusal
-            if (REGISTRY[cat].sweep is None
-                    and fib_len(cap) > engine.SIZE_REFUSAL_LIMIT):
-                raise ValueError(
-                    f"cap {cap} for {cat} exceeds the engine refusal "
-                    f"threshold")
 
 
-def _extra_diagnosis(word: str, forms) -> dict:
-    return {"word": word, "side": "extra",
-            "clauses": [f.to_json() for f in forms]}
-
-
-def _diagnose(word: str, n: int, enum_result, side: str) -> dict:
-    if side == "extra":
-        table = fib_words(n)
-        return _extra_diagnosis(word, [f for f in enum_result.forms
-                                       if f.spell(table) == word])
-    near = [f.to_json() for f in closed_form.nearest_forms(word, n)]
-    return {"word": word, "side": side, "clauses": near,
+def _diagnose(word: str, table: list[str]) -> dict:
+    """A missing word's diagnosis; ``table`` is ``fib_words(n)``."""
+    near = [f.to_json() for f in closed_form.nearest_forms(word, table)]
+    return {"word": word, "side": "missing", "clauses": near,
             "note": "oracle-only word; listed clauses are relaxed shape "
                     "matches that no printed family instantiates"}
 
 
-def _word_cell(n: int, record: Category, subject: str):
-    """A cell on spelled word sets: (catalog size, oracle size, missing
-    words, {extra word: its diagnosis})."""
-    enum_result = record.enumerator(n)
-    enumerated = set(enum_result.words)
-    expected = set(record.oracle(subject))
-    extra = {w: _diagnose(w, n, enum_result, "extra")
-             for w in enumerated - expected}
-    return len(enumerated), len(expected), expected - enumerated, extra
+class _Cell:
+    """One (index, category) cell, fed each factor length k by the pass
+    it shares (see ``_cells``): the rule lists the names in the oracle
+    set, and the catalog is the names at the starts of the groups whose
+    lengths span k. Only disputed names are spelled, and a length with
+    no such group and no accepted name costs nothing past the rule. A
+    row with two groups of one name at k repeats a member, so the word
+    catalog is spelled to raise the builder's error."""
 
+    def __init__(self, n: int, record: Category, table: list[str]):
+        t0 = time.perf_counter()
+        self.n, self.record, self.subject = n, record, table[n]
+        self.groups = closed_form.groups(table, record.name, record.rows)
+        self.opening = [[] for _ in range(len(self.subject) + 2)]
+        self.closing = [[] for _ in range(len(self.subject) + 2)]
+        for g, group in enumerate(self.groups):
+            self.opening[group.lo].append(g)
+            self.closing[group.hi + 1].append(g)
+        self.active: dict[int, int] = {}  # group -> its start in F_n
+        self.rule = record.rule(self.subject)
+        self.enumerated = self.expected = 0
+        self.missing, self.extra = [], {}  # extra: word -> its diagnosis
+        self.seconds = time.perf_counter() - t0
 
-def _handle_cell(n: int, record: Category, subject: str):
-    """A cell compared one factor length k at a time, on names, with no
-    member spelled; returns what ``_word_cell`` returns.
-
-    The oracle sweep names the factors of length k (a name is the first
-    start) and lists the names in the set. The catalog at k is the names
-    at the starts of the groups whose lengths span k. Only disputed
-    names are spelled. A row with two groups of one name at k repeats a
-    member, so the word catalog is spelled to raise the builder's
-    error."""
-    groups = record.groups(n)
-    rows = [g.row for g in groups]
-    opening = [[] for _ in range(len(subject) + 2)]
-    closing = [[] for _ in range(len(subject) + 2)]
-    for g, group in enumerate(groups):
-        opening[group.lo].append(g)
-        closing[group.hi + 1].append(g)
-    active: dict[int, int] = {}  # group -> its start in F_n
-    enumerated = expected = 0
-    missing, extra = [], {}
-    for k, names, accepted in record.sweep(subject):
-        for g in closing[k]:
+    def step(self, k: int, names: list[int]) -> None:
+        active, groups = self.active, self.groups
+        for g in self.closing[k]:
             del active[g]
-        for g in opening[k]:
+        for g in self.opening[k]:
             active[g] = groups[g].p
+        accepted = self.rule(k, names)
+        if not active and not accepted:
+            return
         found = list(map(names.__getitem__, active.values()))
-        catalog = set(found)
-        if len(set(zip(map(rows.__getitem__, active), found))) < len(found):
-            record.enumerator(n, force=True)
+        if found == accepted:  # rules list no name twice: no repeat
+            self.enumerated += len(found)
+            self.expected += len(found)
+            return
+        catalog, wanted = set(found), set(accepted)
+        in_rows = {(groups[g].row, x) for g, x in zip(active, found)}
+        if len(in_rows) < len(found):
+            self.record.enumerator(self.n, force=True)
             raise RuntimeError(
-                f"a row of the {record.name} catalog at n={n} repeats a "
-                f"member of length {k}, but the word catalog has no repeat")
-        wanted = set(accepted)
-        enumerated += len(catalog)
-        expected += len(wanted)
-        missing += [subject[x:x + k] for x in wanted - catalog]
+                f"a row of the {self.record.name} catalog at n={self.n} "
+                f"repeats a member of length {k}, but the word catalog has "
+                f"no repeat")
+        self.enumerated += len(catalog)
+        self.expected += len(wanted)
+        self.missing += [self.subject[x:x + k] for x in wanted - catalog]
         for x in catalog - wanted:
+            word = self.subject[x:x + k]
             forms = [groups[g].form_at(k) for g in sorted(active)
                      if names[groups[g].p] == x]
-            word = subject[x:x + k]
-            extra[word] = _extra_diagnosis(word, dict.fromkeys(forms))
-    return enumerated, expected, missing, extra
+            self.extra[word] = {"word": word, "side": "extra", "clauses": [
+                f.to_json() for f in dict.fromkeys(forms)]}
+
+    def report(self, table: list[str], shared: float) -> QuasiReport:
+        """The report once the pass, ``shared`` seconds long, is over."""
+        t0 = time.perf_counter()
+        n, name, subject = self.n, self.record.name, self.subject
+        missing = tuple(words.canonical(self.missing))
+        extra = tuple(words.canonical(self.extra))
+        for w in missing:
+            if not self.record.predicate(w, subject):
+                raise RuntimeError(
+                    f"unsound report: {w!r} classified missing but fails "
+                    f"the {name} predicate at n={n}")
+        for w in extra:
+            if self.record.predicate(w, subject):
+                raise RuntimeError(
+                    f"unsound report: {w!r} classified extra but passes "
+                    f"the {name} predicate at n={n}")
+        diagnostics = tuple(_diagnose(w, table) for w in missing)
+        diagnostics += tuple(self.extra[w] for w in extra)
+        seconds = self.seconds + shared + time.perf_counter() - t0
+        return QuasiReport(n, name, self.enumerated, self.expected, missing,
+                           extra, diagnostics, seconds * 1000.0)
+
+
+def _cells(n: int, records: list[Category]) -> list[QuasiReport]:
+    """The reports of index n for ``records``, in their order: one
+    table F_0..F_n (one guard read) and one naming pass over F_n for
+    the linear cells, one over F_n F_n for the cyclic ones."""
+    if not records:
+        return []
+    table = fib_words(n)
+    subject = table[n]
+    reports = {}
+    for cyclic in (False, True):
+        cells = [_Cell(n, r, table) for r in records if r.cyclic == cyclic]
+        if not cells:
+            continue
+        t0 = time.perf_counter()
+        text = subject + subject if cyclic else subject
+        for k, names in engine._factor_names(text, len(subject)):
+            for cell in cells:
+                cell.step(k, names)
+        shared = time.perf_counter() - t0
+        for cell in cells:
+            reports[cell.record.name] = cell.report(table, shared)
+    return [reports[r.name] for r in records]
 
 
 def check_category(n: int, category: str,
                    caps: dict | None = None) -> QuasiReport:
-    """Run one catalog-versus-oracle comparison cell: a handle cell when
-    the category has a sweep, else a word cell. ``caps`` maps category
-    names to oracle caps; a category it omits keeps its default cap."""
+    """Run one catalog-versus-oracle comparison cell, as ``run_suite``
+    does with one category. ``caps`` maps category names to oracle caps;
+    a category it omits keeps its default cap."""
     record = REGISTRY.get(category)
     if record is None:
         raise ValueError(f"unknown category {category!r}")
@@ -277,27 +320,8 @@ def check_category(n: int, category: str,
     if n > cap:
         raise SizeLimitError(
             f"index {n} exceeds the oracle cap {cap} for {category}")
-    t0 = time.perf_counter()
-    subject = fib_word(n)
-    cell = _word_cell if record.sweep is None else _handle_cell
-    enumerated, expected, missing, extra = cell(n, record, subject)
-    missing = tuple(words.canonical(missing))
-    extra_words = tuple(words.canonical(extra))
-    for w in missing:
-        if not record.predicate(w, subject):
-            raise RuntimeError(
-                f"unsound report: {w!r} classified missing but fails the "
-                f"{category} predicate at n={n}")
-    for w in extra_words:
-        if record.predicate(w, subject):
-            raise RuntimeError(
-                f"unsound report: {w!r} classified extra but passes the "
-                f"{category} predicate at n={n}")
-    diagnostics = tuple(_diagnose(w, n, None, "missing") for w in missing)
-    diagnostics += tuple(extra[w] for w in extra_words)
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return QuasiReport(n, category, enumerated, expected, missing,
-                       extra_words, diagnostics, elapsed)
+    (report,) = _cells(n, [record])
+    return report
 
 
 def _battery(name: str, detail: str, failures: list[str],
@@ -443,10 +467,9 @@ def run_suite(config: SuiteConfig) -> SuiteResult:
     config.validate()
     cells = []
     for n in range(config.n_lo, config.n_hi + 1):
-        for record in REGISTRY.values():
-            if (record.name in config.categories
-                    and n <= _cap(record, config.caps)):
-                cells.append(check_category(n, record.name, config.caps))
+        cells += _cells(n, [r for r in REGISTRY.values()
+                            if r.name in config.categories
+                            and n <= _cap(r, config.caps)])
     batteries = [
         _battery_cover_chain(min(COVER_CHAIN_MAX_LEN, fib_len(config.n_hi))),
         _battery_expansion_determinism(config.n_lo, config.n_hi),

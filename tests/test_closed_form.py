@@ -8,10 +8,10 @@ from fibquasi.closed_form import (EnumResult, FactorForm, KIND_FIB_PLUS_PREFIX,
                                   KIND_LITERAL, KIND_PLAIN_FIB, KIND_SUFFIX_FIB_FIB_PREFIX,
                                   KIND_SUFFIX_PLUS_FIB,
                                   KIND_SUFFIX_FIB_PREFIX, SHAPES, Row, _build,
-                                  _parts, circular_cover_groups, enum_borders,
-                                  enum_circular_covers, enum_covers,
-                                  enum_left_seeds, enum_right_seeds,
-                                  enum_seeds, nearest_forms, seed_groups)
+                                  _parts, enum_borders, enum_circular_covers,
+                                  enum_covers, enum_left_seeds,
+                                  enum_right_seeds, enum_seeds, groups,
+                                  nearest_forms)
 from fibquasi.engine import is_seed_fast, refuse_oversize
 from fibquasi.errors import SizeLimitError
 from fibquasi.fib import _check_index, fib_len, fib_word, fib_words
@@ -144,21 +144,21 @@ def test_catalog_build_reads_guard_once(monkeypatch, build):
     assert len(reads) == 1
 
 
-@pytest.mark.parametrize("groups, enumerator", [
-    (seed_groups, enum_seeds), (circular_cover_groups, enum_circular_covers)])
-def test_groups_place_every_catalog_member(groups, enumerator):
+@pytest.mark.parametrize("category", CATEGORIES)
+def test_groups_place_every_catalog_member(category):
     # Each group stands for the members F_n[p:p+k], lo <= k <= hi, and
     # form_at(k) spells that member; together they are the catalog.
+    record = REGISTRY[category]
     for n in range(13):
         table = fib_words(n)
         subject = table[n]
         placed = set()
-        for group in groups(n):
+        for group in groups(table, category, record.rows):
             for k in range(group.lo, group.hi + 1):
                 word = subject[group.p:group.p + k]
                 assert group.form_at(k).spell(table) == word, (n, group, k)
                 placed.add(word)
-        assert placed == set(enumerator(n).words), n
+        assert placed == set(record.enumerator(n).words), n
 
 
 @pytest.mark.parametrize("row", [
@@ -172,11 +172,14 @@ def test_groups_refuse_a_row_that_is_not_a_run_of_prefixes(row):
     with pytest.raises(RuntimeError, match=(
             r"^row 0 of the test catalog at n=7 is not a run of "
             r"prefixes: Row\(")):
-        closed_form._groups(7, "test", lambda k: [row])
+        groups(fib_words(7), "test", lambda k: [row])
 
 
 def test_groups_have_no_size_refusal():
-    assert len(seed_groups(17)) > len(circular_cover_groups(17)) > 0
+    table = fib_words(17)
+    assert (len(groups(table, "seeds", closed_form._seed_rows))
+            > len(groups(table, "circular_covers",
+                         closed_form._circular_rows)) > 0)
     with pytest.raises(SizeLimitError):
         enum_seeds(17)
 
@@ -265,10 +268,11 @@ def test_enumerators_are_deterministic():
 
 
 def test_nearest_forms_shapes():
-    near = nearest_forms("baaba", 5)
+    near = nearest_forms("baaba", fib_words(5))
     assert FactorForm(KIND_SUFFIX_FIB_PREFIX, 3, left_len=2,
                       right_len=0) in near
-    assert FactorForm(KIND_PLAIN_FIB, 4) in nearest_forms(fib_word(4), 8)
+    assert FactorForm(KIND_PLAIN_FIB, 4) in nearest_forms(fib_word(4),
+                                                          fib_words(8))
     assert all(f.materialize() == "baaba" for f in near)
 
 
@@ -383,9 +387,10 @@ def _binary_words(max_len):
 
 
 def test_nearest_forms_matches_per_kind_reference():
+    tables = {n: fib_words(n) for n in (5, 9, 12)}
     for word in _binary_words(11):
-        for n in (5, 9, 12):
-            assert ([f.to_json() for f in nearest_forms(word, n)]
+        for n, table in tables.items():
+            assert ([f.to_json() for f in nearest_forms(word, table)]
                     == [f.to_json() for f in _nearest_forms_by_kind(word, n)]
                     ), (word, n)
 
@@ -393,11 +398,12 @@ def test_nearest_forms_matches_per_kind_reference():
 def test_nearest_forms_matches_reference_on_fibonacci_factors():
     # F_2..F_11 are prefixes of F_12, so its factors include theirs; a
     # factor of F_k never reads a base above k, so one n covers them all.
-    subject = fib_word(12)
+    table = fib_words(12)
+    subject = table[12]
     factors = {subject[i:j] for i in range(len(subject))
                for j in range(i + 1, len(subject) + 1)}
     for word in factors:
-        assert ([f.to_json() for f in nearest_forms(word, 12)]
+        assert ([f.to_json() for f in nearest_forms(word, table)]
                 == [f.to_json() for f in _nearest_forms_by_kind(word, 12)]
                 ), word
 
