@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from . import words
+from . import closed_form, words
 from .fib import fib_len, fib_occurrences, fib_word, scan_occurrences
 from .verify import CATEGORIES, REGISTRY, Category, SuiteConfig, run_suite
 
@@ -103,7 +103,7 @@ def _cmd_enum(args) -> int:
     if len(chosen) != 1:
         raise ValueError("select exactly one catalog "
                          "(e.g. --covers or --seeds)")
-    result = chosen[0].enumerator(args.n, force=args.force)
+    result = closed_form.catalog(args.n, chosen[0].name, force=args.force)
     if args.json:
         _emit(result.to_json())
     else:

@@ -6,7 +6,8 @@ and the materialized word set, so a disputed member can always be traced
 back to the clause that produced it. The family definitions spelled out
 in the docstrings here are the authority: whether they agree with the
 brute-force oracles is decided by the verify module, never patched
-here; its category registry pairs each enumerator with its oracle. The
+here; its category registry pairs each catalog with its oracle by
+name. ``CATALOGS`` maps that name to the catalog's rows. The
 seed-flavored catalogs hold O(|F_n|) to O(|F_n|^2) members, so those
 enumerators share the engine's size refusal and take ``force`` to
 override it.
@@ -352,29 +353,46 @@ def _border_rows(n: int) -> list[Row]:
     return _plain(*border_indices(n))
 
 
+# Each catalog's clause rows, and whether it has the size refusal (the
+# seed-flavored ones do): ``catalog`` spells from this table and verify
+# places its groups from it.
+CATALOGS = {"borders": (_border_rows, False), "covers": (_cover_rows, False),
+            "left_seeds": (_left_seed_rows, True),
+            "right_seeds": (_right_seed_rows, True),
+            "seeds": (_seed_rows, True),
+            "circular_covers": (_circular_rows, True)}
+
+
+def catalog(n: int, category: str, force: bool = False) -> EnumResult:
+    """The closed-form catalog of F_n named ``category``, spelled from
+    its rows; ``force`` overrides the size refusal where there is one."""
+    rows_of, refuses = CATALOGS[category]
+    return _build(n, category, rows_of, force if refuses else None)
+
+
 def enum_borders(n: int) -> EnumResult:
     """Borders of F_n: F_{n-2}, F_{n-4}, ... down to F_1 or F_2; none
     for n <= 2."""
-    return _build(n, "borders", _border_rows)
+    return catalog(n, "borders")
 
 
 def enum_covers(n: int) -> EnumResult:
     """Covers of F_n: F_n alone up to n = 4; from there every second
     index down to F_3 (odd n) or F_4 (even n)."""
-    return _build(n, "covers", _cover_rows)
+    return catalog(n, "covers")
 
 
 def enum_left_seeds(n: int, force: bool = False) -> EnumResult:
     """Left seeds of F_n; for n >= 4: F_{n-1} extended by any prefix
     of F_{n-2}, and for each base 3 <= m <= n-2, F_m extended by a
     prefix of F_{m-1} stopping two letters short."""
-    return _build(n, "left_seeds", _left_seed_rows, force)
+    return catalog(n, "left_seeds", force)
 
 
 def enum_right_seeds(n: int, force: bool = False) -> EnumResult:
     """Right seeds of F_n: the covers of F_n plus every suffix of
     F_{n-2} prepended to F_{n-3} F_{n-2}."""
-    return _build(n, "right_seeds", _right_seed_rows, force)
+    return catalog(n, "right_seeds", force)
 
 
 def enum_seeds(n: int, force: bool = False) -> EnumResult:
@@ -382,7 +400,7 @@ def enum_seeds(n: int, force: bool = False) -> EnumResult:
     n = 4, and for n >= 5 the x F_m y and x F_{m-1} F_m y families for
     3 <= m <= n-3, plus x F_{n-2} y with y up to all |F_{n-3}| letters
     of F_{n-5} F_{n-4} (see ``_suffix_fib_prefix``)."""
-    return _build(n, "seeds", _seed_rows, force)
+    return catalog(n, "seeds", force)
 
 
 def enum_circular_covers(n: int, force: bool = False) -> EnumResult:
@@ -391,7 +409,7 @@ def enum_circular_covers(n: int, force: bool = False) -> EnumResult:
     F_{m-1} stopping two letters short for 3 <= m <= n-1, and the x F_m y
     / x F_{m-1} F_m y families with the seed bounds but bases capped at
     n-2 and n-3 respectively."""
-    return _build(n, "circular_covers", _circular_rows, force)
+    return catalog(n, "circular_covers", force)
 
 
 def nearest_forms(word: str, table: list[str]) -> tuple[FactorForm, ...]:

@@ -17,17 +17,16 @@ than the border (the gap rule of Moore & Smyth and of Li & Smyth). That
 is the occurrence-chain condition of words.is_cover, its test
 reference.
 
-The rules (border_rule, cover_rule, left_seed_rule, right_seed_rule,
-seed_rule, circular_rule) decide every candidate one factor length at a
-time on names: each factor is named by its first start (Karp, Miller &
-Rosenberg), and one naming pass can feed several rules. The gap rule
-and, for seeds, border-table queries for the head and tail (Iliopoulos,
-Moore & Park, "Covering a string") run on those ints, O(|y|) of them.
-seeds_of and circular_covers_of spell what their rules accept; verify
-compares the names with the catalogs. The other set oracles and the
-per-word predicates are the rules' test references; the test suite
-proves seeds_of equal to the exhaustive is_seed on every binary word of
-up to 10 letters and on sampled words of up to 60.
+The rules seed_rule and circular_rule decide every candidate one
+factor length at a time on names: each factor is named by its first
+start (Karp, Miller & Rosenberg), and one naming pass can feed several
+rules. The gap rule and, for seeds, border-table queries for the head
+and tail (Iliopoulos, Moore & Park, "Covering a string") run on those
+ints, O(|y|) of them. seeds_of and circular_covers_of spell what their
+rules accept; verify compares the names with the catalogs.
+is_seed_fast and is_circular_cover are the rules' test references, and
+the test suite proves seeds_of equal to the exhaustive is_seed on every
+binary word of up to 10 letters and on sampled words of up to 60.
 
 refuse_oversize is the one size refusal: seeds_of, circular_covers_of
 and the seed-flavored catalogs in closed_form decline subjects longer
@@ -40,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import ne
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .errors import SizeLimitError
 from .words import (canonical, covered_prefix_extent, covered_suffix_extent,
@@ -286,64 +285,6 @@ def _gap_runs(names: list[int], k: int) -> tuple[list[int], set[int]]:
 # every (k, names) of a ``_factor_names`` pass in order, it returns the
 # names whose factor of length k is in the set.
 Rule = Callable[[int, list[int]], list[int]]
-
-
-def _reaches(starts: Iterable[int], k: int, goal: int) -> bool:
-    """Whether the chain from the first of ``starts``, by steps of at
-    most k, reaches a start at least ``goal`` away from the first."""
-    it = iter(starts)
-    first = last = next(it)
-    for s in it:
-        if goal <= abs(last - first) or abs(s - last) > k:
-            break
-        last = s
-    return goal <= abs(last - first)
-
-
-def _chain_rule(y: str, suffix: bool, need: int) -> Rule:
-    """A rule accepting y[:k] (y[n-k:] when ``suffix``) iff the chain of
-    its occurrences from 0 (back from n-k) covers at least ``need``
-    letters of y: ``words.covered_prefix_extent`` (or
-    ``covered_suffix_extent``) is at least ``need``. The starts of y[:k]
-    are those of y[:k-1] still named 0; a start of y[n-k:] is one before
-    a start of y[n-k+1:] named as y[n-k:]."""
-    n = len(y)
-    starts = range(n + 1)  # the starts of the empty prefix or suffix
-
-    def accept(k: int, names: list[int]) -> list[int]:
-        nonlocal starts
-        if suffix:
-            x = names[n - k]
-            starts = [s - 1 for s in starts if s and names[s - 1] == x]
-        else:
-            x = 0
-            starts = [s for s in starts if s <= n - k and names[s] == 0]
-        # the chain covers k letters from the farthest start it reaches
-        chain = reversed(starts) if suffix else starts
-        return [x] if _reaches(chain, k, need - k) else []
-    return accept
-
-
-def border_rule(y: str) -> Rule:
-    """The borders of y: y[:k], k < |y|, is one iff y[|y|-k:] is named
-    0, the name of y[:k]."""
-    n = len(y)
-    return lambda k, names: [0] if k < n and names[n - k] == 0 else []
-
-
-def cover_rule(y: str) -> Rule:
-    """The covers of y: the prefixes whose chain covers all of y."""
-    return _chain_rule(y, False, len(y))
-
-
-def left_seed_rule(y: str) -> Rule:
-    """The left seeds of y: the prefixes whose chain covers a period."""
-    return _chain_rule(y, False, period_of(y))
-
-
-def right_seed_rule(y: str) -> Rule:
-    """The mirror of ``left_seed_rule`` on the suffixes of y."""
-    return _chain_rule(y, True, period_of(y))
 
 
 def seed_rule(y: str) -> Rule:

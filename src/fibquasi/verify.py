@@ -1,24 +1,27 @@
 """Cross-validation harness: catalog enumerations against oracle sets.
 
 REGISTRY holds one Category record per quasiperiodicity set of the
-paper: its name, CLI flag, default oracle cap, set oracle, per-word
-predicate, closed-form enumerator, clause rows and per-length rule. The
-harness and the CLI read every per-category choice from it.
+paper: its name (which names its closed-form catalog in
+``closed_form.CATALOGS``), CLI flag, default oracle cap, set oracle,
+per-word predicate and per-length rule. The harness and the CLI read
+every per-category choice from it.
 
 Every (index, category) cell compares the catalog with the oracle and
-reports the exact set difference, with no member spelled on either
-side: one factor length k at a time, it compares the names of the
-factors at the starts of the catalog's groups (``closed_form.groups``)
-with the names the rule accepts (``engine.Rule``). Per index, F_0..F_n
-is built once, the linear cells share one naming pass over F_n and the
-circular-cover cell runs one over F_n F_n, so a cell holds O(|F_n|)
-letters and has no size refusal. Disputed words are spelled, re-checked
-with the per-word predicate, and annotated with the clauses that
-produced them (extra words) or the nearest clause shapes (missing
-words). Property batteries cover the structural facts the catalogs rely
-on: the cover chain, the order-independence of the tiling rewrite, the
-occurrence fast path, and the two families of near-miss extensions that
-must never be seeds.
+reports the exact set difference, with no catalog member spelled: one
+factor length k at a time, it compares the names of the factors at the
+starts of the catalog's groups (``closed_form.groups``) with the names
+the rule accepts (``engine.Rule``). Per index, F_0..F_n is built once,
+the linear cells share one naming pass over F_n and the circular-cover
+cell runs one over F_n F_n. The seed and circular-cover rules decide on
+names alone, so those cells hold O(|F_n|) letters and have no size
+refusal. The four other sets have O(|F_n|) members, which their
+oracles spell; their rules name each by its first start. Disputed
+words are spelled, re-checked with the per-word predicate, and
+annotated with the clauses that produced them (extra words) or the
+nearest clause shapes (missing words). Property batteries cover the
+structural facts the catalogs rely on: the cover chain, the
+order-independence of the tiling rewrite, the occurrence fast path,
+and the two families of near-miss extensions that must never be seeds.
 
 Mismatches are findings, not errors: the suite completes every cell and
 the summary says what failed. Two runs with the same configuration
@@ -44,65 +47,58 @@ from .fib import (KIND_SMALL, LENGTH_INDEX_LIMIT, _check_index, expansion,
 class Category:
     """One quasiperiodicity set: ``oracle(y, force=False)`` computes it
     for any binary word, ``predicate(u, y)`` decides one factor (used to
-    re-check disputed words), ``enumerator(n, force=False)`` spells the
-    closed-form catalog of F_n from the clause rows ``rows(n)``, and
-    ``force`` overrides the size refusal where there is one. ``rule(y)``
-    decides the set on the factor names of y (of y*y when ``cyclic``).
-    Cells above ``cap`` are skipped by default."""
+    re-check disputed words), ``rule(y)`` decides it on the factor names
+    of y (of y*y when ``cyclic``), and ``force`` overrides the size
+    refusal where there is one. Its closed-form catalog is
+    ``closed_form.CATALOGS[name]``. Cells above ``cap`` are skipped by
+    default."""
 
     name: str
     flag: str
     cap: int
     oracle: Callable[..., list[str]]
     predicate: Callable[[str, str], bool]
-    enumerator: Callable[..., closed_form.EnumResult]
-    rows: Callable[[int], list[closed_form.Row]]
     rule: Callable[[str], engine.Rule]
     cyclic: bool = False
+
+
+def _linear(name: str, flag: str, oracle: Callable[..., list[str]],
+            predicate: Callable[[str, str], bool]) -> Category:
+    """A set with O(|y|) members, which its oracle spells: the rule
+    names each member by its first start in y."""
+    def rule(y: str) -> engine.Rule:
+        named: dict[int, list[int]] = {}
+        for u in oracle(y):
+            x = y.find(u)
+            if x < 0:
+                raise RuntimeError(f"the {name} oracle gave {u!r}, which is "
+                                   f"not a factor of its subject")
+            named.setdefault(len(u), []).append(x)
+        return lambda k, names: named.get(k, [])
+    return Category(name, flag, 14, oracle, predicate, rule)
 
 
 # The entries look functions up on their modules at call time, so a
 # wrapped or patched module function is the one that runs.
 REGISTRY = {c.name: c for c in (
-    Category("borders", "borders", 14,
-             lambda y, force=False: words.borders(y),
-             lambda u, y: u != y and y.startswith(u) and y.endswith(u),
-             lambda n, force=False: closed_form.enum_borders(n),
-             lambda n: closed_form._border_rows(n),
-             lambda y: engine.border_rule(y)),
-    Category("covers", "covers", 14,
-             lambda y, force=False: engine.covers_of(y),
-             lambda u, y: words.is_cover(u, y)[0],
-             lambda n, force=False: closed_form.enum_covers(n),
-             lambda n: closed_form._cover_rows(n),
-             lambda y: engine.cover_rule(y)),
-    Category("left_seeds", "left-seeds", 14,
-             lambda y, force=False: engine.left_seeds_of(y),
-             lambda u, y: engine.is_left_seed(u, y),
-             lambda n, force=False: closed_form.enum_left_seeds(
-                 n, force=force),
-             lambda n: closed_form._left_seed_rows(n),
-             lambda y: engine.left_seed_rule(y)),
-    Category("right_seeds", "right-seeds", 14,
-             lambda y, force=False: engine.right_seeds_of(y),
-             lambda u, y: engine.is_right_seed(u, y),
-             lambda n, force=False: closed_form.enum_right_seeds(
-                 n, force=force),
-             lambda n: closed_form._right_seed_rows(n),
-             lambda y: engine.right_seed_rule(y)),
+    _linear("borders", "borders", lambda y, force=False: words.borders(y),
+            lambda u, y: u != y and y.startswith(u) and y.endswith(u)),
+    _linear("covers", "covers", lambda y, force=False: engine.covers_of(y),
+            lambda u, y: words.is_cover(u, y)[0]),
+    _linear("left_seeds", "left-seeds",
+            lambda y, force=False: engine.left_seeds_of(y),
+            lambda u, y: engine.is_left_seed(u, y)),
+    _linear("right_seeds", "right-seeds",
+            lambda y, force=False: engine.right_seeds_of(y),
+            lambda u, y: engine.is_right_seed(u, y)),
     Category("seeds", "seeds", 10,
              lambda y, force=False: engine.seeds_of(y, force=force),
              lambda u, y: u in y and engine.is_seed_fast(u, y),
-             lambda n, force=False: closed_form.enum_seeds(n, force=force),
-             lambda n: closed_form._seed_rows(n),
              lambda y: engine.seed_rule(y)),
     Category("circular_covers", "circular", 10,
              lambda y, force=False: engine.circular_covers_of(
                  y, force=force),
              lambda u, y: u in y and engine.is_circular_cover(u, y),
-             lambda n, force=False: closed_form.enum_circular_covers(
-                 n, force=force),
-             lambda n: closed_form._circular_rows(n),
              lambda y: engine.circular_rule(y), cyclic=True),
 )}
 
@@ -121,8 +117,9 @@ def _cap(category: Category, caps: dict | None) -> int:
 @dataclass(frozen=True)
 class QuasiReport:
     """Exact comparison record for one (index, category) cell. Its
-    ``elapsed_ms`` counts the whole naming pass the cell shares with the
-    other cells of its index, plus its own work."""
+    ``elapsed_ms`` runs from the start of the naming pass the cell
+    shares with the other cells of its index (their set-up included) to
+    the end of its own report."""
 
     n: int
     category: str
@@ -215,9 +212,9 @@ class _Cell:
     catalog is spelled to raise the builder's error."""
 
     def __init__(self, n: int, record: Category, table: list[str]):
-        t0 = time.perf_counter()
         self.n, self.record, self.subject = n, record, table[n]
-        self.groups = closed_form.groups(table, record.name, record.rows)
+        self.groups = closed_form.groups(
+            table, record.name, closed_form.CATALOGS[record.name][0])
         self.opening = [[] for _ in range(len(self.subject) + 2)]
         self.closing = [[] for _ in range(len(self.subject) + 2)]
         for g, group in enumerate(self.groups):
@@ -227,7 +224,6 @@ class _Cell:
         self.rule = record.rule(self.subject)
         self.enumerated = self.expected = 0
         self.missing, self.extra = [], {}  # extra: word -> its diagnosis
-        self.seconds = time.perf_counter() - t0
 
     def step(self, k: int, names: list[int]) -> None:
         active, groups = self.active, self.groups
@@ -239,14 +235,10 @@ class _Cell:
         if not active and not accepted:
             return
         found = list(map(names.__getitem__, active.values()))
-        if found == accepted:  # rules list no name twice: no repeat
-            self.enumerated += len(found)
-            self.expected += len(found)
-            return
         catalog, wanted = set(found), set(accepted)
         in_rows = {(groups[g].row, x) for g, x in zip(active, found)}
         if len(in_rows) < len(found):
-            self.record.enumerator(self.n, force=True)
+            closed_form.catalog(self.n, self.record.name, force=True)
             raise RuntimeError(
                 f"a row of the {self.record.name} catalog at n={self.n} "
                 f"repeats a member of length {k}, but the word catalog has "
@@ -261,9 +253,8 @@ class _Cell:
             self.extra[word] = {"word": word, "side": "extra", "clauses": [
                 f.to_json() for f in dict.fromkeys(forms)]}
 
-    def report(self, table: list[str], shared: float) -> QuasiReport:
-        """The report once the pass, ``shared`` seconds long, is over."""
-        t0 = time.perf_counter()
+    def report(self, table: list[str], t0: float) -> QuasiReport:
+        """The report once the pass that began at ``t0`` is over."""
         n, name, subject = self.n, self.record.name, self.subject
         missing = tuple(words.canonical(self.missing))
         extra = tuple(words.canonical(self.extra))
@@ -279,9 +270,9 @@ class _Cell:
                     f"the {name} predicate at n={n}")
         diagnostics = tuple(_diagnose(w, table) for w in missing)
         diagnostics += tuple(self.extra[w] for w in extra)
-        seconds = self.seconds + shared + time.perf_counter() - t0
+        elapsed = (time.perf_counter() - t0) * 1000.0
         return QuasiReport(n, name, self.enumerated, self.expected, missing,
-                           extra, diagnostics, seconds * 1000.0)
+                           extra, diagnostics, elapsed)
 
 
 def _cells(n: int, records: list[Category]) -> list[QuasiReport]:
@@ -294,17 +285,16 @@ def _cells(n: int, records: list[Category]) -> list[QuasiReport]:
     subject = table[n]
     reports = {}
     for cyclic in (False, True):
+        t0 = time.perf_counter()
         cells = [_Cell(n, r, table) for r in records if r.cyclic == cyclic]
         if not cells:
             continue
-        t0 = time.perf_counter()
         text = subject + subject if cyclic else subject
         for k, names in engine._factor_names(text, len(subject)):
             for cell in cells:
                 cell.step(k, names)
-        shared = time.perf_counter() - t0
         for cell in cells:
-            reports[cell.record.name] = cell.report(table, shared)
+            reports[cell.record.name] = cell.report(table, t0)
     return [reports[r.name] for r in records]
 
 

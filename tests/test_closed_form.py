@@ -4,11 +4,13 @@ import sys
 import pytest
 
 from fibquasi import closed_form, fib
-from fibquasi.closed_form import (EnumResult, FactorForm, KIND_FIB_PLUS_PREFIX,
+from fibquasi.closed_form import (CATALOGS, EnumResult, FactorForm,
+                                  KIND_FIB_PLUS_PREFIX,
                                   KIND_LITERAL, KIND_PLAIN_FIB, KIND_SUFFIX_FIB_FIB_PREFIX,
                                   KIND_SUFFIX_PLUS_FIB,
                                   KIND_SUFFIX_FIB_PREFIX, SHAPES, Row, _build,
-                                  _parts, enum_borders, enum_circular_covers,
+                                  _parts, catalog, enum_borders,
+                                  enum_circular_covers,
                                   enum_covers, enum_left_seeds,
                                   enum_right_seeds, enum_seeds, groups,
                                   nearest_forms)
@@ -16,7 +18,7 @@ from fibquasi.engine import is_seed_fast, refuse_oversize
 from fibquasi.errors import SizeLimitError
 from fibquasi.fib import _check_index, fib_len, fib_word, fib_words
 from fibquasi.words import canonical
-from fibquasi.verify import CATEGORIES, REGISTRY
+from fibquasi.verify import CATEGORIES
 
 
 def test_borders_catalog():
@@ -82,14 +84,14 @@ def test_all_members_are_factors():
         for category in CATEGORIES:
             if category in ("seeds", "circular_covers") and n > 10:
                 continue
-            result = REGISTRY[category].enumerator(n)
+            result = catalog(n, category)
             assert all(w in subject for w in result.words), (n, category)
 
 
 def test_forms_materialize_into_word_set():
     for n in range(0, 11):
         for category in CATEGORIES:
-            result = REGISTRY[category].enumerator(n)
+            result = catalog(n, category)
             members = set(result.words)
             assert all(f.materialize() in members for f in result.forms)
 
@@ -97,7 +99,7 @@ def test_forms_materialize_into_word_set():
 def test_table_spelling_matches_materialize():
     for n in range(0, 13):
         for category in CATEGORIES:
-            result = REGISTRY[category].enumerator(n)
+            result = catalog(n, category)
             assert set(result.words) == {
                 f.materialize() for f in result.forms}, (n, category)
 
@@ -148,17 +150,17 @@ def test_catalog_build_reads_guard_once(monkeypatch, build):
 def test_groups_place_every_catalog_member(category):
     # Each group stands for the members F_n[p:p+k], lo <= k <= hi, and
     # form_at(k) spells that member; together they are the catalog.
-    record = REGISTRY[category]
+    rows_of = CATALOGS[category][0]
     for n in range(13):
         table = fib_words(n)
         subject = table[n]
         placed = set()
-        for group in groups(table, category, record.rows):
+        for group in groups(table, category, rows_of):
             for k in range(group.lo, group.hi + 1):
                 word = subject[group.p:group.p + k]
                 assert group.form_at(k).spell(table) == word, (n, group, k)
                 placed.add(word)
-        assert placed == set(record.enumerator(n).words), n
+        assert placed == set(catalog(n, category).words), n
 
 
 @pytest.mark.parametrize("row", [
@@ -187,7 +189,7 @@ def test_groups_have_no_size_refusal():
 def test_words_are_canonical():
     for n in range(0, 11):
         for category in CATEGORIES:
-            ws = REGISTRY[category].enumerator(n).words
+            ws = catalog(n, category).words
             assert list(ws) == sorted(set(ws), key=lambda w: (len(w), w))
 
 
@@ -263,8 +265,7 @@ def test_serialization_shape():
 
 def test_enumerators_are_deterministic():
     for category in CATEGORIES:
-        enumerator = REGISTRY[category].enumerator
-        assert enumerator(7) == enumerator(7)
+        assert catalog(7, category) == catalog(7, category)
 
 
 def test_nearest_forms_shapes():
@@ -481,12 +482,11 @@ def _assert_same_result(got, want):
 
 @pytest.mark.parametrize("category", CATEGORIES)
 def test_bulk_build_matches_reference(monkeypatch, category):
-    enumerator = REGISTRY[category].enumerator
     top = 15 if category in ("seeds", "circular_covers") else 14
-    got = [enumerator(n) for n in range(top + 1)]
+    got = [catalog(n, category) for n in range(top + 1)]
     monkeypatch.setattr(closed_form, "_build", _build_reference)
     for n in range(top + 1):
-        _assert_same_result(got[n], enumerator(n))
+        _assert_same_result(got[n], catalog(n, category))
 
 
 def _build_error(rows, n=7):

@@ -10,7 +10,7 @@ from fibquasi.engine import (SeedWitness, circular_covers_of, covers_of,
                              seeds_of)
 from fibquasi.errors import SizeLimitError
 from fibquasi.fib import fib_word
-from fibquasi.verify import _battery_cover_chain
+from fibquasi.verify import REGISTRY, _battery_cover_chain
 from fibquasi.words import (borders, canonical, is_cover, occurrences,
                             require_word)
 
@@ -496,12 +496,6 @@ def test_empty_and_alphabet_errors():
             fn("abc")
 
 
-# The four linear rules against the set oracles they restate.
-LINEAR_RULES = ((engine.border_rule, borders), (engine.cover_rule, covers_of),
-                (engine.left_seed_rule, left_seeds_of),
-                (engine.right_seed_rule, right_seeds_of))
-
-
 def _fed(text, count, rules):
     """Feed every rule one naming pass of ``text`` over ``count``
     starts; spell what each accepts, as the set oracles order it."""
@@ -512,41 +506,18 @@ def _fed(text, count, rules):
     return out
 
 
-def _assert_linear_rules_match(y):
-    rules = [make(y) for make, _ in LINEAR_RULES]
-    for got, (_, oracle) in zip(_fed(y, len(y), rules), LINEAR_RULES):
-        assert got == oracle(y), (oracle.__name__, y)
-
-
-def test_linear_rules_match_the_set_oracles():
-    for y in all_words(12):
-        _assert_linear_rules_match(y)
-    for n in range(17):
-        _assert_linear_rules_match(fib_word(n))
-
-
-def test_linear_rules_match_the_set_oracles_property():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
-    @hypothesis.settings(deadline=None, database=None)
-    @hypothesis.given(st.text(alphabet="ab", min_size=1, max_size=80))
-    def check(y):
-        _assert_linear_rules_match(y)
-
-    check()
-
-
 def test_seed_and_circular_rules_in_a_shared_pass():
     # The seed rule fed alongside the linear rules, as a verify index
     # feeds them, and the circular rule from its own pass over y*y.
+    linear = [REGISTRY[c] for c in
+              ("borders", "covers", "left_seeds", "right_seeds")]
     rng = random.Random(37)
     subjects = [fib_word(n) for n in range(12)]
     subjects += [random_word(rng, 40) for _ in range(40)]
     for y in subjects:
-        rules = [make(y) for make, _ in LINEAR_RULES]
-        *linear, seeds = _fed(y, len(y), rules + [engine.seed_rule(y)])
+        rules = [record.rule(y) for record in linear]
+        *sets, seeds = _fed(y, len(y), rules + [engine.seed_rule(y)])
         assert seeds == seeds_of(y), y
-        assert linear == [oracle(y) for _, oracle in LINEAR_RULES], y
+        assert sets == [record.oracle(y) for record in linear], y
         (circular,) = _fed(y + y, len(y), [engine.circular_rule(y)])
         assert circular == circular_covers_of(y), y

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fibquasi import closed_form, fib, words
+from fibquasi import closed_form, engine, fib, words
 from fibquasi.closed_form import (KIND_FIB_PLUS_PREFIX, KIND_LITERAL,
                                   KIND_PLAIN_FIB, KIND_SUFFIX_FIB_FIB_PREFIX,
                                   Row)
@@ -115,7 +115,8 @@ def test_handle_cell_caps_pass_the_size_bound():
 def test_every_category_has_rows_and_a_rule():
     for record in REGISTRY.values():
         n = 9
-        assert record.rows(n) and callable(record.rule(fib_word(n)))
+        assert (closed_form.CATALOGS[record.name][0](n)
+                and callable(record.rule(fib_word(n))))
         assert record.cyclic == (record.name == "circular_covers")
 
 
@@ -232,7 +233,7 @@ def _check_category_by_words(n, category, caps=None):
         raise SizeLimitError(
             f"index {n} exceeds the oracle cap {cap} for {category}")
     t0 = time.perf_counter()
-    enum_result = record.enumerator(n)
+    enum_result = closed_form.catalog(n, category)
     subject = fib_word(n)
     enumerated = set(enum_result.words)
     expected = set(record.oracle(subject))
@@ -257,11 +258,6 @@ def _check_category_by_words(n, category, caps=None):
                        missing, extra, diagnostics, elapsed)
 
 
-ROWS_OF = {"borders": "_border_rows", "covers": "_cover_rows",
-           "left_seeds": "_left_seed_rows", "right_seeds": "_right_seed_rows",
-           "seeds": "_seed_rows", "circular_covers": "_circular_rows"}
-
-
 def _untimed(report):
     return dataclasses.replace(report, elapsed_ms=0.0)
 
@@ -272,10 +268,15 @@ def _assert_handle_equals_words(n, category):
             == _untimed(_check_category_by_words(n, category, caps)))
 
 
+def _patch_rows(monkeypatch, category, rows_of):
+    """Swap the catalog's rows for ``rows_of(real_rows, n)``."""
+    real, refuses = closed_form.CATALOGS[category]
+    monkeypatch.setitem(closed_form.CATALOGS, category,
+                        (lambda n: rows_of(real, n), refuses))
+
+
 def _add_rows(monkeypatch, category, extra_rows):
-    real = getattr(closed_form, ROWS_OF[category])
-    monkeypatch.setattr(closed_form, ROWS_OF[category],
-                        lambda n: real(n) + extra_rows)
+    _patch_rows(monkeypatch, category, lambda real, n: real(n) + extra_rows)
 
 
 @pytest.mark.parametrize("category", CATEGORIES)
@@ -324,9 +325,7 @@ def test_handle_cell_reports_a_dropped_row_like_the_word_cell(
         monkeypatch, category):
     # Without its last row a catalog misses words, the border and the
     # cover among them at a length where no other group is active.
-    real = getattr(closed_form, ROWS_OF[category])
-    monkeypatch.setattr(closed_form, ROWS_OF[category],
-                        lambda n: real(n)[:-1])
+    _patch_rows(monkeypatch, category, lambda real, n: real(n)[:-1])
     for n in (7, 8, 9):
         _assert_handle_equals_words(n, category)
     assert check_category(9, category, {category: 9}).missing
@@ -334,7 +333,7 @@ def test_handle_cell_reports_a_dropped_row_like_the_word_cell(
 
 def _word_cell_error(n, category):
     with pytest.raises(RuntimeError) as caught:
-        REGISTRY[category].enumerator(n, force=True)
+        closed_form.catalog(n, category, force=True)
     return str(caught.value)
 
 
@@ -438,3 +437,34 @@ def test_linear_cells_through_f16_fit_in_100_mb():
         "16 borders True 7 7", "16 covers True 7 7",
         "16 left_seeds True 1583 1583", "16 right_seeds True 617 617"]
     assert peak_kb < 100 * 1024
+
+
+@pytest.mark.parametrize("oracle, category", [("covers_of", "covers"),
+                                              ("right_seeds_of", "right_seeds")])
+def test_linear_rule_refuses_an_oracle_word_that_is_no_factor(
+        monkeypatch, oracle, category):
+    real = getattr(engine, oracle)
+    monkeypatch.setattr(engine, oracle, lambda y: real(y) + ["bb"])
+    with pytest.raises(RuntimeError, match=(
+            f"^the {category} oracle gave 'bb', which is not a factor of "
+            f"its subject$")):
+        check_category(7, category)
+
+
+@pytest.mark.parametrize("oracle, category", [
+    ("covers_of", "covers"), ("left_seeds_of", "left_seeds"),
+    ("right_seeds_of", "right_seeds")])
+def test_linear_cell_names_an_oracle_word_inside_f_n_like_the_word_cell(
+        monkeypatch, oracle, category):
+    # "baab" is a factor of F_7 at neither end, so a rule that read an
+    # oracle word as the prefix or suffix of its length would miss it;
+    # both cells classify it missing and the predicate re-check refuses
+    real = getattr(engine, oracle)
+    monkeypatch.setattr(engine, oracle, lambda y: real(y) + ["baab"])
+    with pytest.raises(RuntimeError) as words_error:
+        _check_category_by_words(7, category)
+    with pytest.raises(RuntimeError) as names_error:
+        check_category(7, category)
+    assert str(names_error.value) == str(words_error.value) == (
+        f"unsound report: 'baab' classified missing but fails the "
+        f"{category} predicate at n=7")
