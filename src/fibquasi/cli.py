@@ -24,7 +24,8 @@ import sys
 
 from . import closed_form, words
 from .fib import fib_len, fib_occurrences, fib_word, scan_occurrences
-from .verify import CATEGORIES, REGISTRY, Category, SuiteConfig, run_suite
+from .verify import (CATEGORIES, DEFAULT_CAPS, REGISTRY, Category,
+                     SuiteConfig, run_suite)
 
 MAX_INPUT_WORD = 10 ** 6
 
@@ -146,8 +147,9 @@ def _parse_categories(raw: list[str]) -> tuple[str, ...]:
 def _cmd_verify(args) -> int:
     categories = (_parse_categories(args.only) if args.only
                   else CATEGORIES)
-    config = SuiteConfig(n_lo=args.min_n, n_hi=args.max_n,
-                         categories=categories)
+    caps = (dict(DEFAULT_CAPS) if args.cap is None
+            else dict.fromkeys(CATEGORIES, args.cap))
+    config = SuiteConfig(args.min_n, args.max_n, categories, caps)
     # Validate, then open the report, so bad arguments leave an existing
     # report untouched and an unwritable path fails before the suite
     # runs rather than after.
@@ -234,6 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="CATEGORY",
                        help="restrict to categories (repeatable, "
                             "comma-separated)")
+    p_ver.add_argument("--cap", type=int, metavar="N",
+                       help="set every category's oracle cap to N (cells "
+                            "above a cap are skipped)")
     p_ver.add_argument("--report", metavar="FILE",
                        help="also write a JSON-lines report file")
     p_ver.set_defaults(handler=_cmd_verify)

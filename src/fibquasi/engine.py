@@ -19,11 +19,18 @@ reference.
 
 The rules seed_rule and circular_rule decide every candidate one
 factor length at a time on names: each factor is named by its first
-start (Karp, Miller & Rosenberg), and one naming pass can feed several
-rules. The gap rule and, for seeds, border-table queries for the head
-and tail (Iliopoulos, Moore & Park, "Covering a string") run on those
-ints, O(|y|) of them. seeds_of and circular_covers_of spell what their
-rules accept; verify compares the names with the catalogs.
+start (Karp, Miller & Rosenberg), and one naming pass (Naming) can feed
+several rules. The pass is event-driven: it renames only the starts
+whose factor stops matching their name's factor, each found by one LCP
+when the start is named, and it carries each name's last start and its
+count of occurrence gaps longer than k from one length to the next. So
+no length scans every start: past its O(|text|) set-up, a pass costs
+one LCP and O(1) updates per rename, plus a sorted insert per new name.
+The rules visit only the first starts below k and read the gap rule
+off the pass; for seeds, border-table queries decide the head and tail
+(Iliopoulos, Moore & Park, "Covering a string"). seeds_of and
+circular_covers_of spell what their rules accept; verify compares the
+names with the catalogs.
 is_seed_fast and is_circular_cover are the rules' test references, and
 the test suite proves seeds_of equal to the exhaustive is_seed on every
 binary word of up to 10 letters and on sampled words of up to 60.
@@ -36,9 +43,9 @@ have no refusal.
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress
-from operator import ne
 from typing import Callable, Iterator
 
 from .errors import SizeLimitError
@@ -233,58 +240,140 @@ def _has_border(table: list[int], length: int, lo: int, hi: int) -> bool:
     return b >= lo
 
 
-def _factor_names(text: str, count: int) -> Iterator[tuple[int, list[int]]]:
-    """Name the factors of ``text`` one length at a time (the naming
-    step of Karp, Miller & Rosenberg, STOC 1972): for k = 1, 2, ...
-    yield (k, names), where names[i] is the first start of text[i:i+k]
-    among the starts 0..len(names)-1. The starts are the first ``count``
-    positions that still have k letters, and k runs up to ``count``
-    while there is one.
+def _lcp(text: str, i: int, x: int, k: int) -> int:
+    """The length of the longest common prefix of text[i:] and text[x:],
+    for x < i, given that it is at least k: double a step until a slice
+    comparison fails, then binary-search that step."""
+    end = len(text) - i
+    lo, hi, step = k, k, 1
+    while lo < end:
+        hi = lo + step
+        if hi > end:
+            hi = end
+        if text[i + lo:i + hi] != text[x + lo:x + hi]:
+            break
+        lo, step = hi, step * 2
+    else:
+        return lo
+    # the prefixes agree on lo letters and differ within hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if text[i + lo:i + mid] == text[x + lo:x + mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
-    A name is the factor's first start, so a factor is spelled from its
-    name alone, and ``names`` is one list of ints, updated in place
-    between lengths; only one length is held at a time. From k-1 to k a
-    start keeps its name when its k-th letter equals the k-th letter at
-    that name's start; the starts that differ from their name's start
-    take the first of them with the same old name as their new name.
+
+class Naming:
+    """One naming pass over the factors of ``text``, one length at a
+    time (the naming step of Karp, Miller & Rosenberg, STOC 1972).
+
+    Iterating yields the pass itself at k = 1, 2, ...: ``names[i]`` is
+    the first start of text[i:i+k] among the starts 0..len(names)-1.
+    The starts are the first ``count`` positions that still have k
+    letters, and k runs up to ``count`` while there is one. A name is
+    the factor's first start, so a factor is spelled from its name
+    alone. For each name x, ``last[x]`` is its last start and
+    ``gaps[x]`` counts the pairs of consecutive starts named x that are
+    more than k apart (the occurrence gaps of Iliopoulos, Moore & Park,
+    "Covering a string"); ``firsts`` lists the names in ascending order.
+    All of them are updated in place between lengths.
+
+    The pass is event-driven. Start i keeps its name x up to length
+    lcp(i, x), so that length is found once, when i is named, and i
+    waits in a bucket for length lcp(i, x) + 1. At length k only the
+    starts of bucket k are renamed: the moved starts of one old name
+    share their k-th letter (the alphabet has two letters), so the
+    first of them names them all. Each name keeps its starts as a
+    doubly linked chain, and a gap longer than k waits in a bucket for
+    the length that equals it. A rename, a dropped start or an expired
+    gap costs O(1) besides its LCP and, for a new name, its sorted
+    insert into ``firsts``. Iterate it once at a time; a new
+    iteration starts the pass over.
     """
-    size = min(count, len(text))
-    first = dict(zip(reversed(text[:size]), range(size - 1, -1, -1)))
-    names = list(map(first.__getitem__, text[:size]))
-    k = 1
-    while True:
-        yield k, names
-        k += 1
-        size = min(count, len(text) - k + 1)
-        if k > count or size <= 0:
-            return
-        del names[size:]
-        letters = text[k - 1:k - 1 + len(names)]
-        moved = list(compress(range(len(names)), map(
-            ne, map(letters.__getitem__, names), letters)))
-        old = list(map(names.__getitem__, moved))
-        renamed = dict(zip(reversed(old), reversed(moved)))
-        for i, x in zip(moved, old):
-            names[i] = renamed[x]
 
+    def __init__(self, text: str, count: int):
+        self.text, self.count = text, count
 
-def _gap_runs(names: list[int], k: int) -> tuple[list[int], set[int]]:
-    """(last, gapped) for the names of one length k: last[x] is the last
-    start named x (for every x that is a name), and gapped holds the
-    names with two consecutive starts more than k apart."""
-    last = list(range(len(names)))
-    gapped = set()
-    for i, x in enumerate(names):
-        if i - last[x] > k:
-            gapped.add(x)
-        last[x] = i
-    return last, gapped
+    def __iter__(self) -> Iterator[Naming]:
+        text, count = self.text, self.count
+        size = min(count, len(text))
+        first = dict(zip(reversed(text[:size]), range(size - 1, -1, -1)))
+        names = self.names = list(map(first.__getitem__, text[:size]))
+        last = self.last = list(range(size))
+        gaps = self.gaps = [0] * size
+        firsts = self.firsts = sorted(first.values())
+        prev, nxt = [-1] * size, [-1] * size
+        # due[k]: the starts whose name no longer fits at length k;
+        # expiring[g]: (name, start) of the gaps of g letters
+        due, expiring = defaultdict(list), defaultdict(list)
+        lcp = _lcp
+        for i, x in enumerate(names):
+            if x == i:
+                continue
+            p = last[x]
+            prev[i], nxt[p], last[x] = p, i, i
+            if i - p > 1:
+                gaps[x] += 1
+                expiring[i - p].append((x, p))
+            due[lcp(text, i, x, 1) + 1].append(i)
+        k = self.k = 1
+        while True:
+            yield self
+            k = self.k = k + 1
+            size = min(count, len(text) - k + 1)
+            if k > count or size <= 0:
+                return
+            for x, p in expiring.pop(k, ()):
+                if nxt[p] == p + k and names[p] == x:
+                    gaps[x] -= 1
+            for s in range(len(names) - 1, size - 1, -1):
+                # s is the last start, so it ends its chain
+                x, p = names[s], prev[s]
+                if p < 0:
+                    firsts.pop()
+                    continue
+                nxt[p], last[x] = -1, p
+                if s - p > k:
+                    gaps[x] -= 1
+            del names[size:]
+            renamed = {}
+            for i in sorted(due.pop(k, ())):
+                if i >= size:
+                    continue
+                x = names[i]
+                p, q = prev[i], nxt[i]
+                nxt[p] = q
+                if i - p > k:
+                    gaps[x] -= 1
+                if q < 0:
+                    last[x] = p
+                else:
+                    prev[q] = p
+                    if q - i > k:
+                        gaps[x] -= 1
+                    if q - p > k:
+                        gaps[x] += 1
+                        expiring[q - p].append((x, p))
+                r = renamed.setdefault(x, i)
+                names[i], nxt[i] = r, -1
+                if r == i:
+                    prev[i], last[i], gaps[i] = -1, i, 0
+                    insort(firsts, i)
+                    continue
+                p = last[r]
+                prev[i], nxt[p], last[r] = p, i, i
+                if i - p > k:
+                    gaps[r] += 1
+                    expiring[i - p].append((r, p))
+                due[lcp(text, i, r, k) + 1].append(i)
 
 
 # A rule decides one set of a subject one factor length at a time: fed
-# every (k, names) of a ``_factor_names`` pass in order, it returns the
-# names whose factor of length k is in the set.
-Rule = Callable[[int, list[int]], list[int]]
+# a ``Naming`` pass at every length k in order, it returns the names
+# whose factor of length k is in the set.
+Rule = Callable[[Naming], list[int]]
 
 
 def seed_rule(y: str) -> Rule:
@@ -302,11 +391,13 @@ def seed_rule(y: str) -> Rule:
     prefix_borders = _border_table(y)
     suffix_borders = _border_table(y[::-1])
 
-    def accept(k: int, names: list[int]) -> list[int]:
-        last, gapped = _gap_runs(names, k)
+    def accept(naming: Naming) -> list[int]:
+        k, last, gaps = naming.k, naming.last, naming.gaps
         seeds = []
-        for x in range(min(k, len(names))):
-            if names[x] != x or x in gapped:
+        for x in naming.firsts:
+            if x >= k:
+                break
+            if gaps[x]:
                 continue
             tail = n - last[x] - k
             # an occurrence hanging off the left edge must reach back to
@@ -320,10 +411,10 @@ def seed_rule(y: str) -> Rule:
 
 
 def _accepted(text: str, count: int, rule: Rule) -> list[str]:
-    """The words ``rule`` accepts over ``_factor_names(text, count)``,
+    """The words ``rule`` accepts over ``Naming(text, count)``,
     spelled, shortest first and sorted within a length."""
-    return [u for k, names in _factor_names(text, count)
-            for u in sorted([text[x:x + k] for x in rule(k, names)])]
+    return [u for naming in Naming(text, count)
+            for u in sorted([text[x:x + naming.k] for x in rule(naming)])]
 
 
 def seeds_of(y: str, force: bool = False) -> list[str]:
@@ -366,12 +457,16 @@ def circular_rule(y: str, unrestricted: bool = False) -> Rule:
     """
     n = len(y)
 
-    def accept(k: int, names: list[int]) -> list[int]:
-        last, gapped = _gap_runs(names, k)
-        return [x for x in range(min(k, n))
-                if names[x] == x and x not in gapped
-                and x + n - last[x] <= k
-                and (unrestricted or x <= n - k)]
+    def accept(naming: Naming) -> list[int]:
+        k, last, gaps = naming.k, naming.last, naming.gaps
+        out = []
+        for x in naming.firsts:
+            if x >= k:
+                break
+            if (not gaps[x] and x + n - last[x] <= k
+                    and (unrestricted or x <= n - k)):
+                out.append(x)
+        return out
     return accept
 
 

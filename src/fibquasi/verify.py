@@ -74,7 +74,7 @@ def _linear(name: str, flag: str, oracle: Callable[..., list[str]],
                 raise RuntimeError(f"the {name} oracle gave {u!r}, which is "
                                    f"not a factor of its subject")
             named.setdefault(len(u), []).append(x)
-        return lambda k, names: named.get(k, [])
+        return lambda naming: named.get(naming.k, [])
     return Category(name, flag, 14, oracle, predicate, rule)
 
 
@@ -225,13 +225,14 @@ class _Cell:
         self.enumerated = self.expected = 0
         self.missing, self.extra = [], {}  # extra: word -> its diagnosis
 
-    def step(self, k: int, names: list[int]) -> None:
+    def step(self, naming: engine.Naming) -> None:
+        k, names = naming.k, naming.names
         active, groups = self.active, self.groups
         for g in self.closing[k]:
             del active[g]
         for g in self.opening[k]:
             active[g] = groups[g].p
-        accepted = self.rule(k, names)
+        accepted = self.rule(naming)
         if not active and not accepted:
             return
         found = list(map(names.__getitem__, active.values()))
@@ -290,9 +291,9 @@ def _cells(n: int, records: list[Category]) -> list[QuasiReport]:
         if not cells:
             continue
         text = subject + subject if cyclic else subject
-        for k, names in engine._factor_names(text, len(subject)):
+        for naming in engine.Naming(text, len(subject)):
             for cell in cells:
-                cell.step(k, names)
+                cell.step(naming)
         for cell in cells:
             reports[cell.record.name] = cell.report(table, t0)
     return [reports[r.name] for r in records]

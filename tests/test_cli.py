@@ -255,6 +255,31 @@ def test_verify_unknown_category(capsys):
     assert run(capsys, "verify", "--only", "periods")[0] == 2
 
 
+def test_verify_cap_runs_a_cell_above_the_default_caps(capsys):
+    code, out, _ = run(capsys, "verify", "--min-n", "15", "--max-n", "15",
+                       "--cap", "15", "--only", "seeds", "--json")
+    assert code == 1
+    (cell,) = json.loads(out)["cells"]
+    assert (cell["n"], cell["category"]) == (15, "seeds")
+    assert (cell["missing"], cell["extra"]) == (["baaba"], [])
+
+
+def test_verify_cap_sets_every_category(capsys):
+    # below every default cap, so only --cap can skip these cells
+    code, out, _ = run(capsys, "verify", "--min-n", "2", "--max-n", "3",
+                       "--cap", "2", "--json")
+    assert code == 0
+    cells = [(c["n"], c["category"]) for c in json.loads(out)["cells"]]
+    assert cells == [(2, c) for c in cli.CATEGORIES]
+
+
+@pytest.mark.parametrize("cap", ["-1", "91"])
+def test_verify_cap_out_of_range_is_usage_error(capsys, cap):
+    code, out, err = run(capsys, "verify", "--cap", cap)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cap ") and "Traceback" not in err
+
+
 def test_verify_report_file(capsys, tmp_path):
     path = tmp_path / "report.jsonl"
     code, _, _ = run(capsys, "verify", "--max-n", "4", "--report", str(path))

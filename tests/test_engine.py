@@ -1,4 +1,7 @@
 import random
+from itertools import compress
+from operator import ne
+from typing import Iterator
 
 import pytest
 
@@ -425,13 +428,119 @@ def test_factor_names_are_first_starts():
     for y in subjects:
         for text, count in ((y, len(y)), (y + y, len(y))):
             lengths = []
-            for k, names in engine._factor_names(text, count):
+            for naming in engine.Naming(text, count):
+                k, names = naming.k, naming.names
                 starts = min(count, len(text) - k + 1)
                 factors = [text[i:i + k] for i in range(starts)]
                 assert names == [factors.index(u) for u in factors], (
                     text, count, k)
                 lengths.append(k)
             assert lengths == list(range(1, len(y) + 1)), (text, count)
+
+
+# The letter-scan naming pass and gap rule that engine.Naming replaced,
+# kept as its test reference: every start is compared at every length.
+def _factor_names(text: str, count: int) -> Iterator[tuple[int, list[int]]]:
+    """Name the factors of ``text`` one length at a time (the naming
+    step of Karp, Miller & Rosenberg, STOC 1972): for k = 1, 2, ...
+    yield (k, names), where names[i] is the first start of text[i:i+k]
+    among the starts 0..len(names)-1. The starts are the first ``count``
+    positions that still have k letters, and k runs up to ``count``
+    while there is one.
+
+    A name is the factor's first start, so a factor is spelled from its
+    name alone, and ``names`` is one list of ints, updated in place
+    between lengths; only one length is held at a time. From k-1 to k a
+    start keeps its name when its k-th letter equals the k-th letter at
+    that name's start; the starts that differ from their name's start
+    take the first of them with the same old name as their new name.
+    """
+    size = min(count, len(text))
+    first = dict(zip(reversed(text[:size]), range(size - 1, -1, -1)))
+    names = list(map(first.__getitem__, text[:size]))
+    k = 1
+    while True:
+        yield k, names
+        k += 1
+        size = min(count, len(text) - k + 1)
+        if k > count or size <= 0:
+            return
+        del names[size:]
+        letters = text[k - 1:k - 1 + len(names)]
+        moved = list(compress(range(len(names)), map(
+            ne, map(letters.__getitem__, names), letters)))
+        old = list(map(names.__getitem__, moved))
+        renamed = dict(zip(reversed(old), reversed(moved)))
+        for i, x in zip(moved, old):
+            names[i] = renamed[x]
+
+
+def _gap_runs(names: list[int], k: int) -> tuple[list[int], set[int]]:
+    """(last, gapped) for the names of one length k: last[x] is the last
+    start named x (for every x that is a name), and gapped holds the
+    names with two consecutive starts more than k apart."""
+    last = list(range(len(names)))
+    gapped = set()
+    for i, x in enumerate(names):
+        if i - last[x] > k:
+            gapped.add(x)
+        last[x] = i
+    return last, gapped
+
+
+def _rotated_powers(rng):
+    for period in range(1, 13):
+        for _ in range(5):
+            base = "".join(rng.choice("ab") for _ in range(period))
+            length = rng.randint(1, 100)
+            shift = rng.randrange(period)
+            yield (base * (length // period + 2))[shift:shift + length]
+
+
+def test_naming_pass_matches_the_letter_scan():
+    # names, firsts, and each name's last start and gapped status, at
+    # every k of linear and circular passes
+    rng = random.Random(41)
+    subjects = list(all_words(10))
+    subjects += [random_word(rng, 200) for _ in range(30)]
+    subjects += list(_rotated_powers(rng))
+    subjects += [fib_word(n) for n in range(15)]
+    for y in subjects:
+        for text, count in ((y, len(y)), (y + y, len(y))):
+            reference = _factor_names(text, count)
+            naming = iter(engine.Naming(text, count))
+            for (k, names), got in zip(reference, naming):
+                assert (got.k, got.names) == (k, names), (text, count, k)
+                last, gapped = _gap_runs(names, k)
+                firsts = [x for x, name in enumerate(names) if x == name]
+                assert got.firsts == firsts, (text, count, k)
+                assert [got.last[x] for x in firsts] == [
+                    last[x] for x in firsts], (text, count, k)
+                assert [x for x in firsts if got.gaps[x]] == [
+                    x for x in firsts if x in gapped], (text, count, k)
+            assert next(naming, None) is None, (text, count)
+            assert next(reference, None) is None, (text, count)
+
+
+def test_naming_pass_schedules_only_renames(monkeypatch):
+    # Each LCP schedules one start: at k = 1 every start but the first
+    # of each letter, then every renamed start that does not become a
+    # name itself. So the pass makes at most |text| + renames of them,
+    # and the exact counts are pinned; a pass that compared every start
+    # at every length would make about |F_16|^2 / 2 letter comparisons.
+    real, calls = engine._lcp, []
+
+    def counted(text, i, x, k):
+        calls.append(k)
+        return real(text, i, x, k)
+    monkeypatch.setattr(engine, "_lcp", counted)
+    y = fib_word(16)
+    for text, renames, scheduled in ((y, 5269, 5879), (y + y, 6255, 6255)):
+        calls.clear()
+        for _ in engine.Naming(text, len(y)):
+            pass
+        assert len(calls) == scheduled, len(text)
+        assert len(calls) <= len(text) + renames
 
 
 def test_circular_unrestricted_candidates():
@@ -500,9 +609,10 @@ def _fed(text, count, rules):
     """Feed every rule one naming pass of ``text`` over ``count``
     starts; spell what each accepts, as the set oracles order it."""
     out = [[] for _ in rules]
-    for k, names in engine._factor_names(text, count):
+    for naming in engine.Naming(text, count):
         for accepted, rule in zip(out, rules):
-            accepted += sorted([text[x:x + k] for x in rule(k, names)])
+            accepted += sorted([text[x:x + naming.k]
+                                for x in rule(naming)])
     return out
 
 

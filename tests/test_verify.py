@@ -439,6 +439,45 @@ def test_linear_cells_through_f16_fit_in_100_mb():
     assert peak_kb < 100 * 1024
 
 
+# Past F_16 no word-level reference fits, so the rules are re-checked
+# on a seeded sample at F_17: one pass per rule picks one accepted and
+# one rejected first-start name at each length, 100 of each are drawn,
+# spelled and decided by the per-word predicate. It prints the number
+# of words of each kind that agree, then every word that does not.
+_F17_SAMPLE = """
+import random
+from fibquasi import engine
+from fibquasi.fib import fib_word
+from fibquasi.verify import REGISTRY
+y = fib_word(17)
+rng = random.Random(17)
+for name, text in (("seeds", y), ("circular_covers", y + y)):
+    rule = REGISTRY[name].rule(y)
+    picked = {True: [], False: []}
+    for naming in engine.Naming(text, len(y)):
+        accepted = rule(naming)
+        rejected = sorted(set(naming.firsts).difference(accepted))
+        for verdict, xs in ((True, accepted), (False, rejected)):
+            if xs:
+                x = rng.choice(xs)
+                picked[verdict].append(text[x:x + naming.k])
+    line, wrong = [name], []
+    for verdict in (True, False):
+        drawn = rng.sample(picked[verdict], 100)
+        bad = [u for u in drawn
+               if REGISTRY[name].predicate(u, y) != verdict]
+        line.append(len(drawn) - len(bad))
+        wrong += bad
+    print(*line, *wrong)
+"""
+
+
+def test_rules_agree_with_the_predicates_on_a_sample_at_f17():
+    lines, peak_kb = _cells_in_a_child(_F17_SAMPLE)
+    assert lines == ["seeds 100 100", "circular_covers 100 100"]
+    assert peak_kb < 100 * 1024
+
+
 @pytest.mark.parametrize("oracle, category", [("covers_of", "covers"),
                                               ("right_seeds_of", "right_seeds")])
 def test_linear_rule_refuses_an_oracle_word_that_is_no_factor(
