@@ -148,7 +148,7 @@ def _cmd_verify(args) -> int:
     categories = (_parse_categories(args.only) if args.only
                   else CATEGORIES)
     caps = (dict(DEFAULT_CAPS) if args.cap is None
-            else dict.fromkeys(CATEGORIES, args.cap))
+            else dict.fromkeys(categories, args.cap))
     config = SuiteConfig(args.min_n, args.max_n, categories, caps)
     # Validate, then open the report, so bad arguments leave an existing
     # report untouched and an unwritable path fails before the suite

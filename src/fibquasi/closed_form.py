@@ -14,19 +14,20 @@ override it.
 
 Every clause has one of the shapes in ``SHAPES``, which only ``_parts``
 reads: it spells a kind's left source, core and right source at a base
-and refuses a base too low for the kind, for spelling, ``_build`` and
+and refuses a base too low for the kind, for spelling, ``groups`` and
 ``nearest_forms`` alike. A catalog is a list of clause rows (kind,
 base, left range, right range, least |x|+|y|), each family's rows made
-by one builder, all spelled by one ``_build``. Row order is output
-order, because the JSON ``forms`` list is pinned byte for byte: members
-come row by row (left length outer, right length inner, first of any
-repeat kept). The one member no shape produces is the literal "baa" at index 4 (``KIND_LITERAL``).
+by one builder. Row order is output order, because the JSON ``forms``
+list is pinned byte for byte: members come row by row (left length
+outer, right length inner, first of any repeat kept). The one member
+no shape produces is the literal "baa" at index 4 (``KIND_LITERAL``).
 
-Because a catalog can hold O(|F_n|^2) members, ``_build`` spells each
-row in bulk and no Python frame runs per member: a ``FactorForm`` is a
-NamedTuple, made by ``tuple.__new__`` and hashed as a plain tuple.
-``groups`` spells no member: it walks the same rows (``_heads``) and
-places each (row, left length) in F_n as one ``Group``, for verify.
+``groups`` is the one walk of a catalog's rows: it places each (row,
+left length) in F_n as one ``Group`` without spelling a member, for
+verify and for ``_build``, which spells the groups. A catalog can hold
+O(|F_n|^2) members, so ``_build`` spells each group in bulk and no
+Python frame runs per member: a ``FactorForm`` is a NamedTuple, made
+by ``tuple.__new__`` and hashed as a plain tuple.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
-from typing import Callable, Iterator, NamedTuple
+from itertools import groupby, repeat
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .engine import refuse_oversize
 from .fib import border_indices, fib_len, fib_words
@@ -178,41 +180,18 @@ def _suffix_fib_fib_prefix(m: int) -> Row:
                range(fib_len(m - 1) + 1), len_m)
 
 
-def _heads(row: Row, left: str, core: str,
-           source: str) -> Iterator[tuple[int, int, str, str]]:
-    """The row walk shared by ``_build`` and ``groups``, given the
-    row's parts (see ``_parts``): for each left length l that spells a
-    member, (l, i, head, longest). The row takes the right lengths
-    rights[i:] at l (the first r with l + r >= least onward), head is
-    the suffix of length l of the left source followed by the core, and
-    longest is the longest member, head + source[:rights[-1]]. Every
-    member at l is a prefix of longest. A generator, so a caller that
-    reads one head at a time holds one longest member at a time."""
-    _, _, lefts, rights, least, _ = row
-    longest_right = source[:rights[-1]] if rights else ""
-    for l in lefts:
-        i = bisect_left(rights, least - l)
-        if i < len(rights):
-            head = _suffix(left, l) + core
-            yield l, i, head, head + longest_right
-
-
 def _build(n: int, category: str, rows_of: Callable[[int], list[Row]],
            force: bool | None = None) -> EnumResult:
     """Build the table F_0..F_n (the one index guard read) and, unless
     ``force`` is None (the linear catalogs), check the size refusal;
-    then spell ``rows_of(n)`` from the table, checking that no row
-    repeats a member (repeats across rows are absorbed by the set union)
-    and every member is a factor of F_n.
+    then spell the catalog ``rows_of(n)`` group by group (``groups``
+    raises a row's other errors), checking that no row repeats a member
+    (repeats across rows are absorbed by the set union).
 
-    A row is spelled in bulk: its core, its source and the prefixes of
-    the source it uses are spelled once, and for each left length the
-    members and forms come from C-level ``map`` calls, with no Python
-    frame per member. The factor check reads one member per (row, left
-    length), the longest: every other member at that left length is a
-    prefix of it, and a prefix of a factor of F_n is a factor too. When
-    it fails, the non-factors at that left length are a suffix of its
-    right lengths, so the first one in row order is named."""
+    A group's members are the prefixes F_n[p:p+k] of its longest member,
+    lo <= k <= hi, and its forms differ only in the right length, so
+    both come from C-level ``map`` calls, with no Python frame per
+    member. The word list grows row by row."""
     table = fib_words(n)
     if force is not None:
         refuse_oversize(f"catalog enumeration at index {n}", fib_len(n),
@@ -220,40 +199,26 @@ def _build(n: int, category: str, rows_of: Callable[[int], list[Row]],
     subject = table[n]
     new_form = partial(tuple.__new__, FactorForm)
     forms, words = [], []
-    for row in rows_of(n):
-        kind, m, _, rights, _, literal = row
-        if kind == KIND_LITERAL:
-            row_forms, members = [FactorForm(kind, literal=literal)], [literal]
-            ends = [(1, literal)]
-        else:
-            left, core, source = _parts(kind, m, table)
-            prefixes = [source[:r] for r in rights]
-            # ends: where each left length's members stop in ``members``,
-            # with the longest of them
-            row_forms, members, ends = [], [], []
-            for l, i, head, longest in _heads(row, left, core, source):
-                members.extend(map(head.__add__, prefixes[i:]))
-                row_forms.extend(map(new_form, zip(
-                    repeat(kind), repeat(m), repeat(l), rights[i:],
-                    repeat(""))))
-                ends.append((len(members), longest))
+    for _, row in groupby(groups(table, category, rows_of),
+                          attrgetter("row")):
+        members = []
+        for _, lo, hi, p, (kind, m, l, r, literal) in row:
+            longest = subject[p:p + hi]
+            members.extend(map(longest.__getitem__,
+                               map(slice, range(lo, hi + 1))))
+            forms.extend(map(new_form, zip(
+                repeat(kind), repeat(m), repeat(l), range(r, r + hi - lo + 1),
+                repeat(literal))))
         if len(set(members)) != len(members):
-            raise RuntimeError(
-                f"family produced duplicate members at n={n}, "
-                f"category={category}: {kind}")
-        begin = 0
-        for end, longest in ends:
-            if longest not in subject:
-                i = next(i for i in range(begin, end)
-                         if members[i] not in subject)
-                raise RuntimeError(
-                    f"{row_forms[i]} materialized {members[i]!r}, not a "
-                    f"factor of the index-{n} word")
-            begin = end
-        forms.extend(row_forms)
+            raise RuntimeError(_repeat_error(n, category, kind))
         words.extend(members)
     return EnumResult(n, category, tuple(dict.fromkeys(forms)),
                       tuple(canonical(words)))
+
+
+def _repeat_error(n: int, category: str, kind: str) -> str:
+    return (f"family produced duplicate members at n={n}, "
+            f"category={category}: {kind}")
 
 
 class Group(NamedTuple):
@@ -276,38 +241,53 @@ class Group(NamedTuple):
 def groups(table: list[str], category: str,
            rows_of: Callable[[int], list[Row]]) -> list[Group]:
     """The catalog ``rows_of(n)`` as groups, in row order, with no member
-    spelled, where ``table`` is ``fib_words(n)``: the members at one
-    (row, left length) are prefixes of the longest, so one ``find`` of it
-    in F_n places them all. Needs O(|F_n|) letters, however many members
-    the catalog has, and has no size refusal.
+    spelled, where ``table`` is ``fib_words(n)``. At left length l a row
+    takes the right lengths rights[i:], the first r with l + r >= least
+    onward; its members head + source[:r] (see ``_parts``) are prefixes
+    of the longest, so one ``find`` of it in F_n places them all. Needs
+    O(|F_n|) letters and has no size refusal.
 
-    A row the groups cannot stand for (a longest member that is not a
-    factor of F_n, or a right length past the end of the source, which
-    repeats a member) is spelled by ``_build``, so its error is the one
-    raised. The repeats of a member across the left lengths of a row are
-    for the caller to find, one length at a time; ``_build`` raises
-    those too."""
+    A row's errors are the builder's, in its order: a right length past
+    the end of the source that repeats a member, then the first member
+    that is not a factor of F_n. A row whose members are not one letter
+    apart (a step in the right range, a negative right length, one right
+    length past the end, the empty literal) is no run of prefixes.
+    Repeats across the left lengths of a row are for the caller to find,
+    one length at a time."""
     n = len(table) - 1
     subject = table[n]
     placed = []
     for index, row in enumerate(rows_of(n)):
-        kind, m, _, rights, _, literal = row
-        if kind == KIND_LITERAL:
-            spans = [(FactorForm(kind, literal=literal), len(literal),
-                      len(literal), literal)]
-        else:
-            spans = ((FactorForm(kind, m, l, rights[i]),
-                      len(head) + rights[i], len(head) + rights[-1], longest)
-                     for l, i, head, longest in _heads(
-                         row, *_parts(kind, m, table)))
-        for form, lo, hi, longest in spans:
-            p = subject.find(longest)
-            if p < 0 or lo < 1 or hi != len(longest) or rights.step != 1:
-                _build(n, category, rows_of)
+        kind, m, lefts, rights, least, literal = row
+        left, core, source = (("", literal, "") if kind == KIND_LITERAL
+                              else _parts(kind, m, table))
+        spans = [(i, l) for l in lefts
+                 if (i := bisect_left(rights, least - l)) < len(rights)]
+        if not spans:
+            continue
+        # every right length from len(source) on spells the whole source,
+        # so the row repeats a member iff two of them share a left length
+        first = min(spans)[0]
+        if len(rights) - max(first, bisect_left(rights, len(source))) > 1:
+            raise RuntimeError(_repeat_error(n, category, kind))
+        if (rights.step != 1 or rights[first] < 0
+                or rights[-1] > len(source) or not core):
+            raise RuntimeError(
+                f"row {index} of the {category} catalog at n={n} is "
+                f"not a run of prefixes: {row}")
+        for i, l in spans:
+            head = _suffix(left, l) + core
+            p = subject.find(head + source[:rights[-1]])
+            if p < 0:
+                r = next(r for r in rights[i:]
+                         if head + source[:r] not in subject)
                 raise RuntimeError(
-                    f"row {index} of the {category} catalog at n={n} is "
-                    f"not a run of prefixes: {row}")
-            placed.append(Group(index, lo, hi, p, form))
+                    f"{FactorForm(kind, m, l, r, literal)} materialized "
+                    f"{head + source[:r]!r}, not a factor of the index-{n} "
+                    f"word")
+            placed.append(Group(index, len(head) + rights[i],
+                                len(head) + rights[-1], p,
+                                FactorForm(kind, m, l, rights[i], literal)))
     return placed
 
 
@@ -366,6 +346,8 @@ CATALOGS = {"borders": (_border_rows, False), "covers": (_cover_rows, False),
 def catalog(n: int, category: str, force: bool = False) -> EnumResult:
     """The closed-form catalog of F_n named ``category``, spelled from
     its rows; ``force`` overrides the size refusal where there is one."""
+    if category not in CATALOGS:
+        raise ValueError(f"unknown category {category!r}")
     rows_of, refuses = CATALOGS[category]
     return _build(n, category, rows_of, force if refuses else None)
 

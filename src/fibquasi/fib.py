@@ -122,8 +122,7 @@ class Expansion:
         return tuple(item.start for item in self.items)
 
     def materialize(self) -> str:
-        big = fib_word(self.base)
-        small = fib_word(self.base - 1)
+        small, big = fib_words(self.base)[-2:]
         return "".join(big if item.kind == KIND_BIG else small
                        for item in self.items)
 

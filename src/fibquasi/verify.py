@@ -208,8 +208,8 @@ class _Cell:
     set, and the catalog is the names at the starts of the groups whose
     lengths span k. Only disputed names are spelled, and a length with
     no such group and no accepted name costs nothing past the rule. A
-    row with two groups of one name at k repeats a member, so the word
-    catalog is spelled to raise the builder's error."""
+    row with two groups of one name at k repeats a member, and the cell
+    raises the builder's error for it from the groups' form."""
 
     def __init__(self, n: int, record: Category, table: list[str]):
         self.n, self.record, self.subject = n, record, table[n]
@@ -237,13 +237,12 @@ class _Cell:
             return
         found = list(map(names.__getitem__, active.values()))
         catalog, wanted = set(found), set(accepted)
-        in_rows = {(groups[g].row, x) for g, x in zip(active, found)}
+        in_rows = {(groups[g].row, x): g for g, x in zip(active, found)}
         if len(in_rows) < len(found):
-            closed_form.catalog(self.n, self.record.name, force=True)
-            raise RuntimeError(
-                f"a row of the {self.record.name} catalog at n={self.n} "
-                f"repeats a member of length {k}, but the word catalog has "
-                f"no repeat")
+            g = next(g for g, x in zip(active, found)
+                     if in_rows[groups[g].row, x] != g)
+            raise RuntimeError(closed_form._repeat_error(
+                self.n, self.record.name, groups[g].form.kind))
         self.enumerated += len(catalog)
         self.expected += len(wanted)
         self.missing += [self.subject[x:x + k] for x in wanted - catalog]

@@ -280,6 +280,12 @@ def test_verify_cap_out_of_range_is_usage_error(capsys, cap):
     assert err.startswith("error: cap ") and "Traceback" not in err
 
 
+def test_verify_cap_names_only_the_selected_categories(capsys):
+    code, out, err = run(capsys, "verify", "--cap", "-1", "--only", "seeds")
+    assert (code, out) == (2, "")
+    assert "seeds" in err and "borders" not in err
+
+
 def test_verify_report_file(capsys, tmp_path):
     path = tmp_path / "report.jsonl"
     code, _, _ = run(capsys, "verify", "--max-n", "4", "--report", str(path))

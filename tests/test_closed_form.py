@@ -168,9 +168,55 @@ def test_groups_place_every_catalog_member(category):
     Row(KIND_LITERAL, 0, literal=""),
 ])
 def test_groups_refuse_a_row_that_is_not_a_run_of_prefixes(row):
-    # _build spells both rows without error, but neither is a run of
-    # members one letter apart that a group can stand for
-    _build(7, "test", lambda k: [row])
+    # neither row is a run of members one letter apart that a group can
+    # stand for, so _build, which spells the groups, refuses both too
+    pytest.raises(RuntimeError, _build, 7, "test", lambda k: [row]).match(
+        r"^row 0 of the test catalog at n=7 is not a run of prefixes: Row\(")
+    with pytest.raises(RuntimeError, match=(
+            r"^row 0 of the test catalog at n=7 is not a run of "
+            r"prefixes: Row\(")):
+        groups(fib_words(7), "test", lambda k: [row])
+
+
+def test_catalog_refuses_an_unknown_category():
+    with pytest.raises(ValueError, match=r"^unknown category 'foo'$"):
+        catalog(7, "foo")
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("the word catalog was spelled")
+
+
+@pytest.mark.parametrize("row", [
+    # the first non-factor is mid-row; a literal that is no factor
+    Row(KIND_SUFFIX_FIB_FIB_PREFIX, 5, lefts=range(1, 3), rights=range(6)),
+    Row(KIND_LITERAL, 0, literal="bb"),
+    # right lengths past the end of the source (PlainFib and SuffixPlusFib
+    # have none) repeat a member; in the last row only at the second left
+    # length, where least lets both right lengths in
+    Row(KIND_PLAIN_FIB, 3, rights=range(2)),
+    Row(KIND_PLAIN_FIB, 7, lefts=range(2), rights=range(2)),
+    Row(KIND_SUFFIX_PLUS_FIB, 5, lefts=range(2), rights=range(2), least=1),
+])
+def test_groups_raise_the_builders_errors_themselves(monkeypatch, row):
+    message = _build_error([row])
+    monkeypatch.setattr(closed_form, "_build", _no_build)
+    with pytest.raises(RuntimeError) as caught:
+        groups(fib_words(7), "test", lambda k: [row])
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("row", [
+    Row(KIND_FIB_PLUS_PREFIX, 5, rights=range(0, 6, 2)),
+    Row(KIND_LITERAL, 0, literal=""),
+    # one right length past the end of the source repeats nothing
+    Row(KIND_PLAIN_FIB, 3, rights=range(1, 2)),
+    # source[:-1] is no prefix one letter longer than the core
+    Row(KIND_FIB_PLUS_PREFIX, 5, rights=range(-1, 3), least=-1),
+])
+def test_groups_refuse_a_row_without_the_builder(monkeypatch, row):
+    _build_reference(7, "test", lambda k: [row])
+    monkeypatch.setattr(closed_form, "_build", _no_build)
     with pytest.raises(RuntimeError, match=(
             r"^row 0 of the test catalog at n=7 is not a run of "
             r"prefixes: Row\(")):

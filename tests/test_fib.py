@@ -123,6 +123,20 @@ def test_expansion_domain():
         expansion(5, 2, order="middle")
 
 
+def test_expansion_materialize_reads_guard_once(monkeypatch):
+    reads = []
+    real = fib.materialization_limit
+
+    def counting():
+        reads.append(1)
+        return real()
+
+    tiling, subject = expansion(9, 4), fib_word(9)
+    monkeypatch.setattr(fib, "materialization_limit", counting)
+    assert tiling.materialize() == subject
+    assert len(reads) == 1
+
+
 def test_expansion_tiles_word():
     for n in range(2, 15):
         subject = fib_word(n)

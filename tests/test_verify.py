@@ -373,6 +373,25 @@ def test_handle_cell_raises_the_builders_duplicate_error(
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("category", CATEGORIES)
+@pytest.mark.parametrize("row", [
+    Row(KIND_FIB_PLUS_PREFIX, 5, lefts=range(2), rights=range(6)),
+    Row(KIND_PLAIN_FIB, 3, rights=range(2)),
+])
+def test_handle_cell_raises_the_duplicate_error_without_the_builder(
+        monkeypatch, category, row):
+    _add_rows(monkeypatch, category, [row])
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the word catalog was spelled")
+
+    monkeypatch.setattr(closed_form, "_build", no_build)
+    with pytest.raises(RuntimeError) as caught:
+        check_category(7, category, {category: 7})
+    assert str(caught.value) == (f"family produced duplicate members at "
+                                 f"n=7, category={category}: {row.kind}")
+
+
 # The cells at indices 15 and 16, printed by a child process. The word
 # cell at index 16 holds every member of both sides as a string (about
 # 670 MB); the handle cell holds O(|F_n|) letters.
