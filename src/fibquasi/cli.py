@@ -117,7 +117,7 @@ def _cmd_enum(args) -> int:
 
 def _cmd_occurrences(args) -> int:
     n, m = args.n, args.m
-    if args.naive or not 3 <= m <= n - 2:
+    if not 3 <= m <= n - 2:
         method = "scan"
         positions = scan_occurrences(n, m)
     else:
@@ -190,6 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit one JSON document on stdout")
+    sets = argparse.ArgumentParser(add_help=False)
+    for category in REGISTRY.values():
+        sets.add_argument(f"--{category.flag}", dest=category.name,
+                          action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", parents=[common],
@@ -199,33 +203,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print only |F_n| (valid for n <= 90)")
     p_gen.set_defaults(handler=_cmd_gen)
 
-    p_an = sub.add_parser("analyze", parents=[common],
+    p_an = sub.add_parser("analyze", parents=[common, sets],
                           help="oracle sets for an arbitrary binary word")
     p_an.add_argument("word", nargs="?", default=None)
     p_an.add_argument("--file", help="read the word from a file")
     p_an.add_argument("--force", action="store_true",
                       help="override the input-size and set-size refusals")
-    for category in REGISTRY.values():
-        p_an.add_argument(f"--{category.flag}", dest=category.name,
-                          action="store_true")
     p_an.set_defaults(handler=_cmd_analyze)
 
-    p_enum = sub.add_parser("enum", parents=[common],
+    p_enum = sub.add_parser("enum", parents=[common, sets],
                             help="closed-form catalog for F_n")
     p_enum.add_argument("n", type=int)
     p_enum.add_argument("--force", action="store_true",
                         help="override the catalog size refusal")
-    for category in REGISTRY.values():
-        p_enum.add_argument(f"--{category.flag}", dest=category.name,
-                            action="store_true")
     p_enum.set_defaults(handler=_cmd_enum)
 
     p_occ = sub.add_parser("occurrences", parents=[common],
                            help="start positions of F_m inside F_n")
     p_occ.add_argument("n", type=int)
     p_occ.add_argument("m", type=int)
-    p_occ.add_argument("--naive", action="store_true",
-                       help="force the scanning path")
     p_occ.set_defaults(handler=_cmd_occurrences)
 
     p_ver = sub.add_parser("verify", parents=[common],

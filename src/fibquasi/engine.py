@@ -157,10 +157,6 @@ class SeedWitness:
     right_ext: str
     positions: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {"left": self.left_ext, "right": self.right_ext,
-                "positions": list(self.positions)}
-
 
 def is_seed(u: str, y: str) -> tuple[bool, SeedWitness | None]:
     """Exhaustive seed oracle: try every proper prefix of u as a left

@@ -87,9 +87,6 @@ class Decomposition:
     p_part: str
     delta: str
 
-    def to_json(self) -> dict:
-        return {"p": self.p_part, "delta": self.delta}
-
 
 def decompose(k: int) -> Decomposition:
     """F_k = P_k * delta_k with P_k = F_{k-2} F_{k-3} ... F_1 (empty
@@ -125,10 +122,6 @@ class Expansion:
         small, big = fib_words(self.base)[-2:]
         return "".join(big if item.kind == KIND_BIG else small
                        for item in self.items)
-
-    def to_json(self) -> list[dict]:
-        return [{"kind": "F_m" if item.kind == KIND_BIG else "F_{m-1}",
-                 "start": item.start} for item in self.items]
 
 
 def expansion(n: int, m: int, order: str = "leftmost") -> Expansion:

@@ -436,12 +436,9 @@ class SuiteResult:
         return self.summary["failed"] == 0
 
     def to_json_lines(self, include_timing: bool = True) -> list[str]:
-        lines = [json.dumps(cell.to_json(include_timing))
-                 for cell in self.cells]
-        lines += [json.dumps(b.to_json(include_timing))
-                  for b in self.batteries]
-        lines.append(json.dumps(self.summary))
-        return lines
+        doc = self.to_json(include_timing)
+        return [json.dumps(record) for record in
+                doc["cells"] + doc["batteries"] + [doc["summary"]]]
 
     def to_json(self, include_timing: bool = True) -> dict:
         return {"cells": [c.to_json(include_timing) for c in self.cells],

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import fibquasi
 from fibquasi import cli, engine, words
 from fibquasi.cli import main
 from fibquasi.fib import fib_word
+from fibquasi.verify import REGISTRY
 
 
 def run(capsys, *argv):
@@ -208,10 +210,23 @@ def test_occurrences_small_base_routes_to_scan(capsys):
     assert doc["method"] == "scan" and doc["positions"] == [1, 4, 6]
 
 
-def test_occurrences_naive_flag(capsys):
-    code, out, _ = run(capsys, "occurrences", "6", "3", "--naive", "--json")
-    doc = json.loads(out)
-    assert doc["method"] == "scan" and doc["positions"] == [1, 4, 6, 9]
+def test_occurrences_naive_flag_is_a_usage_error(capsys):
+    # Both placements give the same positions (the occurrence_fast_path
+    # battery), so no option chooses between them.
+    code, out, err = run(capsys, "occurrences", "6", "3", "--naive")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --naive" in err
+
+
+@pytest.mark.parametrize("command", [None, "gen", "analyze", "enum",
+                                     "occurrences", "verify"])
+def test_help_names_the_set_flags_on_analyze_and_enum_only(capsys, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out.startswith("usage: fibquasi")
+    flags = {c.flag for c in REGISTRY.values()}
+    named = {f for f in flags if re.search(rf"(?<![\w-])--{f}(?![\w-])", out)}
+    assert named == (flags if command in ("analyze", "enum") else set())
 
 
 def test_occurrences_bad_pair(capsys):

@@ -475,8 +475,10 @@ def test_seed_catalog_reads_one_table_and_refuses_once(monkeypatch):
 
 
 # The per-member `_build` loop that bulk spelling replaced, kept as the
-# test reference (its `_suffix` is the one above); it reads SHAPES itself
-# and prepends the left part whatever the kind.
+# test reference (its `_suffix` is the one above). It reads SHAPES
+# itself: a kind with a left part prepends the l-letter suffix of F_m,
+# and a kind without one gets the empty left part at every l, as in
+# `_parts`.
 def _build_reference(n, category, rows_of, force=None):
     _check_index(n)
     if force is not None:
@@ -489,12 +491,13 @@ def _build_reference(n, category, rows_of, force=None):
         if kind == KIND_LITERAL:
             row_forms, members = [FactorForm(kind, literal=literal)], [literal]
         else:
-            _, core, source = SHAPES[kind]
+            has_left, core, source = SHAPES[kind]
+            left = table[m] if has_left else ""
             core = "".join(table[m - d] for d in core)
             source = "".join(table[m - d] for d in source)
             row_forms, members = [], []
             for l in lefts:
-                head = _suffix(table[m], l) + core
+                head = _suffix(left, l) + core
                 for r in rights:
                     if l + r >= least:
                         row_forms.append(FactorForm(kind, m, l, r))
@@ -590,9 +593,24 @@ def test_build_duplicate_check_precedes_factor_check():
     # F_3 twice (PlainFib has no source, so every right length spells it)
     assert _build_error([Row(KIND_PLAIN_FIB, 3, rights=range(2))]) == (
         duplicate + KIND_PLAIN_FIB)
-    # F_7 twice, and a letter before F_7, which is too long for F_7
+    # F_7 four times: PlainFib has neither a left part nor a source, so
+    # every left and right length spells F_7
     both = Row(KIND_PLAIN_FIB, 7, lefts=range(2), rights=range(2))
     assert _build_error([both]) == duplicate + KIND_PLAIN_FIB
+    # F_5 F_6 twice, which is not a factor of F_7 (it has F_7's length
+    # but is not F_7): the repeat is named, not the non-factor
+    twice = Row(KIND_SUFFIX_PLUS_FIB, 6, rights=range(2))
+    assert _build_error([twice]) == duplicate + KIND_SUFFIX_PLUS_FIB
+
+
+def test_build_reference_gives_no_left_part_to_a_kind_without_one():
+    # Every left length of a kind without a left part spells the same
+    # members, so both rows repeat them, in the reference as in `_build`.
+    duplicate = "family produced duplicate members at n=7, category=test: "
+    plain = Row(KIND_PLAIN_FIB, 5, lefts=range(2))
+    assert _build_error([plain]) == duplicate + KIND_PLAIN_FIB
+    prefix = Row(KIND_FIB_PLUS_PREFIX, 5, lefts=range(2), rights=range(3))
+    assert _build_error([prefix]) == duplicate + KIND_FIB_PLUS_PREFIX
 
 
 def test_build_checks_literal_rows():

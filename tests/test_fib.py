@@ -85,10 +85,6 @@ def test_decompose_identity():
         assert len(d.delta) == 2
 
 
-def test_decompose_serialization():
-    assert decompose(4).to_json() == {"p": "aba", "delta": "ab"}
-
-
 def test_decompose_domain():
     with pytest.raises(ValueError):
         decompose(1)
@@ -166,13 +162,6 @@ def test_expansion_invariant_is_checked_without_assert(monkeypatch):
     monkeypatch.setattr(fib, "fib_len", lambda k: 2)
     with pytest.raises(RuntimeError, match="expansion of F_5"):
         expansion(5, 3)
-
-
-def test_expansion_serialization():
-    doc = expansion(6, 3).to_json()
-    assert doc == [{"kind": "F_m", "start": 1}, {"kind": "F_{m-1}", "start": 4},
-                   {"kind": "F_m", "start": 6}, {"kind": "F_m", "start": 9},
-                   {"kind": "F_{m-1}", "start": 12}]
 
 
 def test_border_indices():
