@@ -30,7 +30,8 @@ The rules visit only the first starts below k and read the gap rule
 off the pass; for seeds, border-table queries decide the head and tail
 (Iliopoulos, Moore & Park, "Covering a string"). seeds_of and
 circular_covers_of spell what their rules accept; verify compares the
-names with the catalogs.
+names with the catalogs, and decides covers and left and right seeds
+as the seeds among the names at the ends of y.
 is_seed_fast and is_circular_cover are the rules' test references, and
 the test suite proves seeds_of equal to the exhaustive is_seed on every
 binary word of up to 10 letters and on sampled words of up to 60.
@@ -372,8 +373,10 @@ class Naming:
 Rule = Callable[[Naming], list[int]]
 
 
-def seed_rule(y: str) -> Rule:
-    """The seeds of y, fed the names of y.
+def seed_rule(y: str, among: Rule | None = None) -> Rule:
+    """The seeds of y, fed the names of y; with ``among``, only those
+    among the names ``among(naming)`` lists, in ascending order, once
+    per length (by default every first start).
 
     A seed's occurrences leave no gap longer than k (the gap rule of
     is_seed_fast), and the head and tail conditions become border
@@ -390,7 +393,7 @@ def seed_rule(y: str) -> Rule:
     def accept(naming: Naming) -> list[int]:
         k, last, gaps = naming.k, naming.last, naming.gaps
         seeds = []
-        for x in naming.firsts:
+        for x in naming.firsts if among is None else among(naming):
             if x >= k:
                 break
             if gaps[x]:

@@ -12,16 +12,14 @@ factor length k at a time, it compares the names of the factors at the
 starts of the catalog's groups (``closed_form.groups``) with the names
 the rule accepts (``engine.Rule``). Per index, F_0..F_n is built once,
 the linear cells share one naming pass over F_n and the circular-cover
-cell runs one over F_n F_n. The seed and circular-cover rules decide on
-names alone, so those cells hold O(|F_n|) letters and have no size
-refusal. The four other sets have O(|F_n|) members, which their
-oracles spell; their rules name each by its first start. Disputed
-words are spelled, re-checked with the per-word predicate, and
-annotated with the clauses that produced them (extra words) or the
-nearest clause shapes (missing words). Property batteries cover the
-structural facts the catalogs rely on: the cover chain, the
-order-independence of the tiling rewrite, the occurrence fast path,
-and the two families of near-miss extensions that must never be seeds.
+cell runs one over F_n F_n. Every rule decides on names alone and no
+cell calls an oracle, so the cells hold O(|F_n|) letters and have no
+size refusal. Disputed words are spelled, re-checked with the per-word
+predicate, and annotated with the clauses that produced them (extra
+words) or the nearest clause shapes (missing words). Property batteries
+cover the structural facts the catalogs rely on: the cover chain, the
+order-independence of the tiling rewrite, the occurrence fast path, and
+the two families of near-miss extensions that must never be seeds.
 
 Mismatches are findings, not errors: the suite completes every cell and
 the summary says what failed. Two runs with the same configuration
@@ -62,35 +60,32 @@ class Category:
     cyclic: bool = False
 
 
-def _linear(name: str, flag: str, oracle: Callable[..., list[str]],
-            predicate: Callable[[str, str], bool]) -> Category:
-    """A set with O(|y|) members, which its oracle spells: the rule
-    names each member by its first start in y."""
-    def rule(y: str) -> engine.Rule:
-        named: dict[int, list[int]] = {}
-        for u in oracle(y):
-            x = y.find(u)
-            if x < 0:
-                raise RuntimeError(f"the {name} oracle gave {u!r}, which is "
-                                   f"not a factor of its subject")
-            named.setdefault(len(u), []).append(x)
-        return lambda naming: named.get(naming.k, [])
-    return Category(name, flag, 14, oracle, predicate, rule)
-
-
 # The entries look functions up on their modules at call time, so a
-# wrapped or patched module function is the one that runs.
+# wrapped or patched module function is the one that runs. The paper's
+# left (right) seeds of y are its prefixes (suffixes) that cover a
+# superstring of y, and a prefix that does covers one that extends y to
+# the right only: so the left seeds are the seeds named 0 (the prefix),
+# the right seeds those named like the last start n - k (the suffix),
+# and the covers the seeds that are both. The borders are no seed test.
 REGISTRY = {c.name: c for c in (
-    _linear("borders", "borders", lambda y, force=False: words.borders(y),
-            lambda u, y: u != y and y.startswith(u) and y.endswith(u)),
-    _linear("covers", "covers", lambda y, force=False: engine.covers_of(y),
-            lambda u, y: words.is_cover(u, y)[0]),
-    _linear("left_seeds", "left-seeds",
-            lambda y, force=False: engine.left_seeds_of(y),
-            lambda u, y: engine.is_left_seed(u, y)),
-    _linear("right_seeds", "right-seeds",
-            lambda y, force=False: engine.right_seeds_of(y),
-            lambda u, y: engine.is_right_seed(u, y)),
+    Category("borders", "borders", 14,
+             lambda y, force=False: words.borders(y),
+             lambda u, y: u != y and y.startswith(u) and y.endswith(u),
+             lambda y: lambda naming: [0] if (
+                 naming.k < len(y) and naming.names[-1] == 0) else []),
+    Category("covers", "covers", 14,
+             lambda y, force=False: engine.covers_of(y),
+             lambda u, y: words.is_cover(u, y)[0],
+             lambda y: engine.seed_rule(y, lambda naming: [0] if (
+                 naming.last[0] == len(y) - naming.k) else [])),
+    Category("left_seeds", "left-seeds", 14,
+             lambda y, force=False: engine.left_seeds_of(y),
+             lambda u, y: engine.is_left_seed(u, y),
+             lambda y: engine.seed_rule(y, lambda naming: [0])),
+    Category("right_seeds", "right-seeds", 14,
+             lambda y, force=False: engine.right_seeds_of(y),
+             lambda u, y: engine.is_right_seed(u, y),
+             lambda y: engine.seed_rule(y, lambda naming: naming.names[-1:])),
     Category("seeds", "seeds", 10,
              lambda y, force=False: engine.seeds_of(y, force=force),
              lambda u, y: u in y and engine.is_seed_fast(u, y),

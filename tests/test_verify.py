@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -497,28 +498,66 @@ def test_rules_agree_with_the_predicates_on_a_sample_at_f17():
     assert peak_kb < 100 * 1024
 
 
-@pytest.mark.parametrize("oracle, category", [("covers_of", "covers"),
-                                              ("right_seeds_of", "right_seeds")])
-def test_linear_rule_refuses_an_oracle_word_that_is_no_factor(
-        monkeypatch, oracle, category):
-    real = getattr(engine, oracle)
-    monkeypatch.setattr(engine, oracle, lambda y: real(y) + ["bb"])
-    with pytest.raises(RuntimeError, match=(
-            f"^the {category} oracle gave 'bb', which is not a factor of "
-            f"its subject$")):
-        check_category(7, category)
+# The left and right seeds of F_20 on the pass, past the memory the
+# oracles took while the cells spelled them (76 MB for the left seeds).
+_F20_SEED_ENDS = """
+from fibquasi.verify import check_category
+for category in ("left_seeds", "right_seeds"):
+    r = check_category(20, category, caps={category: 20})
+    print(category, r.passed, r.enumerated_count, r.oracle_count)
+"""
+
+
+def test_left_and_right_seed_cells_at_f20_fit_in_40_mb():
+    cells, peak_kb = _cells_in_a_child(_F20_SEED_ENDS)
+    assert cells == ["left_seeds True 10928 10928",
+                     "right_seeds True 4190 4190"]
+    assert peak_kb < 40 * 1024
+
+
+def test_linear_rules_equal_the_spelled_oracles():
+    # No cell calls an oracle, so this is what ties the linear rules to
+    # the oracles that analyze prints.
+    rng = random.Random(20)
+    subjects = ["".join(letters) for length in range(1, 11)
+                for letters in itertools.product("ab", repeat=length)]
+    for _ in range(150):
+        subjects.append("".join(rng.choice("ab")
+                                for _ in range(rng.randint(11, 60))))
+        base = "".join(rng.choice("ab") for _ in range(rng.randint(1, 8)))
+        power = base * rng.randint(2, 10)
+        r = rng.randrange(len(power))
+        subjects.append(power[r:] + power[:r])
+    subjects += [fib_word(n) for n in range(15)]
+    for category in ("borders", "covers", "left_seeds", "right_seeds"):
+        record = REGISTRY[category]
+        for y in subjects:
+            assert (engine._accepted(y, len(y), record.rule(y))
+                    == words.canonical(record.oracle(y))), (category, y)
 
 
 @pytest.mark.parametrize("oracle, category", [
-    ("covers_of", "covers"), ("left_seeds_of", "left_seeds"),
-    ("right_seeds_of", "right_seeds")])
+    ("borders", "borders"), ("covers_of", "covers"),
+    ("left_seeds_of", "left_seeds"), ("right_seeds_of", "right_seeds")])
 def test_linear_cell_names_an_oracle_word_inside_f_n_like_the_word_cell(
         monkeypatch, oracle, category):
-    # "baab" is a factor of F_7 at neither end, so a rule that read an
-    # oracle word as the prefix or suffix of its length would miss it;
-    # both cells classify it missing and the predicate re-check refuses
-    real = getattr(engine, oracle)
-    monkeypatch.setattr(engine, oracle, lambda y: real(y) + ["baab"])
+    # "baab" is a factor of F_7 (first at start 1) at neither end, and in
+    # none of the four sets: a rule and an oracle wrapped to take it too
+    # make the cell and the word cell classify it missing, and the
+    # predicate re-check refuses it
+    assert fib_word(7).find("baab") == 1
+    module = words if category == "borders" else engine
+    real_oracle = getattr(module, oracle)
+    monkeypatch.setattr(module, oracle, lambda y: real_oracle(y) + ["baab"])
+    record = REGISTRY[category]
+
+    def rule(y):
+        real = record.rule(y)
+        return lambda naming: sorted(
+            set(real(naming)) | ({1} if naming.k == 4 else set()))
+
+    monkeypatch.setitem(REGISTRY, category,
+                        dataclasses.replace(record, rule=rule))
     with pytest.raises(RuntimeError) as words_error:
         _check_category_by_words(7, category)
     with pytest.raises(RuntimeError) as names_error:
