@@ -29,12 +29,26 @@ one LCP and O(1) updates per rename, plus a sorted insert per new name.
 The rules visit only the first starts below k and read the gap rule
 off the pass; for seeds, border-table queries decide the head and tail
 (Iliopoulos, Moore & Park, "Covering a string"). seeds_of and
-circular_covers_of spell what their rules accept; verify compares the
-names with the catalogs, and decides covers and left and right seeds
-as the seeds among the names at the ends of y.
-is_seed_fast and is_circular_cover are the rules' test references, and
-the test suite proves seeds_of equal to the exhaustive is_seed on every
-binary word of up to 10 letters and on sampled words of up to 60.
+circular_covers_of spell what their rules accept.
+
+verify compares names with the catalogs through event rules, which
+keep the accepted set from one length to the next. Each length of the
+pass also lists what it changed: the renamed starts, and the names
+whose last start or gap count changed or that were made or dropped. A
+name is decided again only then, or at a length its last decision
+named. CircularEvents reads an interval of lengths off the pass;
+SeedEvents decides the head and tail by range maxima over Z-arrays,
+each of which holds over intervals of lengths (the O(n) "packages" of
+seeds of Kociumaka, Kubica, Radoszewski, Rytter & Walen, SODA 2012).
+So a length with no event costs O(1), where the per-length rules take
+a step per first start below k. Listed adapts a rule that lists a
+name or two per length: verify decides covers and left and right seeds
+with it, as the seeds among the names at the ends of y.
+
+is_seed_fast and is_circular_cover are the per-length rules' test
+references, and the per-length rules are the event rules'. The test
+suite proves seeds_of equal to the exhaustive is_seed on every binary
+word of up to 10 letters and on sampled words of up to 60.
 
 refuse_oversize is the one size refusal: seeds_of, circular_covers_of
 and the seed-flavored catalogs in closed_form decline subjects longer
@@ -44,6 +58,7 @@ have no refusal.
 
 from __future__ import annotations
 
+from array import array
 from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass
@@ -228,6 +243,55 @@ def _border_table(w: str) -> list[int]:
     return table
 
 
+def _z_array(w: str) -> list[int]:
+    """Entry j is the length of the longest common prefix of w and
+    w[j:], for j = 0..len(w) (the last entry is 0)."""
+    n = len(w)
+    z = [0] * (n + 1)
+    z[0] = n
+    left = right = 0
+    for j in range(1, n):
+        m = min(right - j, z[j - left]) if j < right else 0
+        while j + m < n and w[m] == w[j + m]:
+            m += 1
+        z[j] = m
+        if j + m > right:
+            left, right = j, j + m
+    return z
+
+
+class _RangeMax:
+    """The maximum of any range of ``values`` in O(1): level l of the
+    sparse table holds the maximum of every 2**l consecutive values, one
+    array per level, O(|values| log |values|) ints in all."""
+
+    def __init__(self, values: list[int]):
+        level = array("i", values)
+        self.levels = [level]
+        step = 1
+        while 2 * step <= len(values):
+            level = array("i", map(max, level, level[step:]))
+            self.levels.append(level)
+            step *= 2
+
+    def __call__(self, lo: int, hi: int) -> int:
+        """The maximum of values[lo..hi], for lo <= hi."""
+        l = (hi - lo + 1).bit_length() - 1
+        level = self.levels[l]
+        a, b = level[lo], level[hi + 1 - (1 << l)]
+        return a if a > b else b
+
+    def first(self, lo: int, at_least: int) -> int:
+        """The least j >= lo with values[j] >= at_least, or len(values)
+        when there is none: skip every block of 2**l values below it,
+        from the longest blocks down."""
+        for l in range(len(self.levels) - 1, -1, -1):
+            level = self.levels[l]
+            if lo < len(level) and level[lo] < at_least:
+                lo += 1 << l
+        return lo
+
+
 def _has_border(table: list[int], length: int, lo: int, hi: int) -> bool:
     """True iff w[:length] has a border of length in [lo, hi], where
     table is _border_table(w) and lo >= 1."""
@@ -277,6 +341,16 @@ class Naming:
     "Covering a string"); ``firsts`` lists the names in ascending order.
     All of them are updated in place between lengths.
 
+    Each length also says what it changed, for the event rules, which
+    are kept from one length to the next: ``renamed`` lists the starts
+    renamed at k in ascending order (with any of them dropped at k),
+    ``split`` maps each name that lost starts to the new name the first
+    of them took, ``expired`` holds the (name, start) of the gaps of
+    exactly k letters, some of them already closed, and ``cut`` the
+    names of the starts dropped at k. Every name made or dropped at k,
+    or whose last start or gap count changed, is named there. At k = 1
+    they are all empty, and every name is new.
+
     The pass is event-driven. Start i keeps its name x up to length
     lcp(i, x), so that length is found once, when i is named, and i
     waits in a bucket for length lcp(i, x) + 1. At length k only the
@@ -316,15 +390,18 @@ class Naming:
                 expiring[i - p].append((x, p))
             due[lcp(text, i, x, 1) + 1].append(i)
         k = self.k = 1
+        self.renamed, self.split, self.expired, self.cut = [], {}, (), []
         while True:
             yield self
             k = self.k = k + 1
             size = min(count, len(text) - k + 1)
             if k > count or size <= 0:
                 return
-            for x, p in expiring.pop(k, ()):
+            self.expired = expiring.pop(k, ())
+            for x, p in self.expired:
                 if nxt[p] == p + k and names[p] == x:
                     gaps[x] -= 1
+            self.cut = names[size:]
             for s in range(len(names) - 1, size - 1, -1):
                 # s is the last start, so it ends its chain
                 x, p = names[s], prev[s]
@@ -335,8 +412,9 @@ class Naming:
                 if s - p > k:
                     gaps[x] -= 1
             del names[size:]
-            renamed = {}
-            for i in sorted(due.pop(k, ())):
+            split = self.split = {}
+            self.renamed = sorted(due.pop(k, ()))
+            for i in self.renamed:
                 if i >= size:
                     continue
                 x = names[i]
@@ -353,7 +431,7 @@ class Naming:
                     if q - p > k:
                         gaps[x] += 1
                         expiring[q - p].append((x, p))
-                r = renamed.setdefault(x, i)
+                r = split.setdefault(x, i)
                 names[i], nxt[i] = r, -1
                 if r == i:
                     prev[i], last[i], gaps[i] = -1, i, 0
@@ -478,3 +556,145 @@ def circular_covers_of(y: str, unrestricted: bool = False,
     _require_subject(y)
     refuse_oversize("circular-cover enumeration", len(y), force)
     return _accepted(y + y, len(y), circular_rule(y, unrestricted))
+
+
+# An event rule decides the set of a Rule, kept from one length to the
+# next: fed a ``Naming`` pass at every length k in order, it returns the
+# names accepted at k as one set updated in place, and its ``changed``
+# holds every name that may have entered or left that set at k.
+EventRule = Callable[[Naming], set[int]]
+
+
+def _touched(naming: Naming) -> set[int]:
+    """The names whose last start or gap count may have changed at this
+    length, or that were made or dropped: every name at k = 1."""
+    if naming.k == 1:
+        return set(naming.firsts)
+    split = naming.split
+    touched = set(split)
+    touched.update(split.values())
+    touched.update(naming.cut)
+    touched.update([x for x, _ in naming.expired])
+    return touched
+
+
+class Listed:
+    """A Rule as an event rule, for the rules that list a name or two
+    per length: each length's list replaces the last, and the names in
+    only one of the two changed."""
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        self.accepted: set[int] = set()
+        self.changed: set[int] = set()
+
+    def __call__(self, naming: Naming) -> set[int]:
+        now = set(self.rule(naming))
+        self.changed = now ^ self.accepted
+        self.accepted = now
+        return now
+
+
+class _Events:
+    """An event rule that decides a name only when the pass touches it
+    (``_touched``) or at the length its last decision named as the next
+    one at which its verdict can change. A subclass's
+    ``_verdicts(naming, names)`` yields, for each of the names, (x,
+    accepted at k, that next length or 0 for none)."""
+
+    def __init__(self, y: str):
+        n = self.n = len(y)
+        self.accepted: set[int] = set()
+        self.changed: set[int] = set()
+        self.when = [0] * (n + 1)  # name -> the length it waits for
+        self.waiting = defaultdict(list)  # length -> the names waiting
+
+    def __call__(self, naming: Naming) -> set[int]:
+        k, when, waiting = naming.k, self.when, self.waiting
+        accepted = self.accepted
+        changed = self.changed = _touched(naming)
+        changed.update([x for x in waiting.pop(k, ()) if when[x] == k])
+        for x, ok, at in self._verdicts(naming, changed):
+            if ok:
+                accepted.add(x)
+            else:
+                accepted.discard(x)
+            when[x] = at
+            if at:
+                waiting[at].append(x)
+        return accepted
+
+
+class CircularEvents(_Events):
+    """``circular_rule(y)`` as an event rule, fed the names of y*y over
+    the starts 0..|y|-1. Between two events that touch name x, its last
+    start and gap count stay put, so x is accepted exactly for the k in
+    [x + |y| - last[x], |y| - x] when it has no gap, and it is decided
+    again at the two ends."""
+
+    def _verdicts(self, naming: Naming, xs: set[int]):
+        k, n, last, gaps = naming.k, self.n, naming.last, naming.gaps
+        for x in xs:
+            lo, hi = x + n - last[x], n - x
+            if gaps[x] or k > hi or lo > hi:
+                yield x, False, 0
+            elif k < lo:
+                yield x, False, lo
+            else:
+                yield x, True, hi + 1
+
+
+class SeedEvents(_Events):
+    """``seed_rule(y)`` as an event rule. The gap test and x < k read
+    the pass as there; the head and tail tests become range maxima over
+    the Z-arrays Z of y and Zr of y reversed. The head (a border of
+    y[:x+k] of length x..k-1) holds iff max over x < j <= k of
+    j + Z[j] is at least x + k. While it holds, it keeps holding up to
+    k = that maximum minus x; while it fails, it next holds at the first
+    j > k with Z[j] >= x. The tail, with L = |y| - last[x], holds iff
+    k = L or max over L - k < j <= k of j + Zr[j] is at least L, which
+    only grows with k, so each L has one threshold. So a name is decided
+    again only at an event or at one of those lengths. The set-up costs
+    O(|y| log |y|); the per-length ``seed_rule`` stays for the set
+    oracle and as this rule's test reference."""
+
+    def __init__(self, y: str):
+        super().__init__(y)
+        z, zr = _z_array(y), _z_array(y[::-1])
+        self.matches = _RangeMax(z)
+        self.heads = _RangeMax([j + v for j, v in enumerate(z)])
+        self.tails = _RangeMax([j + v for j, v in enumerate(zr)])
+        self.thresholds = [0] * (len(y) + 1)  # L -> its threshold, or 0
+
+    def tail_from(self, rest: int) -> int:
+        """The threshold of L = ``rest``, the letters from a last start
+        to the end of y: the least k at which the tail test holds. Found
+        by binary search on its first call and kept."""
+        k = self.thresholds[rest]
+        if not k:
+            lo, k = (rest + 2) // 2, rest
+            while lo < k:
+                mid = (lo + k) // 2
+                if self.tails(rest - mid + 1, mid) >= rest:
+                    k = mid
+                else:
+                    lo = mid + 1
+            self.thresholds[rest] = k
+        return k
+
+    def _verdicts(self, naming: Naming, xs: set[int]):
+        k, n, last, gaps = naming.k, self.n, naming.last, naming.gaps
+        size = len(naming.names)
+        for x in xs:
+            if x >= size or gaps[x]:
+                yield x, False, 0
+            elif x >= k:
+                yield x, False, x + 1
+            else:
+                t = self.tail_from(n - last[x])
+                reach = self.heads(x + 1, k)
+                if reach >= x + k:
+                    yield (x, True, reach - x + 1) if k >= t else (x, False, t)
+                else:
+                    j = self.matches.first(k + 1, x)
+                    yield x, False, max(j, t) if j <= n else 0

@@ -3,23 +3,28 @@
 REGISTRY holds one Category record per quasiperiodicity set of the
 paper: its name (which names its closed-form catalog in
 ``closed_form.CATALOGS``), CLI flag, default oracle cap, set oracle,
-per-word predicate and per-length rule. The harness and the CLI read
-every per-category choice from it.
+per-word predicate and event rule. The harness and the CLI read every
+per-category choice from it.
 
 Every (index, category) cell compares the catalog with the oracle and
 reports the exact set difference, with no catalog member spelled: one
 factor length k at a time, it compares the names of the factors at the
 starts of the catalog's groups (``closed_form.groups``) with the names
-the rule accepts (``engine.Rule``). Per index, F_0..F_n is built once,
-the linear cells share one naming pass over F_n and the circular-cover
-cell runs one over F_n F_n. Every rule decides on names alone and no
-cell calls an oracle, so the cells hold O(|F_n|) letters and have no
-size refusal. Disputed words are spelled, re-checked with the per-word
-predicate, and annotated with the clauses that produced them (extra
-words) or the nearest clause shapes (missing words). Property batteries
-cover the structural facts the catalogs rely on: the cover chain, the
+the rule accepts (``engine.EventRule``). Both sides are sets kept from
+one length to the next and changed only at the pass's events, so a
+length with no event costs a cell O(1), and only the names on one side
+are spelled. Per index, F_0..F_n is built once, the linear cells share
+one naming pass over F_n and the circular-cover cell runs one over
+F_n F_n. Every rule decides on names alone and no cell calls an oracle,
+so the cells hold O(|F_n|) letters and have no size refusal. Disputed
+words are spelled, re-checked with the per-word predicate, and
+annotated with the clauses that produced them (extra words) or the
+nearest clause shapes (missing words). Property batteries cover the
+structural facts the catalogs rely on: the cover chain, the
 order-independence of the tiling rewrite, the occurrence fast path, and
-the two families of near-miss extensions that must never be seeds.
+the two families of near-miss extensions that must never be seeds (the
+right family decided as ``engine.is_right_seed`` defines it, with the
+period of F_n found once per index).
 
 Mismatches are findings, not errors: the suite completes every cell and
 the summary says what failed. Two runs with the same configuration
@@ -32,7 +37,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import closed_form, engine, words
 from .errors import SizeLimitError
@@ -45,18 +50,18 @@ from .fib import (KIND_SMALL, LENGTH_INDEX_LIMIT, _check_index, expansion,
 class Category:
     """One quasiperiodicity set: ``oracle(y, force=False)`` computes it
     for any binary word, ``predicate(u, y)`` decides one factor (used to
-    re-check disputed words), ``rule(y)`` decides it on the factor names
-    of y (of y*y when ``cyclic``), and ``force`` overrides the size
-    refusal where there is one. Its closed-form catalog is
-    ``closed_form.CATALOGS[name]``. Cells above ``cap`` are skipped by
-    default."""
+    re-check disputed words), ``rule(y)`` is an event rule that decides
+    it on the factor names of y (of y*y when ``cyclic``), and ``force``
+    overrides the size refusal where there is one. Its closed-form
+    catalog is ``closed_form.CATALOGS[name]``. Cells above ``cap`` are
+    skipped by default."""
 
     name: str
     flag: str
     cap: int
     oracle: Callable[..., list[str]]
     predicate: Callable[[str, str], bool]
-    rule: Callable[[str], engine.Rule]
+    rule: Callable[[str], engine.EventRule]
     cyclic: bool = False
 
 
@@ -67,34 +72,39 @@ class Category:
 # the right only: so the left seeds are the seeds named 0 (the prefix),
 # the right seeds those named like the last start n - k (the suffix),
 # and the covers the seeds that are both. The borders are no seed test.
+# Those four rules list a name or two per length and enter the cells
+# through engine.Listed; seeds and circular covers have event rules.
 REGISTRY = {c.name: c for c in (
     Category("borders", "borders", 14,
              lambda y, force=False: words.borders(y),
              lambda u, y: u != y and y.startswith(u) and y.endswith(u),
-             lambda y: lambda naming: [0] if (
-                 naming.k < len(y) and naming.names[-1] == 0) else []),
+             lambda y: engine.Listed(lambda naming: [0] if (
+                 naming.k < len(y) and naming.names[-1] == 0) else [])),
     Category("covers", "covers", 14,
              lambda y, force=False: engine.covers_of(y),
              lambda u, y: words.is_cover(u, y)[0],
-             lambda y: engine.seed_rule(y, lambda naming: [0] if (
-                 naming.last[0] == len(y) - naming.k) else [])),
+             lambda y: engine.Listed(engine.seed_rule(
+                 y, lambda naming: [0] if (
+                     naming.last[0] == len(y) - naming.k) else []))),
     Category("left_seeds", "left-seeds", 14,
              lambda y, force=False: engine.left_seeds_of(y),
              lambda u, y: engine.is_left_seed(u, y),
-             lambda y: engine.seed_rule(y, lambda naming: [0])),
+             lambda y: engine.Listed(engine.seed_rule(
+                 y, lambda naming: [0]))),
     Category("right_seeds", "right-seeds", 14,
              lambda y, force=False: engine.right_seeds_of(y),
              lambda u, y: engine.is_right_seed(u, y),
-             lambda y: engine.seed_rule(y, lambda naming: naming.names[-1:])),
+             lambda y: engine.Listed(engine.seed_rule(
+                 y, lambda naming: naming.names[-1:]))),
     Category("seeds", "seeds", 10,
              lambda y, force=False: engine.seeds_of(y, force=force),
              lambda u, y: u in y and engine.is_seed_fast(u, y),
-             lambda y: engine.seed_rule(y)),
+             lambda y: engine.SeedEvents(y)),
     Category("circular_covers", "circular", 10,
              lambda y, force=False: engine.circular_covers_of(
                  y, force=force),
              lambda u, y: u in y and engine.is_circular_cover(u, y),
-             lambda y: engine.circular_rule(y), cyclic=True),
+             lambda y: engine.CircularEvents(y), cyclic=True),
 )}
 
 CATEGORIES = tuple(REGISTRY)
@@ -199,12 +209,16 @@ def _diagnose(word: str, table: list[str]) -> dict:
 
 class _Cell:
     """One (index, category) cell, fed each factor length k by the pass
-    it shares (see ``_cells``): the rule lists the names in the oracle
-    set, and the catalog is the names at the starts of the groups whose
-    lengths span k. Only disputed names are spelled, and a length with
-    no such group and no accepted name costs nothing past the rule. A
-    row with two groups of one name at k repeats a member, and the cell
-    raises the builder's error for it from the groups' form."""
+    it shares (see ``_cells``). Each side is a set of names kept from
+    one length to the next. The catalog side counts, per name, the
+    active groups whose start carries it: a group joins at its ``lo``,
+    leaves at ``hi + 1`` and is read again only when the pass renames
+    its start. The rule side is the event rule's accepted set, and only
+    the names it reports changed are looked at again. The cell keeps
+    the names on one side only, and only those are spelled, so a length
+    with no event costs O(1). Two groups of one row on one name at k
+    repeat a member, and the cell raises the builder's error for it from
+    the groups' form."""
 
     def __init__(self, n: int, record: Category, table: list[str]):
         self.n, self.record, self.subject = n, record, table[n]
@@ -215,36 +229,62 @@ class _Cell:
         for g, group in enumerate(self.groups):
             self.opening[group.lo].append(g)
             self.closing[group.hi + 1].append(g)
-        self.active: dict[int, int] = {}  # group -> its start in F_n
+        self.named: dict[int, int] = {}  # active group -> its start's name
+        self.at: dict[int, list[int]] = {}  # start -> its active groups
+        self.counts: dict[int, int] = {}  # name -> active groups named so
+        self.pairs: set[tuple[int, int]] = set()  # (row, name) in use
+        self.odd: set[int] = set()  # the names on one side only
         self.rule = record.rule(self.subject)
         self.enumerated = self.expected = 0
         self.missing, self.extra = [], {}  # extra: word -> its diagnosis
 
     def step(self, naming: engine.Naming) -> None:
-        k, names = naming.k, naming.names
-        active, groups = self.active, self.groups
-        for g in self.closing[k]:
-            del active[g]
-        for g in self.opening[k]:
-            active[g] = groups[g].p
+        k, names, groups = naming.k, naming.names, self.groups
+        named, at, counts, pairs = self.named, self.at, self.counts, self.pairs
         accepted = self.rule(naming)
-        if not active and not accepted:
-            return
-        found = list(map(names.__getitem__, active.values()))
-        catalog, wanted = set(found), set(accepted)
-        in_rows = {(groups[g].row, x): g for g, x in zip(active, found)}
-        if len(in_rows) < len(found):
-            g = next(g for g, x in zip(active, found)
-                     if in_rows[groups[g].row, x] != g)
-            raise RuntimeError(closed_form._repeat_error(
-                self.n, self.record.name, groups[g].form.kind))
-        self.enumerated += len(catalog)
-        self.expected += len(wanted)
-        self.missing += [self.subject[x:x + k] for x in wanted - catalog]
-        for x in catalog - wanted:
+        closing, opening = self.closing[k], self.opening[k]
+        for g in closing:
+            starts = at[groups[g].p]
+            starts.remove(g)
+            if not starts:
+                del at[groups[g].p]
+        moved = [g for p in naming.renamed if p in at for g in at[p]]
+        # every group leaves its name before any takes one, so a second
+        # group of one row on one name is a repeat at k
+        changed = []
+        for g in itertools.chain(closing, moved):
+            x = named.pop(g)
+            pairs.remove((groups[g].row, x))
+            counts[x] -= 1
+            if not counts[x]:
+                del counts[x]
+                changed.append(x)
+        for g in opening:
+            at.setdefault(groups[g].p, []).append(g)
+        for g in itertools.chain(moved, opening):
+            x = named[g] = names[groups[g].p]
+            if (groups[g].row, x) in pairs:
+                raise RuntimeError(closed_form._repeat_error(
+                    self.n, self.record.name, groups[g].form.kind))
+            pairs.add((groups[g].row, x))
+            counts[x] = counts.get(x, 0) + 1
+            if counts[x] == 1:
+                changed.append(x)
+        odd = self.odd
+        for x in itertools.chain(self.rule.changed, changed):
+            if (x in counts) != (x in accepted):
+                odd.add(x)
+            else:
+                odd.discard(x)
+        self.enumerated += len(counts)
+        self.expected += len(accepted)
+        for x in odd:
             word = self.subject[x:x + k]
-            forms = [groups[g].form_at(k) for g in sorted(active)
-                     if names[groups[g].p] == x]
+            if x in accepted:
+                self.missing.append(word)
+                continue
+            forms = [groups[g].form_at(k) for g in sorted(named)
+                     if named[g] == x]
             self.extra[word] = {"word": word, "side": "extra", "clauses": [
                 f.to_json() for f in dict.fromkeys(forms)]}
 
@@ -395,18 +435,28 @@ def _battery_near_miss_left(n_lo: int, n_hi: int) -> BatteryResult:
                     failures, t0)
 
 
+def _right_seed_verdicts(subject: str, candidates) -> Iterator[bool]:
+    """``engine.is_right_seed(c, subject)`` for each candidate c, as it
+    is defined, with the period of ``subject`` found once."""
+    p = words.period_of(subject)
+    for c in candidates:
+        yield (subject.endswith(c)
+               and words.covered_suffix_extent(c, subject) >= p)
+
+
 def _battery_near_miss_right(n_lo: int, n_hi: int) -> BatteryResult:
     """No proper nonempty suffix of F_{n-3} prepended to F_{n-4} is a
     right seed of F_n (n >= 5)."""
     t0 = time.perf_counter()
     failures = []
     for n in range(max(5, n_lo), n_hi + 1):
-        subject = fib_word(n)
         tail = fib_word(n - 4)
         source = fib_word(n - 3)
-        for l in range(1, len(source)):
-            candidate = source[len(source) - l:] + tail
-            if engine.is_right_seed(candidate, subject):
+        candidates = (source[len(source) - l:] + tail
+                      for l in range(1, len(source)))
+        for l, accepted in enumerate(
+                _right_seed_verdicts(fib_word(n), candidates), 1):
+            if accepted:
                 failures.append(f"n={n} extension_len={l}: accepted")
     return _battery("near_miss_right_seeds",
                     f"indices {max(5, n_lo)}..{n_hi}",

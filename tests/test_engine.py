@@ -486,11 +486,11 @@ def _gap_runs(names: list[int], k: int) -> tuple[list[int], set[int]]:
     return last, gapped
 
 
-def _rotated_powers(rng):
+def _rotated_powers(rng, max_len=100):
     for period in range(1, 13):
         for _ in range(5):
             base = "".join(rng.choice("ab") for _ in range(period))
-            length = rng.randint(1, 100)
+            length = rng.randint(1, max_len)
             shift = rng.randrange(period)
             yield (base * (length // period + 2))[shift:shift + length]
 
@@ -629,3 +629,67 @@ def test_seed_and_circular_rules_in_a_shared_pass():
         assert sets == [record.oracle(y) for record in linear], y
         (circular,) = _fed(y + y, len(y), [engine.circular_rule(y)])
         assert circular == circular_covers_of(y), y
+
+
+def _event_subjects():
+    """Every binary word of up to 10 letters, seeded random words and
+    rotated powers of up to 120 letters, and F_0..F_16."""
+    rng = random.Random(43)
+    subjects = list(all_words(10))
+    subjects += [random_word(rng, 120) for _ in range(300)]
+    subjects += list(_rotated_powers(rng, 120))
+    subjects += [fib_word(n) for n in range(17)]
+    return subjects
+
+
+def test_event_rules_equal_the_per_length_rules():
+    # At every length the event rules accept exactly the names of the
+    # per-length rules, and every name that enters or leaves their set
+    # is among the names they report changed, which are all a cell
+    # looks at again.
+    for y in _event_subjects():
+        for text, reference, events in (
+                (y, engine.seed_rule(y), engine.SeedEvents(y)),
+                (y + y, engine.circular_rule(y), engine.CircularEvents(y))):
+            before = set()
+            for naming in engine.Naming(text, len(y)):
+                accepted = events(naming)
+                assert sorted(accepted) == reference(naming), (
+                    text, naming.k)
+                assert accepted ^ before <= events.changed, (text, naming.k)
+                before = set(accepted)
+
+
+def test_range_max_answers_like_a_scan():
+    rng = random.Random(47)
+    for size in range(1, 40):
+        values = [rng.randrange(10) for _ in range(size)]
+        table = engine._RangeMax(values)
+        for lo in range(size):
+            for hi in range(lo, size):
+                assert table(lo, hi) == max(values[lo:hi + 1])
+            for at_least in range(11):
+                assert table.first(lo, at_least) == next(
+                    (j for j in range(lo, size) if values[j] >= at_least),
+                    size), (values, lo, at_least)
+
+
+def test_seed_event_head_and_tail_are_the_border_queries():
+    # The head: y[:x+k] has a border of length x..k-1 iff the maximum
+    # of j + Z[j] over x < j <= k is at least x + k. The tail of L
+    # letters: y reversed has such a border of y[n-L:] reversed, of
+    # length L-k..k-1, or k = L, iff k reaches the threshold of L.
+    for y in _event_subjects():
+        n = len(y)
+        rule = engine.SeedEvents(y)
+        prefix = engine._border_table(y)
+        suffix = engine._border_table(y[::-1])
+        for k in range(2, n + 1):
+            for x in range(1, min(k, n - k + 1)):
+                assert (rule.heads(x + 1, k) >= x + k) == (
+                    engine._has_border(prefix, x + k, x, k - 1)), (y, x, k)
+        for tail in range(1, n + 1):
+            threshold = rule.tail_from(tail)
+            for k in range(1, tail + 1):
+                assert (k >= threshold) == (k == tail or engine._has_border(
+                    suffix, tail, tail - k, k - 1)), (y, tail, k)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from fibquasi import closed_form, engine, fib, words
+from fibquasi import closed_form, engine, fib, verify, words
 from fibquasi.closed_form import (KIND_FIB_PLUS_PREFIX, KIND_LITERAL,
                                   KIND_PLAIN_FIB, KIND_SUFFIX_FIB_FIB_PREFIX,
                                   Row)
@@ -291,6 +291,57 @@ def test_handle_cell_equals_word_cell(category):
         assert report.extra == (), n
 
 
+# The per-length cell that verify._Cell replaced, kept as its test
+# reference: at every length it reads the name at the start of every
+# active group and takes the whole list of a per-length rule.
+class _PerLengthCell(verify._Cell):
+    RULES = {"seeds": engine.seed_rule,
+             "circular_covers": engine.circular_rule}
+
+    def __init__(self, n, record, table):
+        super().__init__(n, record, table)
+        self.rule = self.RULES.get(record.name, record.rule)(self.subject)
+        self.active = {}  # group -> its start in F_n
+
+    def step(self, naming):
+        k, names = naming.k, naming.names
+        active, groups = self.active, self.groups
+        for g in self.closing[k]:
+            del active[g]
+        for g in self.opening[k]:
+            active[g] = groups[g].p
+        accepted = self.rule(naming)
+        if not active and not accepted:
+            return
+        found = list(map(names.__getitem__, active.values()))
+        catalog, wanted = set(found), set(accepted)
+        in_rows = {(groups[g].row, x): g for g, x in zip(active, found)}
+        if len(in_rows) < len(found):
+            g = next(g for g, x in zip(active, found)
+                     if in_rows[groups[g].row, x] != g)
+            raise RuntimeError(closed_form._repeat_error(
+                self.n, self.record.name, groups[g].form.kind))
+        self.enumerated += len(catalog)
+        self.expected += len(wanted)
+        self.missing += [self.subject[x:x + k] for x in wanted - catalog]
+        for x in catalog - wanted:
+            word = self.subject[x:x + k]
+            forms = [groups[g].form_at(k) for g in sorted(active)
+                     if names[groups[g].p] == x]
+            self.extra[word] = {"word": word, "side": "extra", "clauses": [
+                f.to_json() for f in dict.fromkeys(forms)]}
+
+
+@pytest.mark.parametrize("category", CATEGORIES)
+def test_cell_equals_the_per_length_cell(monkeypatch, category):
+    caps = {category: 16}
+    reports = [_untimed(check_category(n, category, caps))
+               for n in range(17)]
+    monkeypatch.setattr(verify, "_Cell", _PerLengthCell)
+    assert reports == [_untimed(check_category(n, category, caps))
+                       for n in range(17)]
+
+
 @pytest.mark.parametrize("category", CATEGORIES)
 def test_handle_cell_reports_a_mutant_row_like_the_word_cell(
         monkeypatch, category):
@@ -327,6 +378,21 @@ def test_handle_cell_reports_a_dropped_row_like_the_word_cell(
     # Without its last row a catalog misses words, the border and the
     # cover among them at a length where no other group is active.
     _patch_rows(monkeypatch, category, lambda real, n: real(n)[:-1])
+    for n in (7, 8, 9):
+        _assert_handle_equals_words(n, category)
+    assert check_category(9, category, {category: 9}).missing
+
+
+@pytest.mark.parametrize("category",
+                         ("left_seeds", "seeds", "circular_covers"))
+def test_handle_cell_reports_a_shortened_row_like_the_word_cell(
+        monkeypatch, category):
+    # Rows cut short by their last right length drop their longest
+    # members, so names leave the catalog while the rule still accepts
+    # them (the other catalogs have no row with two right lengths).
+    _patch_rows(monkeypatch, category, lambda real, n: [
+        r._replace(rights=r.rights[:-1]) if len(r.rights) > 1 else r
+        for r in real(n)])
     for n in (7, 8, 9):
         _assert_handle_equals_words(n, category)
     assert check_category(9, category, {category: 9}).missing
@@ -475,7 +541,7 @@ for name, text in (("seeds", y), ("circular_covers", y + y)):
     rule = REGISTRY[name].rule(y)
     picked = {True: [], False: []}
     for naming in engine.Naming(text, len(y)):
-        accepted = rule(naming)
+        accepted = sorted(rule(naming))
         rejected = sorted(set(naming.firsts).difference(accepted))
         for verdict, xs in ((True, accepted), (False, rejected)):
             if xs:
@@ -513,6 +579,39 @@ def test_left_and_right_seed_cells_at_f20_fit_in_40_mb():
     assert cells == ["left_seeds True 10928 10928",
                      "right_seeds True 4190 4190"]
     assert peak_kb < 40 * 1024
+
+
+# The seed and circular-cover cells of F_20, where the per-length cells
+# took 12.7 s each: the event rules decide a name only at an event.
+_F20_SEED_CELLS = """
+from fibquasi.verify import check_category
+for category in ("seeds", "circular_covers"):
+    r = check_category(20, category, caps={category: 20})
+    print(category, r.missing, r.extra, r.enumerated_count, r.oracle_count)
+"""
+
+
+def test_seed_and_circular_cells_at_f20_fit_in_40_mb():
+    cells, peak_kb = _cells_in_a_child(_F20_SEED_CELLS)
+    assert cells == ["seeds ('baaba',) () 14145122 14145123",
+                     "circular_covers ('baaba',) () 14136760 14136761"]
+    assert peak_kb < 40 * 1024
+
+
+def test_right_seed_verdicts_equal_is_right_seed():
+    # the near-miss battery's candidates, which are never right seeds,
+    # and the suffixes of F_n, some of which are
+    for n in range(5, 17):
+        subject = fib_word(n)
+        tail, source = fib_word(n - 4), fib_word(n - 3)
+        candidates = [source[len(source) - l:] + tail
+                      for l in range(1, len(source))]
+        candidates += [subject[len(subject) - k:]
+                       for k in range(1, len(subject) + 1)]
+        verdicts = list(verify._right_seed_verdicts(subject, candidates))
+        assert verdicts == [engine.is_right_seed(c, subject)
+                            for c in candidates], n
+        assert any(verdicts), n
 
 
 def test_linear_rules_equal_the_spelled_oracles():
@@ -553,8 +652,8 @@ def test_linear_cell_names_an_oracle_word_inside_f_n_like_the_word_cell(
 
     def rule(y):
         real = record.rule(y)
-        return lambda naming: sorted(
-            set(real(naming)) | ({1} if naming.k == 4 else set()))
+        return engine.Listed(lambda naming: sorted(
+            real(naming) | ({1} if naming.k == 4 else set())))
 
     monkeypatch.setitem(REGISTRY, category,
                         dataclasses.replace(record, rule=rule))
