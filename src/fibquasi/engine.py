@@ -17,38 +17,41 @@ than the border (the gap rule of Moore & Smyth and of Li & Smyth). That
 is the occurrence-chain condition of words.is_cover, its test
 reference.
 
-The rules seed_rule and circular_rule decide every candidate one
-factor length at a time on names: each factor is named by its first
-start (Karp, Miller & Rosenberg), and one naming pass (Naming) can feed
-several rules. The pass is event-driven: it renames only the starts
-whose factor stops matching their name's factor, each found by one LCP
-when the start is named, and it carries each name's last start and its
-count of occurrence gaps longer than k from one length to the next. So
-no length scans every start: past its O(|text|) set-up, a pass costs
-one LCP and O(1) updates per rename, plus a sorted insert per new name.
-The rules visit only the first starts below k and read the gap rule
-off the pass; for seeds, border-table queries decide the head and tail
-(Iliopoulos, Moore & Park, "Covering a string"). seeds_of and
-circular_covers_of spell what their rules accept.
+A rule decides one set of a subject on factor names, one factor
+length k at a time. A factor is named by its first start (Karp, Miller
+& Rosenberg), and one naming pass (Naming) can feed several rules. The
+pass is event-driven. It renames only the starts whose factor stops
+matching their name's factor, each found by one LCP when the start is
+named. It carries each name's last start and its count of occurrence
+gaps longer than k from one length to the next. So no length scans
+every start: past its O(|text|) set-up, a pass costs one LCP and O(1)
+updates per rename, plus a sorted insert per new name.
 
-verify compares names with the catalogs through event rules, which
-keep the accepted set from one length to the next. Each length of the
-pass also lists what it changed: the renamed starts, and the names
-whose last start or gap count changed or that were made or dropped. A
-name is decided again only then, or at a length its last decision
-named. CircularEvents reads an interval of lengths off the pass;
-SeedEvents decides the head and tail by range maxima over Z-arrays,
-each of which holds over intervals of lengths (the O(n) "packages" of
-seeds of Kociumaka, Kubica, Radoszewski, Rytter & Walen, SODA 2012).
-So a length with no event costs O(1), where the per-length rules take
-a step per first start below k. Listed adapts a rule that lists a
-name or two per length: verify decides covers and left and right seeds
-with it, as the seeds among the names at the ends of y.
+seed_rule is the per-length seed rule. It visits the first starts
+below k, reads the gap rule off the pass and decides the head and tail
+by border-table queries (Iliopoulos, Moore & Park, "Covering a
+string"). seeds_of spells what it accepts.
 
-is_seed_fast and is_circular_cover are the per-length rules' test
-references, and the per-length rules are the event rules'. The test
-suite proves seeds_of equal to the exhaustive is_seed on every binary
-word of up to 10 letters and on sampled words of up to 60.
+An event rule keeps its accepted set from one length to the next. It
+decides a name again only when the pass touches it, or at a length its
+last decision named. The pass touches a name when it makes or drops
+it, or changes its starts or gap count. So a length with no event
+costs O(1). CircularEvents is the circular-cover rule: between two
+events a name is accepted on one interval of lengths.
+circular_covers_of spells what it accepts, and the verify cell reads
+it. SeedEvents is seed_rule as an event rule. It decides the head and
+tail by range maxima over Z-arrays, each of which holds over intervals
+of lengths (the O(n) "packages" of seeds of Kociumaka, Kubica,
+Radoszewski, Rytter & Walen, SODA 2012). Listed makes an event rule of
+a rule that lists a name or two per length. verify decides covers and
+left and right seeds with it, as the seeds among the names at the ends
+of y.
+
+Each rule has a test reference. is_seed_fast is seed_rule's, and
+seed_rule is SeedEvents'. is_circular_cover is CircularEvents', through
+a per-length circular rule that the tests keep. The test suite proves
+seeds_of equal to the exhaustive is_seed on every binary word of up to
+10 letters and on sampled words of up to 60.
 
 refuse_oversize is the one size refusal: seeds_of, circular_covers_of
 and the seed-flavored catalogs in closed_form decline subjects longer
@@ -341,15 +344,11 @@ class Naming:
     "Covering a string"); ``firsts`` lists the names in ascending order.
     All of them are updated in place between lengths.
 
-    Each length also says what it changed, for the event rules, which
-    are kept from one length to the next: ``renamed`` lists the starts
-    renamed at k in ascending order (with any of them dropped at k),
-    ``split`` maps each name that lost starts to the new name the first
-    of them took, ``expired`` holds the (name, start) of the gaps of
-    exactly k letters, some of them already closed, and ``cut`` the
-    names of the starts dropped at k. Every name made or dropped at k,
-    or whose last start or gap count changed, is named there. At k = 1
-    they are all empty, and every name is new.
+    Each length also says what it changed, for the event rules.
+    ``renamed`` lists the starts renamed at k in ascending order, with
+    any of them dropped at k. ``touched`` holds every name made or
+    dropped at k, and every name whose starts or gap count changed at
+    k. At k = 1 nothing is renamed and every name is touched.
 
     The pass is event-driven. Start i keeps its name x up to length
     lcp(i, x), so that length is found once, when i is named, and i
@@ -390,18 +389,18 @@ class Naming:
                 expiring[i - p].append((x, p))
             due[lcp(text, i, x, 1) + 1].append(i)
         k = self.k = 1
-        self.renamed, self.split, self.expired, self.cut = [], {}, (), []
+        self.renamed, self.touched = [], set(firsts)
         while True:
             yield self
             k = self.k = k + 1
             size = min(count, len(text) - k + 1)
             if k > count or size <= 0:
                 return
-            self.expired = expiring.pop(k, ())
-            for x, p in self.expired:
+            touched = self.touched = set(names[size:])
+            for x, p in expiring.pop(k, ()):
                 if nxt[p] == p + k and names[p] == x:
                     gaps[x] -= 1
-            self.cut = names[size:]
+                    touched.add(x)
             for s in range(len(names) - 1, size - 1, -1):
                 # s is the last start, so it ends its chain
                 x, p = names[s], prev[s]
@@ -412,7 +411,7 @@ class Naming:
                 if s - p > k:
                     gaps[x] -= 1
             del names[size:]
-            split = self.split = {}
+            split = {}  # old name -> the new name of its moved starts
             self.renamed = sorted(due.pop(k, ()))
             for i in self.renamed:
                 if i >= size:
@@ -443,6 +442,8 @@ class Naming:
                     gaps[r] += 1
                     expiring[i - p].append((r, p))
                 due[lcp(text, i, r, k) + 1].append(i)
+            touched.update(split)
+            touched.update(split.values())
 
 
 # A rule decides one set of a subject one factor length at a time: fed
@@ -487,7 +488,7 @@ def seed_rule(y: str, among: Rule | None = None) -> Rule:
     return accept
 
 
-def _accepted(text: str, count: int, rule: Rule) -> list[str]:
+def _accepted(text: str, count: int, rule: Rule | EventRule) -> list[str]:
     """The words ``rule`` accepts over ``Naming(text, count)``,
     spelled, shortest first and sorted within a length."""
     return [u for naming in Naming(text, count)
@@ -522,40 +523,15 @@ def is_circular_cover(u: str, y: str) -> bool:
     return starts[0] + n - starts[-1] <= m
 
 
-def circular_rule(y: str, unrestricted: bool = False) -> Rule:
-    """The covers of the cyclic word over y, fed the names of y*y over
-    the starts 0..|y|-1.
-
-    The gap rule of is_circular_cover on all candidates at once: no gap
-    longer than k, including the one across the seam, so the first start
-    is below k. A first start past |y|-k means the factor only occurs
-    across the seam, so it is not a factor of the linear y; it is a
-    candidate only when ``unrestricted``.
-    """
-    n = len(y)
-
-    def accept(naming: Naming) -> list[int]:
-        k, last, gaps = naming.k, naming.last, naming.gaps
-        out = []
-        for x in naming.firsts:
-            if x >= k:
-                break
-            if (not gaps[x] and x + n - last[x] <= k
-                    and (unrestricted or x <= n - k)):
-                out.append(x)
-        return out
-    return accept
-
-
 def circular_covers_of(y: str, unrestricted: bool = False,
                        force: bool = False) -> list[str]:
     """All covers of the cyclic word over y, spelled from
-    ``circular_rule``. Candidates are the factors of the linear y by
+    ``CircularEvents``. Candidates are the factors of the linear y by
     default; with ``unrestricted`` they are all factors of y*y no longer
     than y, which admits covers that only exist as rotations."""
     _require_subject(y)
     refuse_oversize("circular-cover enumeration", len(y), force)
-    return _accepted(y + y, len(y), circular_rule(y, unrestricted))
+    return _accepted(y + y, len(y), CircularEvents(y, unrestricted))
 
 
 # An event rule decides the set of a Rule, kept from one length to the
@@ -563,19 +539,6 @@ def circular_covers_of(y: str, unrestricted: bool = False,
 # names accepted at k as one set updated in place, and its ``changed``
 # holds every name that may have entered or left that set at k.
 EventRule = Callable[[Naming], set[int]]
-
-
-def _touched(naming: Naming) -> set[int]:
-    """The names whose last start or gap count may have changed at this
-    length, or that were made or dropped: every name at k = 1."""
-    if naming.k == 1:
-        return set(naming.firsts)
-    split = naming.split
-    touched = set(split)
-    touched.update(split.values())
-    touched.update(naming.cut)
-    touched.update([x for x, _ in naming.expired])
-    return touched
 
 
 class Listed:
@@ -597,8 +560,8 @@ class Listed:
 
 class _Events:
     """An event rule that decides a name only when the pass touches it
-    (``_touched``) or at the length its last decision named as the next
-    one at which its verdict can change. A subclass's
+    (``Naming.touched``) or at the length its last decision named as the
+    next one at which its verdict can change. A subclass's
     ``_verdicts(naming, names)`` yields, for each of the names, (x,
     accepted at k, that next length or 0 for none)."""
 
@@ -612,7 +575,7 @@ class _Events:
     def __call__(self, naming: Naming) -> set[int]:
         k, when, waiting = naming.k, self.when, self.waiting
         accepted = self.accepted
-        changed = self.changed = _touched(naming)
+        changed = self.changed = set(naming.touched)
         changed.update([x for x in waiting.pop(k, ()) if when[x] == k])
         for x, ok, at in self._verdicts(naming, changed):
             if ok:
@@ -626,16 +589,25 @@ class _Events:
 
 
 class CircularEvents(_Events):
-    """``circular_rule(y)`` as an event rule, fed the names of y*y over
-    the starts 0..|y|-1. Between two events that touch name x, its last
-    start and gap count stay put, so x is accepted exactly for the k in
-    [x + |y| - last[x], |y| - x] when it has no gap, and it is decided
-    again at the two ends."""
+    """The covers of the cyclic word over y as an event rule, fed the
+    names of y*y over the starts 0..|y|-1. Name x is accepted at length
+    k iff its occurrences leave no gap longer than k, the one across the
+    seam included: gaps[x] is 0 and x + |y| - last[x] <= k. A candidate
+    is a factor of the linear y, so k <= |y| - x; with ``unrestricted``
+    it is any factor of y*y no longer than y, so k <= |y|. Between two
+    events that touch x, its last start and gap count stay put, so x is
+    accepted on one interval of lengths and decided again at its two
+    ends."""
+
+    def __init__(self, y: str, unrestricted: bool = False):
+        super().__init__(y)
+        self.unrestricted = unrestricted
 
     def _verdicts(self, naming: Naming, xs: set[int]):
         k, n, last, gaps = naming.k, self.n, naming.last, naming.gaps
+        unrestricted = self.unrestricted
         for x in xs:
-            lo, hi = x + n - last[x], n - x
+            lo, hi = x + n - last[x], n if unrestricted else n - x
             if gaps[x] or k > hi or lo > hi:
                 yield x, False, 0
             elif k < lo:

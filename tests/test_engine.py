@@ -16,6 +16,7 @@ from fibquasi.fib import fib_word
 from fibquasi.verify import REGISTRY, _battery_cover_chain
 from fibquasi.words import (borders, canonical, is_cover, occurrences,
                             require_word)
+from per_length_rules import circular_rule
 
 F4 = "abaab"
 F5 = "abaababa"
@@ -497,7 +498,10 @@ def _rotated_powers(rng, max_len=100):
 
 def test_naming_pass_matches_the_letter_scan():
     # names, firsts, and each name's last start and gapped status, at
-    # every k of linear and circular passes
+    # every k of linear and circular passes; touched holds every name
+    # made or dropped at k and every name whose last start or gapped
+    # status differs from k - 1, and no name that is neither a name at
+    # k nor at k - 1
     rng = random.Random(41)
     subjects = list(all_words(10))
     subjects += [random_word(rng, 200) for _ in range(30)]
@@ -507,6 +511,7 @@ def test_naming_pass_matches_the_letter_scan():
         for text, count in ((y, len(y)), (y + y, len(y))):
             reference = _factor_names(text, count)
             naming = iter(engine.Naming(text, count))
+            before, last_before, gapped_before = set(), {}, set()
             for (k, names), got in zip(reference, naming):
                 assert (got.k, got.names) == (k, names), (text, count, k)
                 last, gapped = _gap_runs(names, k)
@@ -516,6 +521,14 @@ def test_naming_pass_matches_the_letter_scan():
                     last[x] for x in firsts], (text, count, k)
                 assert [x for x in firsts if got.gaps[x]] == [
                     x for x in firsts if x in gapped], (text, count, k)
+                now = set(firsts)
+                changed = now ^ before
+                changed.update(x for x in now & before
+                               if last[x] != last_before[x]
+                               or (x in gapped) != (x in gapped_before))
+                assert changed <= got.touched <= now | before, (
+                    text, count, k)
+                before, last_before, gapped_before = now, last, gapped
             assert next(naming, None) is None, (text, count)
             assert next(reference, None) is None, (text, count)
 
@@ -566,6 +579,9 @@ def test_sweeps_match_predicates_on_long_words():
         assert seeds_of(y) == [u for u in factors if is_seed_fast(u, y)], y
         assert circular_covers_of(y) == [
             u for u in factors if is_circular_cover(u, y)], y
+        assert circular_covers_of(y, unrestricted=True) == [
+            u for u in distinct_factors(y + y)
+            if len(u) <= len(y) and is_circular_cover(u, y)], y
 
 
 def test_circular_refusal():
@@ -627,7 +643,7 @@ def test_seed_and_circular_rules_in_a_shared_pass():
         *sets, seeds = _fed(y, len(y), rules + [engine.seed_rule(y)])
         assert seeds == seeds_of(y), y
         assert sets == [record.oracle(y) for record in linear], y
-        (circular,) = _fed(y + y, len(y), [engine.circular_rule(y)])
+        (circular,) = _fed(y + y, len(y), [circular_rule(y)])
         assert circular == circular_covers_of(y), y
 
 
@@ -646,18 +662,23 @@ def test_event_rules_equal_the_per_length_rules():
     # At every length the event rules accept exactly the names of the
     # per-length rules, and every name that enters or leaves their set
     # is among the names they report changed, which are all a cell
-    # looks at again.
+    # looks at again. Both circular rules read one pass over y*y.
     for y in _event_subjects():
-        for text, reference, events in (
-                (y, engine.seed_rule(y), engine.SeedEvents(y)),
-                (y + y, engine.circular_rule(y), engine.CircularEvents(y))):
-            before = set()
+        for text, pairs in (
+                (y, [(engine.seed_rule(y), engine.SeedEvents(y))]),
+                (y + y, [(circular_rule(y), engine.CircularEvents(y)),
+                         (circular_rule(y, unrestricted=True),
+                          engine.CircularEvents(y, unrestricted=True))])):
+            before = [set() for _ in pairs]
             for naming in engine.Naming(text, len(y)):
-                accepted = events(naming)
-                assert sorted(accepted) == reference(naming), (
-                    text, naming.k)
-                assert accepted ^ before <= events.changed, (text, naming.k)
-                before = set(accepted)
+                for (reference, events), previous in zip(pairs, before):
+                    accepted = events(naming)
+                    assert sorted(accepted) == reference(naming), (
+                        text, naming.k)
+                    assert accepted ^ previous <= events.changed, (
+                        text, naming.k)
+                    previous.clear()
+                    previous.update(accepted)
 
 
 def test_range_max_answers_like_a_scan():

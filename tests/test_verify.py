@@ -19,6 +19,7 @@ from fibquasi.errors import SizeLimitError
 from fibquasi.fib import fib_len, fib_word, fib_words
 from fibquasi.verify import (CATEGORIES, REGISTRY, QuasiReport, SuiteConfig,
                              _cap, _diagnose, check_category, run_suite)
+from per_length_rules import circular_rule
 
 FINDING_CATEGORIES = ("seeds", "circular_covers")
 EXPECTED_FINDING_CELLS = {(n, cat) for n in range(5, 11)
@@ -296,7 +297,7 @@ def test_handle_cell_equals_word_cell(category):
 # active group and takes the whole list of a per-length rule.
 class _PerLengthCell(verify._Cell):
     RULES = {"seeds": engine.seed_rule,
-             "circular_covers": engine.circular_rule}
+             "circular_covers": circular_rule}
 
     def __init__(self, n, record, table):
         super().__init__(n, record, table)
