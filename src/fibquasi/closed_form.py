@@ -27,16 +27,21 @@ left length) in F_n as one ``Group`` without spelling a member, for
 verify and for ``_build``, which spells the groups. A catalog can hold
 O(|F_n|^2) members, so ``_build`` spells each group in bulk and no
 Python frame runs per member: a ``FactorForm`` is a NamedTuple, made
-by ``tuple.__new__`` and hashed as a plain tuple.
+by ``tuple.__new__`` and hashed as a plain tuple. ``EnumResult.write_json``
+writes a catalog's JSON document the same way, in batches of list
+items and with no Python frame per form or word, byte for byte what
+``json.dumps`` of ``to_json`` gives; no word needs escaping, since each
+is a slice of F_n.
 """
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby, repeat
-from operator import attrgetter
+from itertools import chain, groupby, islice, repeat
+from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple
 
 from .engine import refuse_oversize
@@ -133,6 +138,38 @@ class EnumResult:
         return {"n": self.n, "category": self.category,
                 "forms": [f.to_json() for f in self.forms],
                 "words": list(self.words)}
+
+    def write_json(self, write: Callable[[str], object]) -> None:
+        """Write ``json.dumps(self.to_json())`` and a newline through
+        ``write``, byte for byte, ``JSON_BATCH`` list items at a time and
+        with no Python frame per form or word. No word needs escaping:
+        each is a slice of F_n, a word over {a, b}."""
+        write('{"n": %d, "category": %s, "forms": ['
+              % (self.n, json.dumps(self.category)))
+        _write_items(write, chain.from_iterable(
+            map(json.dumps, map(FactorForm.to_json, run))
+            if kind == KIND_LITERAL else map(_FORM_JSON.__mod__, run)
+            for kind, run in groupby(self.forms, itemgetter(0))), "")
+        write('], "words": [')
+        _write_items(write, self.words, '"')
+        write("]}\n")
+
+
+# ``EnumResult.write_json`` hands this many list items to one write.
+JSON_BATCH = 4096
+# The JSON of a non-literal form, from the form as a tuple: ``%.0s``
+# takes its empty literal field.
+_FORM_JSON = '{"kind": "%s", "m": %d, "left_len": %d, "right_len": %d}%.0s'
+
+
+def _write_items(write: Callable[[str], object], items, quote: str) -> None:
+    """Write ``items``, each between two ``quote``s, as the inside of a
+    JSON list, one ``JSON_BATCH`` of them per write."""
+    items = iter(items)
+    lead, inner = quote, f"{quote}, {quote}"
+    while batch := list(islice(items, JSON_BATCH)):
+        write(lead + inner.join(batch) + quote)
+        lead = ", " + quote
 
 
 class Row(NamedTuple):

@@ -143,6 +143,11 @@ def test_enum_refusal_names_the_force_flag(capsys, flag):
     assert "--force" in err and "force=True" in err
 
 
+def test_enum_json_refusal_writes_nothing(capsys):
+    code, out, err = run(capsys, "enum", "17", "--seeds", "--json")
+    assert code == 2 and out == "" and "--force" in err
+
+
 @pytest.mark.parametrize("flag", ["borders", "covers"])
 def test_enum_linear_catalogs_are_not_refused(capsys, flag):
     assert run(capsys, "enum", "17", f"--{flag}")[0] == 0
@@ -369,6 +374,27 @@ def test_gen_closed_pipe_exits_quietly():
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=env)
     assert proc.stdout.read(10) == fib_word(25)[:10].encode()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert "Traceback" not in err and "Error" not in err
+    assert code not in (0, 1)
+
+
+def test_enum_json_closed_pipe_exits_quietly():
+    # enum 14 --seeds --json is 19.6 MB, written in several writes, so
+    # most of it is still unwritten when the reader goes away.
+    env = dict(os.environ)
+    src = str(Path(fibquasi.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("FIBQUASI_NMAX", None)
+    proc = subprocess.Popen([sys.executable, "-m", "fibquasi.cli", "enum",
+                             "14", "--seeds", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    assert proc.stdout.read(10) == b'{"n": 14, '
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()

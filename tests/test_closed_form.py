@@ -4,8 +4,8 @@ import sys
 import pytest
 
 from fibquasi import closed_form, fib
-from fibquasi.closed_form import (CATALOGS, EnumResult, FactorForm,
-                                  KIND_FIB_PLUS_PREFIX,
+from fibquasi.closed_form import (CATALOGS, JSON_BATCH, EnumResult,
+                                  FactorForm, KIND_FIB_PLUS_PREFIX,
                                   KIND_LITERAL, KIND_PLAIN_FIB, KIND_SUFFIX_FIB_FIB_PREFIX,
                                   KIND_SUFFIX_PLUS_FIB,
                                   KIND_SUFFIX_FIB_PREFIX, SHAPES, Row, _build,
@@ -307,6 +307,34 @@ def test_serialization_shape():
                    "right_len": 0}],
         "words": ["aba", "abaababa"]}
     assert json.loads(json.dumps(doc)) == doc
+
+
+@pytest.mark.parametrize("category", CATEGORIES)
+def test_write_json_matches_json_dumps(category):
+    for n in range(15):
+        result = catalog(n, category)
+        parts = []
+        result.write_json(parts.append)
+        got, want = "".join(parts), json.dumps(result.to_json()) + "\n"
+        # no diff of two megabyte strings: name the first byte that differs
+        same = got == want
+        assert same, (n, next((i for i, pair in enumerate(zip(got, want))
+                               if pair[0] != pair[1]), None),
+                      len(got), len(want))
+
+
+def test_write_json_reference_range_has_the_edge_cases():
+    # empty lists, the literal form, and lists of several batches
+    empty = catalog(0, "borders")
+    assert (empty.forms, empty.words) == ((), ())
+    assert KIND_LITERAL in (f.kind for f in catalog(4, "seeds").forms)
+    assert len(catalog(12, "seeds").words) > JSON_BATCH
+
+
+def test_write_json_runs_no_python_frame_per_form():
+    result = enum_seeds(12)
+    _, calls = _python_calls(lambda: result.write_json(lambda text: None))
+    assert calls < len(result.forms) // 4, (calls, len(result.forms))
 
 
 def test_enumerators_are_deterministic():
@@ -619,8 +647,8 @@ def test_build_checks_literal_rows():
         "literal='bb') materialized 'bb', not a factor of the index-7 word")
 
 
-@pytest.mark.parametrize("enumerator", [enum_seeds, enum_circular_covers])
-def test_build_runs_no_python_frame_per_member(enumerator):
+def _python_calls(call):
+    """``call()``, and the number of Python frames it ran."""
     calls = 0
 
     def count(frame, event, arg):
@@ -630,9 +658,15 @@ def test_build_runs_no_python_frame_per_member(enumerator):
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
-        result = enumerator(12)
+        result = call()
     finally:
         sys.setprofile(previous)
+    return result, calls
+
+
+@pytest.mark.parametrize("enumerator", [enum_seeds, enum_circular_covers])
+def test_build_runs_no_python_frame_per_member(enumerator):
+    result, calls = _python_calls(lambda: enumerator(12))
     assert calls < len(result.forms) // 4, (calls, len(result.forms))
 
 
