@@ -163,6 +163,22 @@ def test_groups_place_every_catalog_member(category):
         assert placed == set(catalog(n, category).words), n
 
 
+@pytest.mark.parametrize("category", CATEGORIES)
+def test_groups_sit_at_the_first_occurrence_of_their_longest_member(
+        category):
+    # The placement's contract: p is where the longest member, the one
+    # form_at(hi) spells, first occurs in F_n, however it is found.
+    rows_of = CATALOGS[category][0]
+    for n in range(17):
+        table = fib_words(n)
+        subject = table[n]
+        for group in groups(table, category, rows_of):
+            longest = subject[group.p:group.p + group.hi]
+            assert subject.find(longest) == group.p, (n, group)
+            assert group.form_at(group.hi).spell(table) == longest, (
+                n, group)
+
+
 @pytest.mark.parametrize("row", [
     Row(KIND_FIB_PLUS_PREFIX, 5, rights=range(0, 6, 2)),
     Row(KIND_LITERAL, 0, literal=""),

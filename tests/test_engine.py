@@ -13,9 +13,10 @@ from fibquasi.engine import (SeedWitness, circular_covers_of, covers_of,
                              seeds_of)
 from fibquasi.errors import SizeLimitError
 from fibquasi.fib import fib_word
-from fibquasi.verify import REGISTRY, _battery_cover_chain
+from fibquasi.verify import REGISTRY, _battery_cover_chain, _covered_words
 from fibquasi.words import (borders, canonical, is_cover, occurrences,
                             require_word)
+from cover_chain_scan import full_scan_cover_chain
 from per_length_rules import circular_rule
 
 F4 = "abaab"
@@ -117,6 +118,55 @@ def test_cover_chain_failures_follow_covers_of_order(monkeypatch):
     monkeypatch.setattr(engine, "covers_of", dropping)
     assert _battery_cover_chain(8).failures == tuple(
         f"y=aaaaaaaa u={'a' * k} z=a" for k in range(2, 8))
+
+
+def _dropping_aba_from_abaaba(honest):
+    return lambda y: [u for u in honest(y) if (y, u) != ("abaaba", "aba")]
+
+
+def _dropping_a_from_short_powers(honest):
+    def dropping(y):
+        if 1 < len(y) < 8 and y == "a" * len(y):
+            return [u for u in honest(y) if u != "a"]
+        return honest(y)
+    return dropping
+
+
+@pytest.mark.parametrize("patch", [
+    None, _dropping_aba_from_abaaba, _dropping_a_from_short_powers])
+def test_cover_chain_battery_equals_the_full_scan(monkeypatch, patch):
+    # The battery visits only the words with a proper cover, the full
+    # scan every word. A covers_of that drops covers gives the other
+    # words no proper cover either, so the two agree under it too.
+    if patch:
+        monkeypatch.setattr(engine, "covers_of", patch(engine.covers_of))
+    for max_len in range(1, 15):
+        assert (_battery_cover_chain(max_len).to_json(include_timing=False)
+                == full_scan_cover_chain(max_len).to_json(
+                    include_timing=False)), max_len
+
+
+def test_covered_words_are_the_words_with_a_proper_cover():
+    covered = [y for y in all_words(14) if len(covers_of(y)) > 1]
+    for max_len in range(1, 15):
+        assert _covered_words(max_len) == [
+            y for y in covered if len(y) <= max_len], max_len
+
+
+def test_cover_chain_battery_calls_covers_of_per_covered_word_and_cover(
+        monkeypatch):
+    # 732 words of up to 14 letters have a proper cover, and they have
+    # 1,058 proper covers between them; the full scan made 33,824 calls.
+    honest = engine.covers_of
+    calls = []
+
+    def counting(y):
+        calls.append(y)
+        return honest(y)
+
+    monkeypatch.setattr(engine, "covers_of", counting)
+    assert _battery_cover_chain(14).passed
+    assert len(calls) == 1790
 
 
 def test_covers_of_decides_each_word_on_its_own(monkeypatch):
