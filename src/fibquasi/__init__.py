@@ -19,8 +19,8 @@ from .fib import (Decomposition, Expansion, ExpansionItem, border_indices,
                   fib_words, materialization_limit, scan_occurrences)
 from .verify import (CATEGORIES, DEFAULT_CAPS, BatteryResult, QuasiReport,
                      SuiteConfig, SuiteResult, check_category, run_suite)
-from .words import (borders, canonical, covered_prefix_extent,
-                    covered_suffix_extent, is_cover, occurrences, period_of)
+from .words import (borders, canonical, covered_prefix_extent, is_cover,
+                    occurrences, period_of)
 
 __version__ = "0.1.0"
 
@@ -29,8 +29,8 @@ __all__ = [
     "EnumResult", "Expansion", "ExpansionItem", "FactorForm", "QuasiReport",
     "SeedWitness", "SizeLimitError", "SuiteConfig", "SuiteResult",
     "border_indices", "borders", "canonical", "check_category",
-    "circular_covers_of", "covered_prefix_extent", "covered_suffix_extent",
-    "covers_of", "decompose", "distinct_factors", "enum_borders",
+    "circular_covers_of", "covered_prefix_extent", "covers_of",
+    "decompose", "distinct_factors", "enum_borders",
     "enum_circular_covers", "enum_covers", "enum_left_seeds",
     "enum_right_seeds", "enum_seeds", "expansion", "fib_len",
     "fib_occurrences", "fib_word", "fib_words", "is_circular_cover",

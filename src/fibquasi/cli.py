@@ -13,15 +13,11 @@ human-oriented and carries no stability promise.
 The set flags of analyze and enum, and the names verify --only accepts,
 come from the category registry in the verify module.
 
-``enum --json`` builds the whole catalog first, so a refusal or error
-leaves stdout empty, and then writes its document in batches of list
-items (``closed_form.EnumResult.write_json``), with the same bytes as
-``json.dumps``. No word needs escaping: each is a slice of F_n, over
-{a, b}. As one process on 2 CPUs with Python 3.11, ``enum 14 --seeds
---json`` takes 0.40-0.48 s and peaks at 47 MB (0.58-0.70 s and 97 MB
-through ``json.dumps``), and ``enum 16 --seeds --json`` 2.9-3.3 s and
-374 MB (6.4 s and 1,072 MB). Every other command emits through
-``json.dumps``.
+``enum --json`` builds the whole catalog before its first write, so a
+refusal or error leaves stdout empty, and then writes its document in
+batches of list items (``closed_form.EnumResult.write_json``), with the
+same bytes as ``json.dumps``. No word needs escaping: each is a slice
+of F_n, over {a, b}. Every other command emits through ``json.dumps``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,12 @@ can be, from the KMP failure chain and decides each on y with a gap
 walk: one bounded find per occurrence, stopped at the first gap longer
 than the border (the gap rule of Moore & Smyth and of Li & Smyth). That
 is the occurrence-chain condition of words.is_cover, its test
-reference.
+reference. words.covered_prefix_extent runs the same walk from the
+prefix and returns where it stops, which the left-seed oracles compare
+with the period; the right-seed oracles are the left-seed ones on the
+reversed word. covers_of keeps its own copy of the walk, which stops
+once it reaches the last start n - k: a call of covered_prefix_extent
+per border measured slower.
 
 A rule decides one set of a subject on factor names, one factor
 length k at a time. A factor is named by its first start (Karp, Miller
@@ -68,8 +73,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .errors import SizeLimitError
-from .words import (canonical, covered_prefix_extent, covered_suffix_extent,
-                    is_cover, occurrences, period_of, require_word)
+from .words import (canonical, covered_prefix_extent, is_cover, occurrences,
+                    period_of, require_word)
 
 # seeds_of / circular_covers_of and the seed-flavored catalogs refuse
 # longer words unless forced: the word sets they spell grow
@@ -147,18 +152,15 @@ def left_seeds_of(y: str) -> list[str]:
 
 
 def is_right_seed(z: str, y: str) -> bool:
-    """Mirror of is_left_seed: z must be a suffix of y covering a
-    suffix at least as long as the period."""
-    if not y.endswith(z):
-        return False
-    return covered_suffix_extent(z, y) >= period_of(y)
+    """A suffix z of y is a right seed iff it covers a suffix of y at
+    least as long as the period of y: is_left_seed on the reversed
+    words, since reversal keeps the period and turns suffixes into
+    prefixes."""
+    return is_left_seed(z[::-1], y[::-1])
 
 
 def right_seeds_of(y: str) -> list[str]:
-    _require_subject(y)
-    p = period_of(y)
-    return [y[len(y) - k:] for k in range(1, len(y) + 1)
-            if covered_suffix_extent(y[len(y) - k:], y) >= p]
+    return [w[::-1] for w in left_seeds_of(y[::-1])]
 
 
 @dataclass(frozen=True)

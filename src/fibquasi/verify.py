@@ -23,11 +23,11 @@ nearest clause shapes (missing words). Property batteries cover the
 structural facts the catalogs rely on: the cover chain, the
 order-independence of the tiling rewrite, the occurrence fast path, and
 the two families of near-miss extensions that must never be seeds (the
-right family decided as ``engine.is_right_seed`` defines it, with the
-period of F_n found once per index). The cover chain is checked on the
-binary words of up to ``COVER_CHAIN_MAX_LEN`` letters that have a
-proper cover, the only ones on which it can fail; they are built
-directly, as chains of occurrences of a shorter word.
+right family decided as ``engine.is_right_seed`` defines it, with F_n
+reversed and its period found once per index). The cover chain is
+checked on the binary words of up to ``COVER_CHAIN_MAX_LEN`` letters
+that have a proper cover, the only ones on which it can fail; they are
+built directly, as chains of occurrences of a shorter word.
 
 Mismatches are findings, not errors: the suite completes every cell and
 the summary says what failed. Two runs with the same configuration
@@ -74,9 +74,11 @@ class Category:
 # superstring of y, and a prefix that does covers one that extends y to
 # the right only: so the left seeds are the seeds named 0 (the prefix),
 # the right seeds those named like the last start n - k (the suffix),
-# and the covers the seeds that are both. The borders are no seed test.
-# Those four rules list a name or two per length and enter the cells
-# through engine.Listed; seeds and circular covers have event rules.
+# and the covers the seeds that are both. A cover is decided by the gap
+# rule alone: with the prefix also the suffix there is no head or tail
+# to test. The borders are no seed test either. Those four rules list a
+# name or two per length and enter the cells through engine.Listed;
+# seeds and circular covers have event rules.
 REGISTRY = {c.name: c for c in (
     Category("borders", "borders", 14,
              lambda y, force=False: words.borders(y),
@@ -86,9 +88,9 @@ REGISTRY = {c.name: c for c in (
     Category("covers", "covers", 14,
              lambda y, force=False: engine.covers_of(y),
              lambda u, y: words.is_cover(u, y)[0],
-             lambda y: engine.Listed(engine.seed_rule(
-                 y, lambda naming: [0] if (
-                     naming.last[0] == len(y) - naming.k) else []))),
+             lambda y: engine.Listed(lambda naming: [0] if (
+                 naming.last[0] == len(y) - naming.k
+                 and not naming.gaps[0]) else [])),
     Category("left_seeds", "left-seeds", 14,
              lambda y, force=False: engine.left_seeds_of(y),
              lambda u, y: engine.is_left_seed(u, y),
@@ -475,11 +477,11 @@ def _battery_near_miss_left(n_lo: int, n_hi: int) -> BatteryResult:
 
 def _right_seed_verdicts(subject: str, candidates) -> Iterator[bool]:
     """``engine.is_right_seed(c, subject)`` for each candidate c, as it
-    is defined, with the period of ``subject`` found once."""
+    is defined, with ``subject`` reversed and its period found once."""
+    backwards = subject[::-1]
     p = words.period_of(subject)
     for c in candidates:
-        yield (subject.endswith(c)
-               and words.covered_suffix_extent(c, subject) >= p)
+        yield words.covered_prefix_extent(c[::-1], backwards) >= p
 
 
 def _battery_near_miss_right(n_lo: int, n_hi: int) -> BatteryResult:

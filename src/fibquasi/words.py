@@ -82,34 +82,17 @@ def covered_prefix_extent(u: str, y: str) -> int:
     """Largest L such that u covers y[1..L]; 0 when u is not a prefix
     of y.
 
-    Occurrences of u are chained from position 1 while consecutive gaps
-    stay within |u|; the extent is the end of the chain.
+    A gap walk from the occurrence at 0, as in engine.covers_of: the
+    next occurrence after i is y.find(u, i + 1, i + 2|u|), which sees
+    exactly the occurrences that start in i + 1 .. i + |u|, so the walk
+    stops at the first gap longer than |u| and the extent is the end of
+    the last occurrence reached. The covered suffix extent of u in y is
+    covered_prefix_extent(u[::-1], y[::-1]).
     """
     _require_nonempty(u, "pattern")
-    occ = occurrences(u, y)
-    if not occ or occ[0] != 1:
+    if not y.startswith(u):
         return 0
-    end = len(u)
-    for p in occ[1:]:
-        if p <= end + 1:
-            end = p + len(u) - 1
-        else:
-            break
-    return end
-
-
-def covered_suffix_extent(u: str, y: str) -> int:
-    """Largest L such that u covers y[n-L+1..n]; 0 when u is not a
-    suffix of y. Mirror image of covered_prefix_extent."""
-    _require_nonempty(u, "pattern")
-    occ = occurrences(u, y)
-    m, n = len(u), len(y)
-    if not occ or occ[-1] != n - m + 1:
-        return 0
-    start = occ[-1]
-    for p in reversed(occ[:-1]):
-        if p + m >= start:
-            start = p
-        else:
-            break
-    return n - start + 1
+    m, i = len(u), 0
+    while (j := y.find(u, i + 1, i + 2 * m)) >= 0:
+        i = j
+    return i + m

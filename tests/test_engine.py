@@ -17,6 +17,8 @@ from fibquasi.verify import REGISTRY, _battery_cover_chain, _covered_words
 from fibquasi.words import (borders, canonical, is_cover, occurrences,
                             require_word)
 from cover_chain_scan import full_scan_cover_chain
+from extent_references import (is_right_seed_by_chain,
+                               right_seeds_by_suffix_loop)
 from per_length_rules import circular_rule
 
 F4 = "abaab"
@@ -232,6 +234,16 @@ def test_right_seeds_examples():
         ["aba", "ababa", "aababa", "baababa", "abaababa"])
     assert right_seeds_of("aba") == ["ba", "aba"]
     assert right_seeds_of("bb") == ["b", "bb"]
+
+
+def test_right_seeds_match_the_suffix_loop():
+    # the mirror against every suffix decided by its occurrence chain
+    subjects = list(all_words(10)) + [fib_word(n) for n in range(1, 13)]
+    for y in subjects:
+        assert right_seeds_of(y) == right_seeds_by_suffix_loop(y), y
+        for k in range(1, len(y) + 1):
+            z = y[len(y) - k:]
+            assert is_right_seed(z, y) == is_right_seed_by_chain(z, y)
 
 
 def test_left_right_mirror():

@@ -19,6 +19,7 @@ from fibquasi.errors import SizeLimitError
 from fibquasi.fib import fib_len, fib_word, fib_words
 from fibquasi.verify import (CATEGORIES, REGISTRY, QuasiReport, SuiteConfig,
                              _cap, _diagnose, check_category, run_suite)
+from extent_references import is_right_seed_by_chain
 from per_length_rules import circular_rule
 
 FINDING_CATEGORIES = ("seeds", "circular_covers")
@@ -611,6 +612,10 @@ def test_right_seed_verdicts_equal_is_right_seed():
                        for k in range(1, len(subject) + 1)]
         verdicts = list(verify._right_seed_verdicts(subject, candidates))
         assert verdicts == [engine.is_right_seed(c, subject)
+                            for c in candidates], n
+        # is_right_seed is itself the mirror, so the occurrence chain
+        # read from the right end is the independent reference
+        assert verdicts == [is_right_seed_by_chain(c, subject)
                             for c in candidates], n
         assert any(verdicts), n
 

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from fibquasi.fib import fib_word
 from fibquasi.words import (borders, canonical, covered_prefix_extent,
-                            covered_suffix_extent, is_cover, occurrences,
-                            period_of, require_word)
+                            is_cover, occurrences, period_of, require_word)
+from extent_references import (covered_prefix_extent_by_chain,
+                               covered_suffix_extent_by_chain)
 
 F5 = "abaababa"
 F6 = "abaababaabaab"
@@ -114,6 +116,17 @@ def test_covered_prefix_extent_examples():
     assert covered_prefix_extent("aba", F6) == 11
     assert covered_prefix_extent("b", "abaab") == 0
     assert covered_prefix_extent("abaab", F6) == 13
+    # a factor that is not a prefix covers nothing from position 1
+    assert covered_prefix_extent("baa", F6) == 0
+    assert covered_prefix_extent("aab", "aabaab") == 6
+    assert covered_prefix_extent("ab", "abab") == 4
+
+
+@pytest.mark.parametrize("extent", [covered_prefix_extent,
+                                    covered_prefix_extent_by_chain])
+def test_covered_prefix_extent_refuses_an_empty_pattern(extent):
+    with pytest.raises(ValueError, match=r"^pattern must be nonempty$"):
+        extent("", F6)
 
 
 def test_extent_full_iff_cover():
@@ -124,10 +137,33 @@ def test_extent_full_iff_cover():
         assert (covered_prefix_extent(u, y) == len(y)) == is_cover(u, y)[0]
 
 
+def _binary_words(max_len):
+    for length in range(1, max_len + 1):
+        for bits in range(1 << length):
+            yield "".join("ab"[(bits >> i) & 1] for i in range(length))
+
+
+def test_extents_equal_the_occurrence_chain():
+    # the gap walk, and the suffix extent as its mirror, against the
+    # chain of every occurrence, for every nonempty factor
+    subjects = list(_binary_words(10)) + [fib_word(n) for n in range(1, 13)]
+    for y in subjects:
+        backwards = y[::-1]
+        for u in {y[i:j] for i in range(len(y))
+                  for j in range(i + 1, len(y) + 1)}:
+            assert covered_prefix_extent(u, y) == \
+                covered_prefix_extent_by_chain(u, y), (u, y)
+            assert covered_prefix_extent(u[::-1], backwards) == \
+                covered_suffix_extent_by_chain(u, y), (u, y)
+
+
 def test_covered_suffix_extent_examples():
-    assert covered_suffix_extent("abaab", F6) == 13
-    assert covered_suffix_extent("ab", "aba") == 0
-    assert covered_suffix_extent("aab", "abaab") == 3
+    # the covered suffix extent of u in y is covered_prefix_extent of u
+    # reversed in y reversed
+    for u, y, extent in (("abaab", F6, 13), ("ab", "aba", 0),
+                         ("aab", "abaab", 3)):
+        assert covered_suffix_extent_by_chain(u, y) == extent
+        assert covered_prefix_extent(u[::-1], y[::-1]) == extent
 
 
 def test_suffix_extent_mirrors_prefix_extent():
@@ -135,7 +171,7 @@ def test_suffix_extent_mirrors_prefix_extent():
     for _ in range(400):
         y = random_word(rng)
         u = random_factor(rng, y)
-        assert covered_suffix_extent(u, y) == \
+        assert covered_suffix_extent_by_chain(u, y) == \
             covered_prefix_extent(u[::-1], y[::-1])
 
 
