@@ -44,13 +44,13 @@ it, or changes its starts or gap count. So a length with no event
 costs O(1). CircularEvents is the circular-cover rule: between two
 events a name is accepted on one interval of lengths.
 circular_covers_of spells what it accepts, and the verify cell reads
-it. SeedEvents is seed_rule as an event rule. It decides the head and
-tail by range maxima over Z-arrays, each of which holds over intervals
-of lengths (the O(n) "packages" of seeds of Kociumaka, Kubica,
-Radoszewski, Rytter & Walen, SODA 2012). Listed makes an event rule of
-a rule that lists a name or two per length. verify decides covers and
-left and right seeds with it, as the seeds among the names at the ends
-of y.
+it. SeedEvents is seed_rule as an event rule. Its head tests are range
+maxima over the Z-array of y, which hold over intervals of lengths (the
+O(n) "packages" of seeds of Kociumaka, Kubica, Radoszewski, Rytter &
+Walen, SODA 2012); its tail is one walk down seed_rule's suffix border
+chain per tail length. Listed makes an event rule of a rule that lists
+at most one name per length. verify decides covers and left and right
+seeds with it, as the seeds among the names at the ends of y.
 
 Each rule has a test reference. is_seed_fast is seed_rule's, and
 seed_rule is SeedEvents'. is_circular_cover is CircularEvents', through
@@ -271,12 +271,12 @@ class _RangeMax:
     array per level, O(|values| log |values|) ints in all."""
 
     def __init__(self, values: list[int]):
-        level = array("i", values)
-        self.levels = [level]
+        level = values
+        self.levels = [array("i", values)]
         step = 1
         while 2 * step <= len(values):
-            level = array("i", map(max, level, level[step:]))
-            self.levels.append(level)
+            level = [a if a > b else b for a, b in zip(level, level[step:])]
+            self.levels.append(array("i", level))
             step *= 2
 
     def __call__(self, lo: int, hi: int) -> int:
@@ -544,9 +544,9 @@ EventRule = Callable[[Naming], set[int]]
 
 
 class Listed:
-    """A Rule as an event rule, for the rules that list a name or two
-    per length: each length's list replaces the last, and the names in
-    only one of the two changed."""
+    """A Rule as an event rule, for the rules that list at most one
+    name per length: each length's list replaces the last, and the
+    names in only one of the two changed."""
 
     def __init__(self, rule: Rule):
         self.rule = rule
@@ -620,39 +620,39 @@ class CircularEvents(_Events):
 
 class SeedEvents(_Events):
     """``seed_rule(y)`` as an event rule. The gap test and x < k read
-    the pass as there; the head and tail tests become range maxima over
-    the Z-arrays Z of y and Zr of y reversed. The head (a border of
-    y[:x+k] of length x..k-1) holds iff max over x < j <= k of
-    j + Z[j] is at least x + k. While it holds, it keeps holding up to
-    k = that maximum minus x; while it fails, it next holds at the first
-    j > k with Z[j] >= x. The tail, with L = |y| - last[x], holds iff
-    k = L or max over L - k < j <= k of j + Zr[j] is at least L, which
-    only grows with k, so each L has one threshold. So a name is decided
-    again only at an event or at one of those lengths. The set-up costs
-    O(|y| log |y|); the per-length ``seed_rule`` stays for the set
-    oracle and as this rule's test reference."""
+    the pass as there. The head (a border of y[:x+k] of length x..k-1)
+    becomes a range maximum over the Z-array Z of y: it holds iff max
+    over x < j <= k of j + Z[j] is at least x + k. While it holds, it
+    keeps holding up to k = that maximum minus x; while it fails, it
+    next holds at the first j > k with Z[j] >= x. The tail, with
+    L = |y| - last[x], holds from one threshold of L on (``tail_from``).
+    So a name is decided again only at an event or at one of those
+    lengths. The set-up costs O(|y| log |y|); the per-length
+    ``seed_rule`` stays for the set oracle and as this rule's test
+    reference."""
 
     def __init__(self, y: str):
         super().__init__(y)
-        z, zr = _z_array(y), _z_array(y[::-1])
+        z = _z_array(y)
         self.matches = _RangeMax(z)
         self.heads = _RangeMax([j + v for j, v in enumerate(z)])
-        self.tails = _RangeMax([j + v for j, v in enumerate(zr)])
+        self.suffix_borders = _border_table(y[::-1])
         self.thresholds = [0] * (len(y) + 1)  # L -> its threshold, or 0
 
     def tail_from(self, rest: int) -> int:
         """The threshold of L = ``rest``, the letters from a last start
-        to the end of y: the least k at which the tail test holds. Found
-        by binary search on its first call and kept."""
+        to the end of y: the least k at which the tail test holds.
+        Each border b of that suffix gives max(L - b, b + 1); the walk
+        down the chain stops at the first b < L/2, as shorter ones give
+        more. Found on its first call and kept."""
         k = self.thresholds[rest]
         if not k:
-            lo, k = (rest + 2) // 2, rest
-            while lo < k:
-                mid = (lo + k) // 2
-                if self.tails(rest - mid + 1, mid) >= rest:
-                    k = mid
-                else:
-                    lo = mid + 1
+            k, b = rest, self.suffix_borders[rest]
+            while b:
+                k = min(k, max(rest - b, b + 1))
+                if 2 * b < rest:
+                    break
+                b = self.suffix_borders[b]
             self.thresholds[rest] = k
         return k
 

@@ -76,8 +76,8 @@ class Category:
 # the right seeds those named like the last start n - k (the suffix),
 # and the covers the seeds that are both. A cover is decided by the gap
 # rule alone: with the prefix also the suffix there is no head or tail
-# to test. The borders are no seed test either. Those four rules list a
-# name or two per length and enter the cells through engine.Listed;
+# to test. The borders are no seed test either. Those four rules list at
+# most one name per length and enter the cells through engine.Listed;
 # seeds and circular covers have event rules.
 REGISTRY = {c.name: c for c in (
     Category("borders", "borders", 14,

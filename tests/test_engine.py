@@ -761,8 +761,12 @@ def test_seed_event_head_and_tail_are_the_border_queries():
     # The head: y[:x+k] has a border of length x..k-1 iff the maximum
     # of j + Z[j] over x < j <= k is at least x + k. The tail of L
     # letters: y reversed has such a border of y[n-L:] reversed, of
-    # length L-k..k-1, or k = L, iff k reaches the threshold of L.
-    for y in _event_subjects():
+    # length L-k..k-1, or k = L, iff k reaches the threshold of L. The
+    # prefixes of periodic words have the longest border chains, so the
+    # threshold's walk down the chain is tried where it is longest.
+    periodic = [(unit * 80)[:m] for unit in ("a", "ab", "aab", "abaab")
+                for m in range(1, 81)]
+    for y in _event_subjects() + periodic:
         n = len(y)
         rule = engine.SeedEvents(y)
         prefix = engine._border_table(y)
