@@ -50,7 +50,7 @@ O(n) "packages" of seeds of Kociumaka, Kubica, Radoszewski, Rytter &
 Walen, SODA 2012); its tail is one walk down seed_rule's suffix border
 chain per tail length. Listed makes an event rule of a rule that lists
 at most one name per length. verify decides covers and left and right
-seeds with it, as the seeds among the names at the ends of y.
+seeds with it, by one end name's gap-free chain across y or its period.
 
 Each rule has a test reference. is_seed_fast is seed_rule's, and
 seed_rule is SeedEvents'. is_circular_cover is CircularEvents', through
@@ -73,8 +73,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .errors import SizeLimitError
-from .words import (canonical, covered_prefix_extent, is_cover, occurrences,
-                    period_of, require_word)
+from .words import (_border_table, canonical, covered_prefix_extent, is_cover,
+                    occurrences, period_of, require_word)
 
 # seeds_of / circular_covers_of and the seed-flavored catalogs refuse
 # longer words unless forced: the word sets they spell grow
@@ -232,20 +232,6 @@ def is_seed_fast(u: str, y: str) -> bool:
         if not any(y[n - e:] == u[:e] for e in range(lo, m)):
             return False
     return True
-
-
-def _border_table(w: str) -> list[int]:
-    """KMP failure table: entry L is the length of the longest proper
-    border of w[:L] (0 for L <= 1)."""
-    table = [0] * (len(w) + 1)
-    k = 0
-    for i in range(1, len(w)):
-        while k and w[i] != w[k]:
-            k = table[k]
-        if w[i] == w[k]:
-            k += 1
-        table[i + 1] = k
-    return table
 
 
 def _z_array(w: str) -> list[int]:
@@ -454,18 +440,16 @@ class Naming:
 Rule = Callable[[Naming], list[int]]
 
 
-def seed_rule(y: str, among: Rule | None = None) -> Rule:
-    """The seeds of y, fed the names of y; with ``among``, only those
-    among the names ``among(naming)`` lists, in ascending order, once
-    per length (by default every first start).
+def seed_rule(y: str) -> Rule:
+    """The seeds of y, fed the names of y.
 
     A seed's occurrences leave no gap longer than k (the gap rule of
     is_seed_fast), and the head and tail conditions become border
     queries on the KMP tables of y and of its reverse (Iliopoulos, Moore
     & Park, "Covering a string"). The head needs a border of y[:x+k] at
     least x long and shorter than k, so only first starts x < k can
-    pass. The exhaustive is_seed stays the definitive oracle; the test
-    suite proves this rule equal to it.
+    pass. is_seed stays the definitive oracle: the tests prove this rule
+    equal to it, and its seeds at the ends of y to the left and right seeds.
     """
     n = len(y)
     prefix_borders = _border_table(y)
@@ -474,7 +458,7 @@ def seed_rule(y: str, among: Rule | None = None) -> Rule:
     def accept(naming: Naming) -> list[int]:
         k, last, gaps = naming.k, naming.last, naming.gaps
         seeds = []
-        for x in naming.firsts if among is None else among(naming):
+        for x in naming.firsts:
             if x >= k:
                 break
             if gaps[x]:

@@ -68,17 +68,23 @@ class Category:
     cyclic: bool = False
 
 
+def _chain(end: Callable[[engine.Naming], int], reach: int) -> engine.Listed:
+    """Accept the name x = ``end(naming)`` at length k iff its occurrences
+    chain with no gap longer than k from x across ``reach`` letters."""
+    def rule(naming: engine.Naming) -> list[int]:
+        x = end(naming)
+        reached = naming.last[x] + naming.k - x >= reach
+        return [x] if reached and not naming.gaps[x] else []
+    return engine.Listed(rule)
+
+
 # The entries look functions up on their modules at call time, so a
-# wrapped or patched module function is the one that runs. The paper's
-# left (right) seeds of y are its prefixes (suffixes) that cover a
-# superstring of y, and a prefix that does covers one that extends y to
-# the right only: so the left seeds are the seeds named 0 (the prefix),
-# the right seeds those named like the last start n - k (the suffix),
-# and the covers the seeds that are both. A cover is decided by the gap
-# rule alone: with the prefix also the suffix there is no head or tail
-# to test. The borders are no seed test either. Those four rules list at
-# most one name per length and enter the cells through engine.Listed;
-# seeds and circular covers have event rules.
+# wrapped or patched module function is the one that runs. A cover is
+# the prefix (name 0) chaining across y; a left (right) seed is the
+# prefix (the suffix, named like the last start n - k) chaining across
+# the period of y, as engine.is_left_seed (is_right_seed) decides it.
+# The borders are the proper prefixes named like the suffix, also
+# through engine.Listed; seeds and circular covers have event rules.
 REGISTRY = {c.name: c for c in (
     Category("borders", "borders", 14,
              lambda y, force=False: words.borders(y),
@@ -88,19 +94,16 @@ REGISTRY = {c.name: c for c in (
     Category("covers", "covers", 14,
              lambda y, force=False: engine.covers_of(y),
              lambda u, y: words.is_cover(u, y)[0],
-             lambda y: engine.Listed(lambda naming: [0] if (
-                 naming.last[0] == len(y) - naming.k
-                 and not naming.gaps[0]) else [])),
+             lambda y: _chain(lambda naming: 0, len(y))),
     Category("left_seeds", "left-seeds", 14,
              lambda y, force=False: engine.left_seeds_of(y),
              lambda u, y: engine.is_left_seed(u, y),
-             lambda y: engine.Listed(engine.seed_rule(
-                 y, lambda naming: [0]))),
+             lambda y: _chain(lambda naming: 0, words.period_of(y))),
     Category("right_seeds", "right-seeds", 14,
              lambda y, force=False: engine.right_seeds_of(y),
              lambda u, y: engine.is_right_seed(u, y),
-             lambda y: engine.Listed(engine.seed_rule(
-                 y, lambda naming: naming.names[-1:]))),
+             lambda y: _chain(lambda naming: naming.names[-1],
+                              words.period_of(y))),
     Category("seeds", "seeds", 10,
              lambda y, force=False: engine.seeds_of(y, force=force),
              lambda u, y: u in y and engine.is_seed_fast(u, y),
@@ -490,12 +493,12 @@ def _battery_near_miss_right(n_lo: int, n_hi: int) -> BatteryResult:
     t0 = time.perf_counter()
     failures = []
     for n in range(max(5, n_lo), n_hi + 1):
-        tail = fib_word(n - 4)
-        source = fib_word(n - 3)
+        table = fib_words(n)
+        tail, source = table[n - 4], table[n - 3]
         candidates = (source[len(source) - l:] + tail
                       for l in range(1, len(source)))
         for l, accepted in enumerate(
-                _right_seed_verdicts(fib_word(n), candidates), 1):
+                _right_seed_verdicts(table[n], candidates), 1):
             if accepted:
                 failures.append(f"n={n} extension_len={l}: accepted")
     return _battery("near_miss_right_seeds",

@@ -53,12 +53,25 @@ def borders(y: str) -> list[str]:
     return [y[:k] for k in range(1, len(y)) if y.endswith(y[:k])]
 
 
+def _border_table(w: str) -> list[int]:
+    """KMP failure table: entry L is the length of the longest proper
+    border of w[:L] (0 for L <= 1)."""
+    table = [0] * (len(w) + 1)
+    k = 0
+    for i in range(1, len(w)):
+        while k and w[i] != w[k]:
+            k = table[k]
+        if w[i] == w[k]:
+            k += 1
+        table[i + 1] = k
+    return table
+
+
 def period_of(y: str) -> int:
-    """Length of the shortest period of y: the least p such that y[p:]
-    is a prefix of y, i.e. |y| minus the longest border length (|y|
-    when y has no border)."""
+    """Length of the shortest period of y: |y| minus its longest border
+    (|y| when y has none), read off the KMP table of y in O(|y|)."""
     _require_nonempty(y, "word")
-    return next(p for p in range(1, len(y) + 1) if y.startswith(y[p:]))
+    return len(y) - _border_table(y)[len(y)]
 
 
 def is_cover(u: str, y: str) -> tuple[bool, tuple[int, ...] | None]:

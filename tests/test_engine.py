@@ -743,6 +743,33 @@ def test_event_rules_equal_the_per_length_rules():
                     previous.update(accepted)
 
 
+def _periodic_prefixes():
+    """The prefixes of 1..80 letters of a^oo, (ab)^oo, (aab)^oo and
+    (abaab)^oo, whose border chains are the longest."""
+    return [(unit * 80)[:m] for unit in ("a", "ab", "aab", "abaab")
+            for m in range(1, 81)]
+
+
+def test_chain_rules_are_the_seeds_at_the_ends():
+    # The paper's definitions as the reference: the left seeds are the
+    # seeds named 0 (the prefix), the right seeds the seeds named like
+    # the last start (the suffix), and the covers the left seeds that
+    # are also the suffix. The registry decides all three by a gap-free
+    # chain across y or its period instead.
+    chained = [REGISTRY[c].rule for c in ("covers", "left_seeds",
+                                          "right_seeds")]
+    for y in _event_subjects() + _periodic_prefixes():
+        seeds = engine.seed_rule(y)
+        covers, left, right = [rule(y) for rule in chained]
+        for naming in engine.Naming(y, len(y)):
+            accepted, end = set(seeds(naming)), naming.names[-1]
+            lefts = {0} & accepted
+            assert left(naming) == lefts, (y, naming.k)
+            assert right(naming) == {end} & accepted, (y, naming.k)
+            assert covers(naming) == (lefts if end == 0 else set()), (
+                y, naming.k)
+
+
 def test_range_max_answers_like_a_scan():
     rng = random.Random(47)
     for size in range(1, 40):
@@ -764,9 +791,7 @@ def test_seed_event_head_and_tail_are_the_border_queries():
     # length L-k..k-1, or k = L, iff k reaches the threshold of L. The
     # prefixes of periodic words have the longest border chains, so the
     # threshold's walk down the chain is tried where it is longest.
-    periodic = [(unit * 80)[:m] for unit in ("a", "ab", "aab", "abaab")
-                for m in range(1, 81)]
-    for y in _event_subjects() + periodic:
+    for y in _event_subjects() + _periodic_prefixes():
         n = len(y)
         rule = engine.SeedEvents(y)
         prefix = engine._border_table(y)
