@@ -17,8 +17,9 @@ than the border (the gap rule of Moore & Smyth and of Li & Smyth). That
 is the occurrence-chain condition of words.is_cover, its test
 reference. words.covered_prefix_extent runs the same walk from the
 prefix and returns where it stops, which the left-seed oracles compare
-with the period; the right-seed oracles are the left-seed ones on the
-reversed word. covers_of keeps its own copy of the walk, which stops
+with the period for a prefix shorter than it (a longer one covers
+itself); the right-seed oracles are the left-seed ones on the reversed
+word. covers_of keeps its own copy of the walk, which stops
 once it reaches the last start n - k: a call of covered_prefix_extent
 per border measured slower.
 
@@ -30,33 +31,34 @@ matching their name's factor, each found by one LCP when the start is
 named. It carries each name's last start and its count of occurrence
 gaps longer than k from one length to the next. So no length scans
 every start: past its O(|text|) set-up, a pass costs one LCP and O(1)
-updates per rename, plus a sorted insert per new name.
+updates per rename.
 
-seed_rule is the per-length seed rule. It visits the first starts
-below k, reads the gap rule off the pass and decides the head and tail
-by border-table queries (Iliopoulos, Moore & Park, "Covering a
-string"). seeds_of spells what it accepts.
+The rules are event rules. An event rule keeps its accepted set from
+one length to the next. It decides a name again only when the pass
+touches it, or at a length its last decision named. The pass touches a
+name when it makes or drops it, or changes its starts or gap count. So
+a length with no event costs O(1). SeedEvents is the seed rule: the
+gap rule of is_seed_fast read off the pass, and the head and tail as
+border queries (Iliopoulos, Moore & Park, "Covering a string"). Its
+head tests are range maxima over the Z-array of y, which hold over
+intervals of lengths (the O(n) "packages" of seeds of Kociumaka,
+Kubica, Radoszewski, Rytter & Walen, SODA 2012); its tail is one walk
+down the border chain of y reversed per tail length. seeds_of spells
+what it accepts, and the verify seed cell reads it. CircularEvents is
+the circular-cover rule: between two events a name is accepted on one
+interval of lengths. circular_covers_of spells what it accepts, and
+the verify cell reads it. Listed makes an event rule of a rule that
+lists at most one name per length. verify decides covers and left and
+right seeds with it, by one end name's gap-free chain across y or its
+period.
 
-An event rule keeps its accepted set from one length to the next. It
-decides a name again only when the pass touches it, or at a length its
-last decision named. The pass touches a name when it makes or drops
-it, or changes its starts or gap count. So a length with no event
-costs O(1). CircularEvents is the circular-cover rule: between two
-events a name is accepted on one interval of lengths.
-circular_covers_of spells what it accepts, and the verify cell reads
-it. SeedEvents is seed_rule as an event rule. Its head tests are range
-maxima over the Z-array of y, which hold over intervals of lengths (the
-O(n) "packages" of seeds of Kociumaka, Kubica, Radoszewski, Rytter &
-Walen, SODA 2012); its tail is one walk down seed_rule's suffix border
-chain per tail length. Listed makes an event rule of a rule that lists
-at most one name per length. verify decides covers and left and right
-seeds with it, by one end name's gap-free chain across y or its period.
-
-Each rule has a test reference. is_seed_fast is seed_rule's, and
-seed_rule is SeedEvents'. is_circular_cover is CircularEvents', through
-a per-length circular rule that the tests keep. The test suite proves
-seeds_of equal to the exhaustive is_seed on every binary word of up to
-10 letters and on sampled words of up to 60.
+Each event rule has a test reference: a per-length rule, kept in the
+tests, that decides every first start below k again at every length.
+is_seed_fast and is_circular_cover are the per-word references of
+those. The test suite proves seeds_of equal to the exhaustive is_seed
+on every binary word of up to 10 letters, on sampled words of up to
+60 and on the prefixes of periodic words, whose border chains are the
+longest.
 
 refuse_oversize is the one size refusal: seeds_of, circular_covers_of
 and the seed-flavored catalogs in closed_form decline subjects longer
@@ -67,7 +69,6 @@ have no refusal.
 from __future__ import annotations
 
 from array import array
-from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -138,17 +139,19 @@ def covers_of(y: str) -> list[str]:
 
 def is_left_seed(z: str, y: str) -> bool:
     """A prefix z of y is a left seed iff it covers a prefix of y at
-    least as long as the period of y."""
+    least as long as the period of y. A prefix at least that long covers
+    itself, so only a shorter one runs the gap walk."""
     if not y.startswith(z):
         return False
-    return covered_prefix_extent(z, y) >= period_of(y)
+    p = period_of(y)
+    return len(z) >= p or covered_prefix_extent(z, y) >= p
 
 
 def left_seeds_of(y: str) -> list[str]:
     _require_subject(y)
     p = period_of(y)
     return [y[:k] for k in range(1, len(y) + 1)
-            if covered_prefix_extent(y[:k], y) >= p]
+            if k >= p or covered_prefix_extent(y[:k], y) >= p]
 
 
 def is_right_seed(z: str, y: str) -> bool:
@@ -216,6 +219,9 @@ def is_seed_fast(u: str, y: str) -> bool:
     absorbed by an occurrence hanging off the left edge (some prefix
     y[1..e] is a suffix of u, e reaching back to the first occurrence),
     and (c) symmetrically for the tail after the last occurrence.
+    SeedEvents, which seeds_of and the verify seed cell read, decides
+    the same criterion on factor names; this per-word form is its test
+    reference and the verify cell's check of a disputed word.
     """
     occ = occurrences(u, y)
     if not occ:
@@ -283,15 +289,6 @@ class _RangeMax:
         return lo
 
 
-def _has_border(table: list[int], length: int, lo: int, hi: int) -> bool:
-    """True iff w[:length] has a border of length in [lo, hi], where
-    table is _border_table(w) and lo >= 1."""
-    b = table[length]
-    while b > hi:
-        b = table[b]
-    return b >= lo
-
-
 def _lcp(text: str, i: int, x: int, k: int) -> int:
     """The length of the longest common prefix of text[i:] and text[x:],
     for x < i, given that it is at least k: double a step until a slice
@@ -329,8 +326,8 @@ class Naming:
     alone. For each name x, ``last[x]`` is its last start and
     ``gaps[x]`` counts the pairs of consecutive starts named x that are
     more than k apart (the occurrence gaps of Iliopoulos, Moore & Park,
-    "Covering a string"); ``firsts`` lists the names in ascending order.
-    All of them are updated in place between lengths.
+    "Covering a string"). All of them are updated in place between
+    lengths.
 
     Each length also says what it changed, for the event rules.
     ``renamed`` lists the starts renamed at k in ascending order, with
@@ -346,8 +343,7 @@ class Naming:
     first of them names them all. Each name keeps its starts as a
     doubly linked chain, and a gap longer than k waits in a bucket for
     the length that equals it. A rename, a dropped start or an expired
-    gap costs O(1) besides its LCP and, for a new name, its sorted
-    insert into ``firsts``. Iterate it once at a time; a new
+    gap costs O(1) besides its LCP. Iterate it once at a time; a new
     iteration starts the pass over.
     """
 
@@ -361,7 +357,6 @@ class Naming:
         names = self.names = list(map(first.__getitem__, text[:size]))
         last = self.last = list(range(size))
         gaps = self.gaps = [0] * size
-        firsts = self.firsts = sorted(first.values())
         prev, nxt = [-1] * size, [-1] * size
         # due[k]: the starts whose name no longer fits at length k;
         # expiring[g]: (name, start) of the gaps of g letters
@@ -377,7 +372,7 @@ class Naming:
                 expiring[i - p].append((x, p))
             due[lcp(text, i, x, 1) + 1].append(i)
         k = self.k = 1
-        self.renamed, self.touched = [], set(firsts)
+        self.renamed, self.touched = [], set(first.values())
         while True:
             yield self
             k = self.k = k + 1
@@ -393,7 +388,6 @@ class Naming:
                 # s is the last start, so it ends its chain
                 x, p = names[s], prev[s]
                 if p < 0:
-                    firsts.pop()
                     continue
                 nxt[p], last[x] = -1, p
                 if s - p > k:
@@ -422,7 +416,6 @@ class Naming:
                 names[i], nxt[i] = r, -1
                 if r == i:
                     prev[i], last[i], gaps[i] = -1, i, 0
-                    insort(firsts, i)
                     continue
                 p = last[r]
                 prev[i], nxt[p], last[r] = p, i, i
@@ -434,47 +427,7 @@ class Naming:
             touched.update(split.values())
 
 
-# A rule decides one set of a subject one factor length at a time: fed
-# a ``Naming`` pass at every length k in order, it returns the names
-# whose factor of length k is in the set.
-Rule = Callable[[Naming], list[int]]
-
-
-def seed_rule(y: str) -> Rule:
-    """The seeds of y, fed the names of y.
-
-    A seed's occurrences leave no gap longer than k (the gap rule of
-    is_seed_fast), and the head and tail conditions become border
-    queries on the KMP tables of y and of its reverse (Iliopoulos, Moore
-    & Park, "Covering a string"). The head needs a border of y[:x+k] at
-    least x long and shorter than k, so only first starts x < k can
-    pass. is_seed stays the definitive oracle: the tests prove this rule
-    equal to it, and its seeds at the ends of y to the left and right seeds.
-    """
-    n = len(y)
-    prefix_borders = _border_table(y)
-    suffix_borders = _border_table(y[::-1])
-
-    def accept(naming: Naming) -> list[int]:
-        k, last, gaps = naming.k, naming.last, naming.gaps
-        seeds = []
-        for x in naming.firsts:
-            if x >= k:
-                break
-            if gaps[x]:
-                continue
-            tail = n - last[x] - k
-            # an occurrence hanging off the left edge must reach back to
-            # the first start; the tail mirrors this on y[last:]
-            if ((x == 0 or _has_border(prefix_borders, x + k, x, k - 1))
-                    and (tail == 0 or _has_border(
-                        suffix_borders, n - last[x], tail, k - 1))):
-                seeds.append(x)
-        return seeds
-    return accept
-
-
-def _accepted(text: str, count: int, rule: Rule | EventRule) -> list[str]:
+def _accepted(text: str, count: int, rule: EventRule) -> list[str]:
     """The words ``rule`` accepts over ``Naming(text, count)``,
     spelled, shortest first and sorted within a length."""
     return [u for naming in Naming(text, count)
@@ -483,10 +436,10 @@ def _accepted(text: str, count: int, rule: Rule | EventRule) -> list[str]:
 
 def seeds_of(y: str, force: bool = False) -> list[str]:
     """All distinct factors of y that are seeds of y, spelled from
-    ``seed_rule``."""
+    ``SeedEvents``."""
     _require_subject(y)
     refuse_oversize("seed enumeration", len(y), force)
-    return _accepted(y, len(y), seed_rule(y))
+    return _accepted(y, len(y), SeedEvents(y))
 
 
 def is_circular_cover(u: str, y: str) -> bool:
@@ -520,11 +473,16 @@ def circular_covers_of(y: str, unrestricted: bool = False,
     return _accepted(y + y, len(y), CircularEvents(y, unrestricted))
 
 
-# An event rule decides the set of a Rule, kept from one length to the
-# next: fed a ``Naming`` pass at every length k in order, it returns the
-# names accepted at k as one set updated in place, and its ``changed``
-# holds every name that may have entered or left that set at k.
+# An event rule decides one set of a subject one factor length at a
+# time: fed a ``Naming`` pass at every length k in order, it returns the
+# names whose factor of length k is in the set, as one set kept from one
+# length to the next and updated in place, and its ``changed`` holds
+# every name that may have entered or left that set at k.
 EventRule = Callable[[Naming], set[int]]
+
+# A rule lists the names accepted at one length anew at each length;
+# Listed makes an event rule of it.
+Rule = Callable[[Naming], list[int]]
 
 
 class Listed:
@@ -603,17 +561,22 @@ class CircularEvents(_Events):
 
 
 class SeedEvents(_Events):
-    """``seed_rule(y)`` as an event rule. The gap test and x < k read
-    the pass as there. The head (a border of y[:x+k] of length x..k-1)
+    """The seeds of y as an event rule, fed the names of y: the
+    criterion of is_seed_fast. Name x is accepted at length k iff its
+    occurrences leave no gap longer than k (gaps[x] is 0), the head
+    y[:x] is absorbed by an occurrence hanging off the left edge, and
+    the tail after last[x] + k by one hanging off the right edge. The
+    head needs x = 0 or a border of y[:x+k] of length x..k-1, so only
+    x < k can pass; the tail is its mirror on y[last[x]:]. The head
     becomes a range maximum over the Z-array Z of y: it holds iff max
     over x < j <= k of j + Z[j] is at least x + k. While it holds, it
     keeps holding up to k = that maximum minus x; while it fails, it
     next holds at the first j > k with Z[j] >= x. The tail, with
     L = |y| - last[x], holds from one threshold of L on (``tail_from``).
     So a name is decided again only at an event or at one of those
-    lengths. The set-up costs O(|y| log |y|); the per-length
-    ``seed_rule`` stays for the set oracle and as this rule's test
-    reference."""
+    lengths. The set-up costs O(|y| log |y|). A per-length rule in the
+    tests, which decides every first start below k at every length by
+    walking the two border tables, is this rule's reference."""
 
     def __init__(self, y: str):
         super().__init__(y)

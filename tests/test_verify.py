@@ -20,7 +20,7 @@ from fibquasi.fib import fib_len, fib_word, fib_words
 from fibquasi.verify import (CATEGORIES, REGISTRY, QuasiReport, SuiteConfig,
                              _cap, _diagnose, check_category, run_suite)
 from extent_references import is_right_seed_by_chain
-from per_length_rules import circular_rule
+from per_length_rules import circular_rule, seed_rule
 
 FINDING_CATEGORIES = ("seeds", "circular_covers")
 EXPECTED_FINDING_CELLS = {(n, cat) for n in range(5, 11)
@@ -297,7 +297,7 @@ def test_handle_cell_equals_word_cell(category):
 # reference: at every length it reads the name at the start of every
 # active group and takes the whole list of a per-length rule.
 class _PerLengthCell(verify._Cell):
-    RULES = {"seeds": engine.seed_rule,
+    RULES = {"seeds": seed_rule,
              "circular_covers": circular_rule}
 
     def __init__(self, n, record, table):
@@ -544,7 +544,7 @@ for name, text in (("seeds", y), ("circular_covers", y + y)):
     picked = {True: [], False: []}
     for naming in engine.Naming(text, len(y)):
         accepted = sorted(rule(naming))
-        rejected = sorted(set(naming.firsts).difference(accepted))
+        rejected = sorted(set(naming.names).difference(accepted))
         for verdict, xs in ((True, accepted), (False, rejected)):
             if xs:
                 x = rng.choice(xs)
