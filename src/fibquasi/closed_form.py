@@ -2,12 +2,12 @@
 of Fibonacci words.
 
 Each enumerator returns both the symbolic family instances (FactorForm)
-and the materialized word set, so a disputed member can always be traced
-back to the clause that produced it. The family definitions spelled out
-in the docstrings here are the authority: whether they agree with the
-brute-force oracles is decided by the verify module, never patched
-here; its category registry pairs each catalog with its oracle by
-name. ``CATALOGS`` maps that name to the catalog's rows. The
+and the materialized word set, spelled when read, so a disputed member
+can always be traced back to the clause that produced it. The family
+definitions spelled out in the docstrings here are the authority:
+whether they agree with the brute-force oracles is decided by the
+verify module, never patched here; its category registry pairs each
+catalog with its oracle by name. ``CATALOGS`` maps that name to the catalog's rows. The
 seed-flavored catalogs hold O(|F_n|) to O(|F_n|^2) members, so those
 enumerators share the engine's size refusal and take ``force`` to
 override it.
@@ -24,29 +24,31 @@ no shape produces is the literal "baa" at index 4 (``KIND_LITERAL``).
 
 ``groups`` is the one walk of a catalog's rows: it places each (row,
 left length) in F_n as one ``Group`` without spelling a member, for
-verify and for ``_build``, which spells the groups. A catalog can hold
-O(|F_n|^2) members, so ``_build`` spells each group in bulk and no
-Python frame runs per member: a ``FactorForm`` is a NamedTuple, made
-by ``tuple.__new__`` and hashed as a plain tuple. ``EnumResult.write_json``
-writes a catalog's JSON document the same way, in batches of list
-items and with no Python frame per form or word, byte for byte what
-``json.dumps`` of ``to_json`` gives; no word needs escaping, since each
-is a slice of F_n.
+verify and for ``_build``. The seed and circular-cover catalogs hold
+Theta(|F_n|^2) members and Theta(|F_n|^3) letters, so an ``EnumResult``
+keeps the groups and F_n, not the words. ``_build`` raises every error before
+anything is spelled, and ``EnumResult.write_json`` spells the words one
+length at a time (F_n is Sturmian, so it has at most k + 1 of length
+k). It writes a catalog's JSON document in batches of list items with
+no Python frame per form or word, byte for byte what ``json.dumps`` of
+``to_json`` gives; no word needs escaping, since each is a slice of
+F_n. A ``FactorForm`` is a NamedTuple, made in bulk by
+``tuple.__new__`` and hashed as a plain tuple.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import partial
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import chain, groupby, islice, repeat
 from operator import attrgetter, itemgetter
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .engine import refuse_oversize
 from .fib import border_indices, fib_len, fib_words
-from .words import canonical
 
 KIND_PLAIN_FIB = "PlainFib"
 KIND_FIB_PLUS_PREFIX = "FibPlusPrefix"
@@ -126,13 +128,61 @@ class FactorForm(NamedTuple):
 
 @dataclass(frozen=True)
 class EnumResult:
-    """A catalog for one (index, category) cell: clause instances plus
-    the deduplicated, canonically ordered word set."""
+    """A catalog for one (index, category) cell, kept as the groups that
+    ``groups`` placed in ``subject``, which is F_n, and spelled only when
+    read: ``forms`` are the clause instances (first of any repeat kept)
+    and ``words`` the deduplicated word set, by length and then
+    alphabetically. ``write_json`` spells one length at a time."""
 
     n: int
     category: str
-    forms: tuple[FactorForm, ...]
-    words: tuple[str, ...]
+    subject: str = field(repr=False)
+    groups: tuple[Group, ...] = field(repr=False)
+
+    @cached_property
+    def forms(self) -> tuple[FactorForm, ...]:
+        return tuple(chain.from_iterable(self._form_runs()))
+
+    @cached_property
+    def words(self) -> tuple[str, ...]:
+        return tuple(chain.from_iterable(self._lengths()))
+
+    def _form_runs(self) -> list[Iterable[FactorForm]]:
+        """Each group's forms, in group order, first of any repeat kept.
+        A group's forms differ only in the right length, so each run is
+        one C-level ``map``. Only groups with one kind, base, left length
+        and literal can repeat each other's forms (rows do at n <= 3), so
+        only their forms are kept to look repeats up in."""
+        new_form = partial(tuple.__new__, FactorForm)
+        shared = Counter(map(itemgetter(0, 1, 2, 4),
+                             map(attrgetter("form"), self.groups)))
+        seen: set[FactorForm] = set()
+        runs = []
+        for _, lo, hi, _, (kind, m, l, r, literal) in self.groups:
+            run = map(new_form, zip(
+                repeat(kind), repeat(m), repeat(l), range(r, r + hi - lo + 1),
+                repeat(literal)))
+            if shared[kind, m, l, literal] > 1:
+                run = [form for form in run if form not in seen]
+                seen.update(run)
+            runs.append(run)
+        return runs
+
+    def _lengths(self) -> Iterator[Iterable[str]]:
+        """The words, one length at a time from the shortest, each
+        length's sorted: at length k, the distinct F_n[p:p+k] of the
+        active groups' starts p. Over a run of lengths with one active
+        start, the words are the prefixes of one slice, spelled by one
+        ``map``."""
+        subject = self.subject
+        for a, b, starts, _ in _segments(self.groups):
+            if len(starts) == 1:
+                longest = subject[starts[0]:starts[0] + b - 1]
+                yield map(longest.__getitem__, map(slice, range(a, b)))
+                continue
+            for k in range(a, b):
+                yield sorted(set(map(subject.__getitem__, map(
+                    slice, starts, map(k.__add__, starts)))))
 
     def to_json(self) -> dict:
         return {"n": self.n, "category": self.category,
@@ -142,17 +192,45 @@ class EnumResult:
     def write_json(self, write: Callable[[str], object]) -> None:
         """Write ``json.dumps(self.to_json())`` and a newline through
         ``write``, byte for byte, ``JSON_BATCH`` list items at a time and
-        with no Python frame per form or word. No word needs escaping:
-        each is a slice of F_n, a word over {a, b}."""
+        with no Python frame per form or word, holding the words of one
+        length at a time. No word needs escaping: each is a slice of
+        F_n, a word over {a, b}."""
         write('{"n": %d, "category": %s, "forms": ['
               % (self.n, json.dumps(self.category)))
         _write_items(write, chain.from_iterable(
             map(json.dumps, map(FactorForm.to_json, run))
             if kind == KIND_LITERAL else map(_FORM_JSON.__mod__, run)
-            for kind, run in groupby(self.forms, itemgetter(0))), "")
+            for kind, run in groupby(chain.from_iterable(self._form_runs()),
+                                      itemgetter(0))), "")
         write('], "words": [')
-        _write_items(write, self.words, '"')
+        _write_items(write, chain.from_iterable(self._lengths()), '"')
         write("]}\n")
+
+
+def _segments(groups: Iterable[Group]
+              ) -> list[tuple[int, int, tuple[int, ...], int]]:
+    """The lengths the groups span, cut wherever one joins (at its
+    ``lo``) or leaves (after its ``hi``): (a, b, starts, active) for each
+    run a <= k < b of lengths at which the same ``active`` groups, at
+    the distinct ``starts``, are active. Runs with none are left out."""
+    events: dict[int, list[tuple[int, int]]] = {}
+    for _, lo, hi, p, _ in groups:
+        events.setdefault(lo, []).append((p, 1))
+        events.setdefault(hi + 1, []).append((p, -1))
+    cuts = sorted(events)
+    at: dict[int, int] = {}  # start -> the active groups there
+    active, runs = 0, []
+    for a, b in zip(cuts, cuts[1:]):
+        for p, step in events[a]:
+            count = at.get(p, 0) + step
+            if count:
+                at[p] = count
+            else:
+                del at[p]
+            active += step
+        if active:
+            runs.append((a, b, tuple(at), active))
+    return runs
 
 
 # ``EnumResult.write_json`` hands this many list items to one write.
@@ -221,36 +299,41 @@ def _build(n: int, category: str, rows_of: Callable[[int], list[Row]],
            force: bool | None = None) -> EnumResult:
     """Build the table F_0..F_n (the one index guard read) and, unless
     ``force`` is None (the linear catalogs), check the size refusal;
-    then spell the catalog ``rows_of(n)`` group by group (``groups``
-    raises a row's other errors), checking that no row repeats a member
-    (repeats across rows are absorbed by the set union).
+    then place the catalog ``rows_of(n)`` as groups (``groups`` raises a
+    row's other errors) and check, row by row, that no row repeats a
+    member (repeats across rows are absorbed by the set union). Every
+    error is raised here, before the result spells anything.
 
-    A group's members are the prefixes F_n[p:p+k] of its longest member,
-    lo <= k <= hi, and its forms differ only in the right length, so
-    both come from C-level ``map`` calls, with no Python frame per
-    member. The word list grows row by row."""
+    No word list is kept: a row's members are spelled only at the
+    lengths where two or more of its groups are active, and dropped
+    after each length's check, with C-level ``map`` calls and no Python
+    frame per member."""
     table = fib_words(n)
     if force is not None:
         refuse_oversize(f"catalog enumeration at index {n}", fib_len(n),
                         force)
     subject = table[n]
-    new_form = partial(tuple.__new__, FactorForm)
-    forms, words = [], []
-    for _, row in groupby(groups(table, category, rows_of),
-                          attrgetter("row")):
-        members = []
-        for _, lo, hi, p, (kind, m, l, r, literal) in row:
-            longest = subject[p:p + hi]
-            members.extend(map(longest.__getitem__,
-                               map(slice, range(lo, hi + 1))))
-            forms.extend(map(new_form, zip(
-                repeat(kind), repeat(m), repeat(l), range(r, r + hi - lo + 1),
-                repeat(literal))))
-        if len(set(members)) != len(members):
-            raise RuntimeError(_repeat_error(n, category, kind))
-        words.extend(members)
-    return EnumResult(n, category, tuple(dict.fromkeys(forms)),
-                      tuple(canonical(words)))
+    placed = tuple(groups(table, category, rows_of))
+    for _, row in groupby(placed, attrgetter("row")):
+        row = list(row)
+        if _repeats(subject, row):
+            raise RuntimeError(_repeat_error(n, category, row[0].form.kind))
+    return EnumResult(n, category, subject, placed)
+
+
+def _repeats(subject: str, row: list[Group]) -> bool:
+    """Whether two groups of one row spell one member: at some length,
+    two active groups share a start or spell the same F_n[p:p+k]. The
+    members of one group differ in length, so no group repeats itself."""
+    for a, b, starts, active in _segments(row):
+        if active > len(starts):
+            return True
+        if active > 1:
+            for k in range(a, b):
+                if len(set(map(subject.__getitem__, map(
+                        slice, starts, map(k.__add__, starts))))) < active:
+                    return True
+    return False
 
 
 def _repeat_error(n: int, category: str, kind: str) -> str:
@@ -281,7 +364,11 @@ def groups(table: list[str], category: str,
     spelled, where ``table`` is ``fib_words(n)``. At left length l a row
     takes the right lengths rights[i:], the first r with l + r >= least
     onward; its members head + source[:r] (see ``_parts``) are prefixes
-    of the longest, so one ``find`` of it in F_n places them all. Needs
+    of the longest, so the first occurrence p of the longest in F_n
+    places them all. A row's left lengths with a group are consecutive,
+    and at each the longest member gains one letter in front, so p is
+    the last group's p less one when F_n has that letter there (no
+    search), and is otherwise found from the last group's p on. Needs
     O(|F_n|) letters and has no size refusal.
 
     A row's errors are the builder's, in its order: a right length past
@@ -312,19 +399,28 @@ def groups(table: list[str], category: str,
             raise RuntimeError(
                 f"row {index} of the {category} catalog at n={n} is "
                 f"not a run of prefixes: {row}")
+        last, p = None, 0  # the left length and start of the last group
         for i, l in spans:
-            head = _suffix(left, l) + core
-            p = subject.find(head + source[:rights[-1]])
-            if p < 0:
-                r = next(r for r in rights[i:]
-                         if head + source[:r] not in subject)
-                raise RuntimeError(
-                    f"{FactorForm(kind, m, l, r, literal)} materialized "
-                    f"{head + source[:r]!r}, not a factor of the index-{n} "
-                    f"word")
-            placed.append(Group(index, len(head) + rights[i],
-                                len(head) + rights[-1], p,
-                                FactorForm(kind, m, l, rights[i], literal)))
+            # the longest member at l is left[-l] and the longest at l - 1,
+            # which first occurs at p, so it first occurs at p - 1 or later
+            chained = last == l - 1 and l <= len(left)
+            if chained and p and subject[p - 1] == left[-l]:
+                p, width = p - 1, l + len(core)
+            else:
+                head = _suffix(left, l) + core
+                p = subject.find(head + source[:rights[-1]],
+                                 p if chained else 0)
+                if p < 0:
+                    r = next(r for r in rights[i:]
+                             if head + source[:r] not in subject)
+                    raise RuntimeError(
+                        f"{FactorForm(kind, m, l, r, literal)} materialized "
+                        f"{head + source[:r]!r}, not a factor of the "
+                        f"index-{n} word")
+                width = len(head)
+            placed.append(Group(index, width + rights[i], width + rights[-1],
+                                p, FactorForm(kind, m, l, rights[i], literal)))
+            last = l
     return placed
 
 

@@ -403,6 +403,32 @@ def test_enum_json_closed_pipe_exits_quietly():
     assert code not in (0, 1)
 
 
+# The enum child runs under this small process, whose RUSAGE_CHILDREN
+# peak is the child's alone, not that of the test process's children.
+_CHILD_PEAK_KB = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "fibquasi.cli", *sys.argv[1:]],
+               stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_enum_json_holds_one_length_of_words_at_a_time():
+    # enum 16 --seeds --json writes 290 MB of words; spelled all at once
+    # before the first write they peaked at 374 MB, and one length at a
+    # time the process peaks under 50 MB.
+    env = dict(os.environ)
+    src = str(Path(fibquasi.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("FIBQUASI_NMAX", None)
+    proc = subprocess.run([sys.executable, "-c", _CHILD_PEAK_KB, "enum", "16",
+                           "--seeds", "--json", "--force"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 120 * 1024
+
+
 def test_verify_json_round_trip(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "3", "--json")
     assert code == 0

@@ -1,10 +1,11 @@
 import json
 import sys
+from typing import NamedTuple
 
 import pytest
 
-from fibquasi import closed_form, fib
-from fibquasi.closed_form import (CATALOGS, JSON_BATCH, EnumResult,
+from fibquasi import cli, closed_form, fib
+from fibquasi.closed_form import (CATALOGS, JSON_BATCH,
                                   FactorForm, KIND_FIB_PLUS_PREFIX,
                                   KIND_LITERAL, KIND_PLAIN_FIB, KIND_SUFFIX_FIB_FIB_PREFIX,
                                   KIND_SUFFIX_PLUS_FIB,
@@ -518,11 +519,21 @@ def test_seed_catalog_reads_one_table_and_refuses_once(monkeypatch):
         assert calls == {"fib_words": 1, "refuse_oversize": 1}, n
 
 
+class _Spelled(NamedTuple):
+    """A catalog as the reference spells it: all its forms and words."""
+
+    n: int
+    category: str
+    forms: tuple
+    words: tuple
+
+
 # The per-member `_build` loop that bulk spelling replaced, kept as the
 # test reference (its `_suffix` is the one above). It reads SHAPES
 # itself: a kind with a left part prepends the l-letter suffix of F_m,
 # and a kind without one gets the empty left part at every l, as in
-# `_parts`.
+# `_parts`. It spells the whole catalog, so it returns the spelled
+# forms and words, not an `EnumResult`, which keeps the groups.
 def _build_reference(n, category, rows_of, force=None):
     _check_index(n)
     if force is not None:
@@ -557,8 +568,8 @@ def _build_reference(n, category, rows_of, force=None):
                     f"index-{n} word")
         forms.extend(row_forms)
         words.extend(members)
-    return EnumResult(n, category, tuple(dict.fromkeys(forms)),
-                      tuple(canonical(words)))
+    return _Spelled(n, category, tuple(dict.fromkeys(forms)),
+                    tuple(canonical(words)))
 
 
 def _assert_same_result(got, want):
@@ -655,6 +666,49 @@ def test_build_reference_gives_no_left_part_to_a_kind_without_one():
     assert _build_error([plain]) == duplicate + KIND_PLAIN_FIB
     prefix = Row(KIND_FIB_PLUS_PREFIX, 5, lefts=range(2), rights=range(3))
     assert _build_error([prefix]) == duplicate + KIND_FIB_PLUS_PREFIX
+
+
+def test_build_names_the_first_repeating_row_in_row_order(capsys,
+                                                          monkeypatch):
+    # The later row repeats F_3 at 3 letters, shorter than the earlier
+    # row's first repeat (F_5 at 8 letters); each is two groups at one
+    # start. The error names the earlier row, as the reference does, and
+    # enum --json raises it before its first write.
+    rows = [Row(KIND_FIB_PLUS_PREFIX, 5, lefts=range(2), rights=range(6)),
+            Row(KIND_PLAIN_FIB, 3, lefts=range(2))]
+    message = ("family produced duplicate members at n=7, category=test: "
+               + KIND_FIB_PLUS_PREFIX)
+    assert _build_error(rows) == message
+    monkeypatch.setitem(CATALOGS, "seeds", (lambda n: rows, True))
+    assert cli.main(["enum", "7", "--seeds", "--json"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("internal error: "
+                   + message.replace("category=test", "category=seeds")
+                   + "\n")
+
+
+def test_build_finds_a_repeat_between_two_starts(monkeypatch):
+    # F_7[0:3] == F_7[3:6] == "aba": two groups of one row at different
+    # starts that spell one member at length 3 repeat it; from length 4
+    # on they differ, so a row of the same groups cut to lengths 4 and 5
+    # repeats nothing.
+    subject = fib_word(7)
+    assert subject[0:3] == subject[3:6] and subject[0:4] != subject[3:7]
+    form = FactorForm(KIND_PLAIN_FIB, 3)
+
+    def placed(lo):
+        return lambda table, category, rows_of: [
+            closed_form.Group(0, lo, 5, 0, form),
+            closed_form.Group(0, lo, 5, 3, form)]
+    monkeypatch.setattr(closed_form, "groups", placed(3))
+    with pytest.raises(RuntimeError, match=(
+            r"^family produced duplicate members at n=7, category=test: "
+            r"PlainFib$")):
+        _build(7, "test", lambda k: [])
+    monkeypatch.setattr(closed_form, "groups", placed(4))
+    assert _build(7, "test", lambda k: []).words == (
+        "abaa", "abab", "abaab", "ababa")
 
 
 def test_build_checks_literal_rows():

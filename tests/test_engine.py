@@ -640,6 +640,41 @@ def test_naming_pass_schedules_only_renames(monkeypatch):
         assert len(calls) <= len(text) + renames
 
 
+class _CountedReads(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_seed_events_decide_each_name_only_when_it_can_change(monkeypatch):
+    # A name is decided again only when the pass touches it or at the
+    # length its last verdict named, and a tail threshold walks the
+    # suffix border chain only down to the first border under half the
+    # suffix. Both counts are pinned over one pass at F_16: deciding a
+    # name at the next head length instead of max(head, tail), or
+    # walking further down the chain, gives the same seeds with more
+    # work, which the equality tests cannot see.
+    real, decided = engine.SeedEvents._verdicts, []
+
+    def counted(self, naming, xs):
+        for verdict in real(self, naming, xs):
+            decided.append(verdict)
+            yield verdict
+    monkeypatch.setattr(engine.SeedEvents, "_verdicts", counted)
+    y = fib_word(16)
+    rule = engine.SeedEvents(y)
+    rule.suffix_borders = borders = _CountedReads(rule.suffix_borders)
+    accepted = 0
+    for naming in engine.Naming(y, len(y)):
+        accepted += len(rule(naming))
+    assert accepted == 301458  # the 301,457 seed catalog and baaba
+    assert (len(decided), borders.reads) == (5490, 1963)
+
+
 def test_circular_unrestricted_candidates():
     assert circular_covers_of("ab") == ["ab"]
     assert circular_covers_of("ab", unrestricted=True) == ["ab", "ba"]
