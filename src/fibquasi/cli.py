@@ -15,10 +15,10 @@ come from the category registry in the verify module.
 
 ``enum --json`` places the catalog's groups and makes every check
 before its first write, so a refusal or error leaves stdout empty, and
-then writes its document one length of words at a time, in batches of
-list items (``closed_form.EnumResult.write_json``), with the same bytes
-as ``json.dumps``. No word needs escaping: each is a slice
-of F_n, over {a, b}. Every other command emits through ``json.dumps``.
+then writes its document one group of forms and one length of words per
+write (``closed_form.EnumResult.write_json``), with the same bytes as
+``json.dumps``. No word needs escaping: each is a slice of F_n, over
+{a, b}. Every other command emits through ``json.dumps``.
 """
 
 from __future__ import annotations

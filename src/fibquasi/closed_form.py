@@ -7,10 +7,10 @@ can always be traced back to the clause that produced it. The family
 definitions spelled out in the docstrings here are the authority:
 whether they agree with the brute-force oracles is decided by the
 verify module, never patched here; its category registry pairs each
-catalog with its oracle by name. ``CATALOGS`` maps that name to the catalog's rows. The
-seed-flavored catalogs hold O(|F_n|) to O(|F_n|^2) members, so those
-enumerators share the engine's size refusal and take ``force`` to
-override it.
+catalog with its oracle by name. ``CATALOGS`` maps that name to the
+catalog's rows. The seed-flavored catalogs hold O(|F_n|) to
+O(|F_n|^2) members, so those enumerators share the engine's size
+refusal and take ``force`` to override it.
 
 Every clause has one of the shapes in ``SHAPES``, which only ``_parts``
 reads: it spells a kind's left source, core and right source at a base
@@ -26,14 +26,16 @@ no shape produces is the literal "baa" at index 4 (``KIND_LITERAL``).
 left length) in F_n as one ``Group`` without spelling a member, for
 verify and for ``_build``. The seed and circular-cover catalogs hold
 Theta(|F_n|^2) members and Theta(|F_n|^3) letters, so an ``EnumResult``
-keeps the groups and F_n, not the words. ``_build`` raises every error before
-anything is spelled, and ``EnumResult.write_json`` spells the words one
-length at a time (F_n is Sturmian, so it has at most k + 1 of length
-k). It writes a catalog's JSON document in batches of list items with
-no Python frame per form or word, byte for byte what ``json.dumps`` of
-``to_json`` gives; no word needs escaping, since each is a slice of
-F_n. A ``FactorForm`` is a NamedTuple, made in bulk by
-``tuple.__new__`` and hashed as a plain tuple.
+keeps the groups and F_n, not the words. ``_build`` raises every
+error before anything is spelled, and ``EnumResult.write_json`` spells
+the words one length at a time (F_n is Sturmian, so it has at most
+k + 1 of length k). It writes a catalog's JSON document in the chunks
+the walk makes, one write per group's forms and per length's words (or
+run of lengths with one active start), with no Python frame per form
+or word, byte for byte what ``json.dumps`` of ``to_json`` gives; no
+word needs escaping, since each is a slice of F_n. A ``FactorForm`` is
+a NamedTuple, made in bulk by ``tuple.__new__`` and hashed as a plain
+tuple.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, groupby, repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -191,19 +193,20 @@ class EnumResult:
 
     def write_json(self, write: Callable[[str], object]) -> None:
         """Write ``json.dumps(self.to_json())`` and a newline through
-        ``write``, byte for byte, ``JSON_BATCH`` list items at a time and
-        with no Python frame per form or word, holding the words of one
-        length at a time. No word needs escaping: each is a slice of
-        F_n, a word over {a, b}."""
+        ``write``, byte for byte, with no Python frame per form or word:
+        one write per group's run of forms and per item of ``_lengths``
+        (one length's words, or a run of lengths with one active start),
+        so no more than one such chunk is held at a time. No word needs
+        escaping: each is a slice of F_n, a word over {a, b}."""
         write('{"n": %d, "category": %s, "forms": ['
               % (self.n, json.dumps(self.category)))
-        _write_items(write, chain.from_iterable(
+        _write_items(write, (
             map(json.dumps, map(FactorForm.to_json, run))
-            if kind == KIND_LITERAL else map(_FORM_JSON.__mod__, run)
-            for kind, run in groupby(chain.from_iterable(self._form_runs()),
-                                      itemgetter(0))), "")
+            if group.form.kind == KIND_LITERAL
+            else map(_FORM_JSON.__mod__, run)
+            for group, run in zip(self.groups, self._form_runs())), "")
         write('], "words": [')
-        _write_items(write, chain.from_iterable(self._lengths()), '"')
+        _write_items(write, self._lengths(), '"')
         write("]}\n")
 
 
@@ -233,21 +236,20 @@ def _segments(groups: Iterable[Group]
     return runs
 
 
-# ``EnumResult.write_json`` hands this many list items to one write.
-JSON_BATCH = 4096
 # The JSON of a non-literal form, from the form as a tuple: ``%.0s``
 # takes its empty literal field.
 _FORM_JSON = '{"kind": "%s", "m": %d, "left_len": %d, "right_len": %d}%.0s'
 
 
-def _write_items(write: Callable[[str], object], items, quote: str) -> None:
-    """Write ``items``, each between two ``quote``s, as the inside of a
-    JSON list, one ``JSON_BATCH`` of them per write."""
-    items = iter(items)
+def _write_items(write: Callable[[str], object],
+                 chunks: Iterable[Iterable[str]], quote: str) -> None:
+    """Write the items of ``chunks``, each between two ``quote``s, as the
+    inside of a JSON list, one write per chunk that is not empty."""
     lead, inner = quote, f"{quote}, {quote}"
-    while batch := list(islice(items, JSON_BATCH)):
-        write(lead + inner.join(batch) + quote)
-        lead = ", " + quote
+    for chunk in chunks:
+        if chunk := list(chunk):
+            write(lead + inner.join(chunk) + quote)
+            lead = ", " + quote
 
 
 class Row(NamedTuple):
@@ -300,9 +302,10 @@ def _build(n: int, category: str, rows_of: Callable[[int], list[Row]],
     """Build the table F_0..F_n (the one index guard read) and, unless
     ``force`` is None (the linear catalogs), check the size refusal;
     then place the catalog ``rows_of(n)`` as groups (``groups`` raises a
-    row's other errors) and check, row by row, that no row repeats a
-    member (repeats across rows are absorbed by the set union). Every
-    error is raised here, before the result spells anything.
+    row's other errors) and check, row by row (``_check_rows``), that no
+    row repeats a member (repeats across rows are absorbed by the set
+    union). Every error is raised here, before the result spells
+    anything.
 
     No word list is kept: a row's members are spelled only at the
     lengths where two or more of its groups are active, and dropped
@@ -314,11 +317,20 @@ def _build(n: int, category: str, rows_of: Callable[[int], list[Row]],
                         force)
     subject = table[n]
     placed = tuple(groups(table, category, rows_of))
+    _check_rows(n, category, subject, placed)
+    return EnumResult(n, category, subject, placed)
+
+
+def _check_rows(n: int, category: str, subject: str,
+                placed: Iterable[Group]) -> None:
+    """Raise the duplicate error of the first row, in row order, that
+    repeats a member (see ``_repeats``); ``placed`` are the catalog's
+    groups in F_n, which is ``subject``. Verify cells name a repeat
+    through this too, so both sides name the same row."""
     for _, row in groupby(placed, attrgetter("row")):
         row = list(row)
         if _repeats(subject, row):
             raise RuntimeError(_repeat_error(n, category, row[0].form.kind))
-    return EnumResult(n, category, subject, placed)
 
 
 def _repeats(subject: str, row: list[Group]) -> bool:

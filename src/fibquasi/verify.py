@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -221,19 +222,22 @@ class _Cell:
     one length to the next. The catalog side counts, per name, the
     active groups whose start carries it: a group joins at its ``lo``,
     leaves at ``hi + 1`` and is read again only when the pass renames
-    its start. The rule side is the event rule's accepted set, and only
-    the names it reports changed are looked at again. The cell keeps
-    the names on one side only, and only those are spelled, so a length
-    with no event costs O(1). Two groups of one row on one name at k
-    repeat a member, and the cell raises the builder's error for it from
-    the groups' form."""
+    its start; ``opening`` and ``closing`` list the groups that join and
+    leave at each length where any does. The rule side is the event
+    rule's accepted set, and only the names it reports changed are
+    looked at again. The cell keeps the names on one side only, and only
+    those are spelled, so a length with no event costs O(1). Two groups
+    of one row on one name at k repeat a member: the cell then raises
+    the builder's error through ``closed_form._check_rows``, which names
+    the first repeating row in row order, and its own error from the
+    groups' form should that find none."""
 
     def __init__(self, n: int, record: Category, table: list[str]):
         self.n, self.record, self.subject = n, record, table[n]
         self.groups = closed_form.groups(
             table, record.name, closed_form.CATALOGS[record.name][0])
-        self.opening = [[] for _ in range(len(self.subject) + 2)]
-        self.closing = [[] for _ in range(len(self.subject) + 2)]
+        self.opening: dict[int, list[int]] = defaultdict(list)
+        self.closing: dict[int, list[int]] = defaultdict(list)
         for g, group in enumerate(self.groups):
             self.opening[group.lo].append(g)
             self.closing[group.hi + 1].append(g)
@@ -250,7 +254,7 @@ class _Cell:
         k, names, groups = naming.k, naming.names, self.groups
         named, at, counts, pairs = self.named, self.at, self.counts, self.pairs
         accepted = self.rule(naming)
-        closing, opening = self.closing[k], self.opening[k]
+        closing, opening = self.closing.pop(k, ()), self.opening.pop(k, ())
         for g in closing:
             starts = at[groups[g].p]
             starts.remove(g)
@@ -272,6 +276,8 @@ class _Cell:
         for g in itertools.chain(moved, opening):
             x = named[g] = names[groups[g].p]
             if (groups[g].row, x) in pairs:
+                closed_form._check_rows(self.n, self.record.name,
+                                        self.subject, groups)
                 raise RuntimeError(closed_form._repeat_error(
                     self.n, self.record.name, groups[g].form.kind))
             pairs.add((groups[g].row, x))

@@ -5,7 +5,7 @@ from typing import NamedTuple
 import pytest
 
 from fibquasi import cli, closed_form, fib
-from fibquasi.closed_form import (CATALOGS, JSON_BATCH,
+from fibquasi.closed_form import (CATALOGS,
                                   FactorForm, KIND_FIB_PLUS_PREFIX,
                                   KIND_LITERAL, KIND_PLAIN_FIB, KIND_SUFFIX_FIB_FIB_PREFIX,
                                   KIND_SUFFIX_PLUS_FIB,
@@ -341,11 +341,21 @@ def test_write_json_matches_json_dumps(category):
 
 
 def test_write_json_reference_range_has_the_edge_cases():
-    # empty lists, the literal form, and lists of several batches
+    # empty lists, the literal form, and a words list of several writes
     empty = catalog(0, "borders")
     assert (empty.forms, empty.words) == ((), ())
     assert KIND_LITERAL in (f.kind for f in catalog(4, "seeds").forms)
-    assert len(catalog(12, "seeds").words) > JSON_BATCH
+    parts = []
+    catalog(12, "seeds").write_json(parts.append)
+    assert len(parts) - parts.index('], "words": [') - 2 > 1
+
+
+@pytest.mark.parametrize("category", ["seeds", "circular_covers"])
+def test_write_json_holds_no_more_than_a_length_of_words(category):
+    # the catalogs hold Theta(|F_n|^2) words, a length at most |F_n| + 1
+    sizes = []
+    catalog(14, category).write_json(lambda text: sizes.append(len(text)))
+    assert max(sizes) <= fib_len(14) ** 2
 
 
 def test_write_json_runs_no_python_frame_per_form():

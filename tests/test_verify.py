@@ -461,6 +461,26 @@ def test_handle_cell_raises_the_duplicate_error_without_the_builder(
                                  f"n=7, category={category}: {row.kind}")
 
 
+def test_cell_and_builder_name_the_first_of_two_repeating_rows(
+        monkeypatch):
+    # the second row repeats a member at a shorter length than the first,
+    # so the cell meets its repeat first; both sides name the first row
+    _patch_rows(monkeypatch, "seeds", lambda real, n: [
+        Row(KIND_FIB_PLUS_PREFIX, 5, lefts=range(2)),
+        Row(KIND_PLAIN_FIB, 3, lefts=range(2))])
+    message = _word_cell_error(7, "seeds")
+    assert message == ("family produced duplicate members at n=7, "
+                       f"category=seeds: {KIND_FIB_PLUS_PREFIX}")
+    with pytest.raises(RuntimeError) as caught:
+        check_category(7, "seeds", {"seeds": 7})
+    assert str(caught.value) == message
+
+
+def test_cell_schedules_only_the_lengths_where_a_group_joins_or_leaves():
+    cell = verify._Cell(20, REGISTRY["covers"], fib_words(20))
+    assert len(cell.opening) + len(cell.closing) <= 2 * len(cell.groups)
+
+
 # The cells at indices 15 and 16, printed by a child process. The word
 # cell at index 16 holds every member of both sides as a string (about
 # 670 MB); the handle cell holds O(|F_n|) letters.
