@@ -13,12 +13,12 @@ human-oriented and carries no stability promise.
 The set flags of analyze and enum, and the names verify --only accepts,
 come from the category registry in the verify module.
 
-``enum --json`` places the catalog's groups and makes every check
-before its first write, so a refusal or error leaves stdout empty, and
-then writes its document one group of forms and one length of words per
-write (``closed_form.EnumResult.write_json``), with the same bytes as
-``json.dumps``. No word needs escaping: each is a slice of F_n, over
-{a, b}. Every other command emits through ``json.dumps``.
+``enum`` places the catalog's groups and makes every check before its
+first write, so a refusal or error leaves stdout empty, then writes one
+group of forms and one length of words per write from one walk, as text
+(``closed_form.EnumResult.write_text``) or as the bytes ``json.dumps``
+would give (``write_json``). Every other command emits its JSON through
+``json.dumps``.
 """
 
 from __future__ import annotations
@@ -112,13 +112,7 @@ def _cmd_enum(args) -> int:
         raise ValueError("select exactly one catalog "
                          "(e.g. --covers or --seeds)")
     result = closed_form.catalog(args.n, chosen[0].name, force=args.force)
-    if args.json:
-        result.write_json(sys.stdout.write)
-    else:
-        print(f"forms ({len(result.forms)}):")
-        for form in result.forms:
-            print(f"  {form.to_json()}")
-        _print_words("words", result.words)
+    (result.write_json if args.json else result.write_text)(sys.stdout.write)
     return 0
 
 

@@ -19,34 +19,33 @@ and refuses a base too low for the kind, for spelling, ``groups`` and
 base, left range, right range, least |x|+|y|), each family's rows made
 by one builder. Row order is output order, because the JSON ``forms``
 list is pinned byte for byte: members come row by row (left length
-outer, right length inner, first of any repeat kept). The one member
-no shape produces is the literal "baa" at index 4 (``KIND_LITERAL``).
+outer, right length inner; a catalog lists each row once, so no form
+repeats). The only member no shape produces is the literal "baa" at
+index 4 (``KIND_LITERAL``).
 
 ``groups`` is the one walk of a catalog's rows: it places each (row,
 left length) in F_n as one ``Group`` without spelling a member, for
 verify and for ``_build``. The seed and circular-cover catalogs hold
 Theta(|F_n|^2) members and Theta(|F_n|^3) letters, so an ``EnumResult``
 keeps the groups and F_n, not the words. ``_build`` raises every
-error before anything is spelled, and ``EnumResult.write_json`` spells
-the words one length at a time (F_n is Sturmian, so it has at most
-k + 1 of length k). It writes a catalog's JSON document in the chunks
-the walk makes, one write per group's forms and per length's words (or
-run of lengths with one active start), with no Python frame per form
-or word, byte for byte what ``json.dumps`` of ``to_json`` gives; no
-word needs escaping, since each is a slice of F_n. A ``FactorForm`` is
-a NamedTuple, made in bulk by ``tuple.__new__`` and hashed as a plain
-tuple.
+error before anything is spelled. ``EnumResult.write_json`` and
+``write_text`` write a catalog from one walk, one write per group's
+forms and per length's words (or run of lengths with one active start;
+F_n is Sturmian, so it has at most k + 1 words of length k), with no
+Python frame per form or word; the JSON is byte for byte what
+``json.dumps`` of ``to_json`` gives, and no word needs escaping, since
+each is a slice of F_n. A ``FactorForm`` is a NamedTuple, made in bulk
+by ``tuple.__new__`` and hashed as a plain tuple.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, groupby, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .engine import refuse_oversize
@@ -132,9 +131,9 @@ class FactorForm(NamedTuple):
 class EnumResult:
     """A catalog for one (index, category) cell, kept as the groups that
     ``groups`` placed in ``subject``, which is F_n, and spelled only when
-    read: ``forms`` are the clause instances (first of any repeat kept)
-    and ``words`` the deduplicated word set, by length and then
-    alphabetically. ``write_json`` spells one length at a time."""
+    read: ``forms`` are the clause instances and ``words`` the
+    deduplicated word set, by length and then alphabetically.
+    ``write_json`` and ``write_text`` spell one length at a time."""
 
     n: int
     category: str
@@ -150,25 +149,14 @@ class EnumResult:
         return tuple(chain.from_iterable(self._lengths()))
 
     def _form_runs(self) -> list[Iterable[FactorForm]]:
-        """Each group's forms, in group order, first of any repeat kept.
-        A group's forms differ only in the right length, so each run is
-        one C-level ``map``. Only groups with one kind, base, left length
-        and literal can repeat each other's forms (rows do at n <= 3), so
-        only their forms are kept to look repeats up in."""
+        """Each group's forms, in group order. A group's forms differ only
+        in the right length, so each run is one C-level ``map``; no two
+        groups share a form, since a catalog lists each row once and a
+        row's groups differ in their left length."""
         new_form = partial(tuple.__new__, FactorForm)
-        shared = Counter(map(itemgetter(0, 1, 2, 4),
-                             map(attrgetter("form"), self.groups)))
-        seen: set[FactorForm] = set()
-        runs = []
-        for _, lo, hi, _, (kind, m, l, r, literal) in self.groups:
-            run = map(new_form, zip(
-                repeat(kind), repeat(m), repeat(l), range(r, r + hi - lo + 1),
-                repeat(literal)))
-            if shared[kind, m, l, literal] > 1:
-                run = [form for form in run if form not in seen]
-                seen.update(run)
-            runs.append(run)
-        return runs
+        return [map(new_form, zip(repeat(kind), repeat(m), repeat(l),
+                                  range(r, r + hi - lo + 1), repeat(literal)))
+                for _, lo, hi, _, (kind, m, l, r, literal) in self.groups]
 
     def _lengths(self) -> Iterator[Iterable[str]]:
         """The words, one length at a time from the shortest, each
@@ -191,23 +179,35 @@ class EnumResult:
                 "forms": [f.to_json() for f in self.forms],
                 "words": list(self.words)}
 
+    def _form_chunks(self) -> Iterator[Iterable[str]]:
+        """Each group's forms as JSON objects, one chunk per group."""
+        return (map(json.dumps, map(FactorForm.to_json, run))
+                if group.form.kind == KIND_LITERAL
+                else map(_FORM_JSON.__mod__, run)
+                for group, run in zip(self.groups, self._form_runs()))
+
     def write_json(self, write: Callable[[str], object]) -> None:
         """Write ``json.dumps(self.to_json())`` and a newline through
         ``write``, byte for byte, with no Python frame per form or word:
-        one write per group's run of forms and per item of ``_lengths``
-        (one length's words, or a run of lengths with one active start),
-        so no more than one such chunk is held at a time. No word needs
+        one write per group's forms and per item of ``_lengths`` (one
+        length's words, or a run of lengths with one active start), so
+        no more than one such chunk is held at a time. No word needs
         escaping: each is a slice of F_n, a word over {a, b}."""
         write('{"n": %d, "category": %s, "forms": ['
               % (self.n, json.dumps(self.category)))
-        _write_items(write, (
-            map(json.dumps, map(FactorForm.to_json, run))
-            if group.form.kind == KIND_LITERAL
-            else map(_FORM_JSON.__mod__, run)
-            for group, run in zip(self.groups, self._form_runs())), "")
+        _write_items(write, self._form_chunks(), "", "", ", ")
         write('], "words": [')
-        _write_items(write, self._lengths(), '"')
+        _write_items(write, self._lengths(), '"', '"', ", ")
         write("]}\n")
+
+    def write_text(self, write: Callable[[str], object]) -> None:
+        """Write ``forms:`` and each form as ``write_json`` writes it, then
+        ``words:`` and each word, one item per line indented two spaces,
+        in the writes ``write_json`` makes."""
+        write("forms:\n")
+        _write_items(write, self._form_chunks(), "  ", "\n", "")
+        write("words:\n")
+        _write_items(write, self._lengths(), "  ", "\n", "")
 
 
 def _segments(groups: Iterable[Group]
@@ -242,14 +242,15 @@ _FORM_JSON = '{"kind": "%s", "m": %d, "left_len": %d, "right_len": %d}%.0s'
 
 
 def _write_items(write: Callable[[str], object],
-                 chunks: Iterable[Iterable[str]], quote: str) -> None:
-    """Write the items of ``chunks``, each between two ``quote``s, as the
-    inside of a JSON list, one write per chunk that is not empty."""
-    lead, inner = quote, f"{quote}, {quote}"
+                 chunks: Iterable[Iterable[str]], before: str, after: str,
+                 between: str) -> None:
+    """Write each item of ``chunks`` as ``before`` item ``after``, with
+    ``between`` between two items, one write per nonempty chunk."""
+    lead, inner = before, after + between + before
     for chunk in chunks:
         if chunk := list(chunk):
-            write(lead + inner.join(chunk) + quote)
-            lead = ", " + quote
+            write(lead + inner.join(chunk) + after)
+            lead = between + before
 
 
 class Row(NamedTuple):
@@ -454,7 +455,8 @@ def _right_seed_rows(n: int) -> list[Row]:
 
 
 def _seed_rows(n: int) -> list[Row]:
-    rows = _left_seed_rows(n) + _right_seed_rows(n)
+    # the left and right seed rows share a PlainFib row at n <= 3
+    rows = list(dict.fromkeys(_left_seed_rows(n) + _right_seed_rows(n)))
     if n == 4:
         rows.append(Row(KIND_LITERAL, 0, literal="baa"))
     if n >= 5:

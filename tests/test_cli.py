@@ -383,24 +383,26 @@ def test_gen_closed_pipe_exits_quietly():
 
 
 def test_enum_json_closed_pipe_exits_quietly():
-    # enum 14 --seeds --json is 19.6 MB, written in several writes, so
-    # most of it is still unwritten when the reader goes away.
+    # enum 14 --seeds is 19.6 MB as JSON and about as much as text,
+    # written in several writes, so most of it is still unwritten when
+    # the reader goes away.
     env = dict(os.environ)
     src = str(Path(fibquasi.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     env.pop("FIBQUASI_NMAX", None)
-    proc = subprocess.Popen([sys.executable, "-m", "fibquasi.cli", "enum",
-                             "14", "--seeds", "--json"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env=env)
-    assert proc.stdout.read(10) == b'{"n": 14, '
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    code = proc.wait(timeout=60)
-    assert "Traceback" not in err and "Error" not in err
-    assert code not in (0, 1)
+    for mode, head in (["--json"], b'{"n": 14, '), ([], b"forms:\n  {"):
+        proc = subprocess.Popen([sys.executable, "-m", "fibquasi.cli",
+                                 "enum", "14", "--seeds", *mode],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(10) == head
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        assert "Traceback" not in err and "Error" not in err
+        assert code not in (0, 1)
 
 
 # The enum child runs under this small process, whose RUSAGE_CHILDREN
@@ -414,19 +416,20 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 
 
 def test_enum_json_holds_one_length_of_words_at_a_time():
-    # enum 16 --seeds --json writes 290 MB of words; spelled all at once
-    # before the first write they peaked at 374 MB, and one length at a
-    # time the process peaks under 50 MB.
+    # enum 16 --seeds writes 290 MB of words; spelled all at once before
+    # the first write they peaked at 374 MB (352 MB as text), and one
+    # length at a time the process peaks under 50 MB in either mode.
     env = dict(os.environ)
     src = str(Path(fibquasi.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     env.pop("FIBQUASI_NMAX", None)
-    proc = subprocess.run([sys.executable, "-c", _CHILD_PEAK_KB, "enum", "16",
-                           "--seeds", "--json", "--force"], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 120 * 1024
+    for mode in (["--json"], []):
+        proc = subprocess.run([sys.executable, "-c", _CHILD_PEAK_KB, "enum",
+                               "16", "--seeds", *mode, "--force"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 120 * 1024
 
 
 def test_verify_json_round_trip(capsys):

@@ -353,15 +353,47 @@ def test_write_json_reference_range_has_the_edge_cases():
 @pytest.mark.parametrize("category", ["seeds", "circular_covers"])
 def test_write_json_holds_no_more_than_a_length_of_words(category):
     # the catalogs hold Theta(|F_n|^2) words, a length at most |F_n| + 1
-    sizes = []
-    catalog(14, category).write_json(lambda text: sizes.append(len(text)))
-    assert max(sizes) <= fib_len(14) ** 2
+    result = catalog(14, category)
+    for writer in (result.write_json, result.write_text):
+        sizes = []
+        writer(lambda text: sizes.append(len(text)))
+        assert max(sizes) <= fib_len(14) ** 2
 
 
 def test_write_json_runs_no_python_frame_per_form():
     result = enum_seeds(12)
-    _, calls = _python_calls(lambda: result.write_json(lambda text: None))
-    assert calls < len(result.forms) // 4, (calls, len(result.forms))
+    for writer in (result.write_json, result.write_text):
+        _, calls = _python_calls(lambda: writer(lambda text: None))
+        assert calls < len(result.forms) // 4, (calls, len(result.forms))
+
+
+@pytest.mark.parametrize("category", CATEGORIES)
+def test_write_text_lists_the_json_documents_forms_and_words(category):
+    for n in range(12):
+        result = catalog(n, category)
+        parts, lines = [], []
+        result.write_json(parts.append)
+        result.write_text(lines.append)
+        doc, lines = json.loads("".join(parts)), "".join(lines).splitlines()
+        split = lines.index("words:")
+        assert lines[0] == "forms:"
+        assert all(line.startswith("  {") for line in lines[1:split])
+        assert [json.loads(line) for line in lines[1:split]] == doc["forms"]
+        assert lines[split + 1:] == ["  " + word for word in doc["words"]]
+
+
+@pytest.mark.parametrize("category", CATEGORIES)
+def test_catalogs_list_each_row_once(category):
+    # ``EnumResult`` keeps every group's forms with no repeat check: two
+    # groups could share a form only if they shared all of it but the
+    # right length
+    rows_of = CATALOGS[category][0]
+    for n in range(21):
+        rows = rows_of(n)
+        assert len(set(rows)) == len(rows), (n, rows)
+        keys = [(kind, m, l, literal) for *_, (kind, m, l, _, literal)
+                in groups(fib_words(n), category, rows_of)]
+        assert len(set(keys)) == len(keys), n
 
 
 def test_enumerators_are_deterministic():

@@ -4,8 +4,10 @@ The digests below were recorded from the CLI before ``closed_form`` was
 rebuilt around its shape and clause-row tables; a refactor that changes
 any form, word, order or byte of these documents fails here. Each enum
 digest hashes, for N = 0..12 in turn, the exit code, a newline and the
-stdout of ``enum N --<flag> --json``; the verify digest hashes the JSON
-of ``verify --max-n 12 --json`` with every ``elapsed_ms`` removed.
+stdout of ``enum N --<flag> --json``; each verify digest hashes the
+JSON of ``verify --max-n 12 --json`` or ``verify --max-n 17 --cap 17
+--json`` with every ``elapsed_ms`` removed. The second checks every cell
+exactly, up to the seed and circular-cover catalogs of F_17.
 """
 
 import hashlib
@@ -31,6 +33,8 @@ ENUM_DIGESTS = {
 }
 VERIFY_DIGEST = (
     "82faedb528c7cded26e84d672999f4446915e160326d68d8088dc11a84e7fbc5")
+VERIFY_CAP_17_DIGEST = (
+    "00f26b65868a114ff48bed200f37f9621590ff8d100a297227c08719dfc2bb46")
 
 
 @pytest.fixture(autouse=True)
@@ -62,3 +66,11 @@ def test_verify_json_is_byte_identical_modulo_timing(capsys):
     assert code == 1
     assert (hashlib.sha256(json.dumps(doc).encode()).hexdigest()
             == VERIFY_DIGEST)
+
+
+def test_verify_cap_17_json_is_byte_identical_modulo_timing(capsys):
+    code = main(["verify", "--max-n", "17", "--cap", "17", "--json"])
+    doc = _strip_timing(json.loads(capsys.readouterr().out))
+    assert code == 1
+    assert (hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+            == VERIFY_CAP_17_DIGEST)
