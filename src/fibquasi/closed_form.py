@@ -36,17 +36,26 @@ Python frame per form or word; the JSON is byte for byte what
 ``json.dumps`` of ``to_json`` gives, and no word needs escaping, since
 each is a slice of F_n. A ``FactorForm`` is a NamedTuple, made in bulk
 by ``tuple.__new__`` and hashed as a plain tuple.
+
+One order serves the row check and the words: the groups sorted once by
+their longest members (``_by_longest``). A group's member of length k is
+a prefix of its longest, so in that order every length's members come
+out sorted, with equal ones next to each other; and two groups that
+differ at one length differ at every longer one. So the words of a
+length need no set or sort, and a row's repeat shows where one of its
+two groups joins, next to a group it equals. No member is spelled more
+often than the output needs.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain, groupby, repeat
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from operator import add, attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .engine import refuse_oversize
 from .fib import border_indices, fib_len, fib_words
@@ -133,7 +142,9 @@ class EnumResult:
     ``groups`` placed in ``subject``, which is F_n, and spelled only when
     read: ``forms`` are the clause instances and ``words`` the
     deduplicated word set, by length and then alphabetically.
-    ``write_json`` and ``write_text`` spell one length at a time."""
+    ``write_json`` and ``write_text`` spell one length at a time, from
+    the groups sorted once by their longest members, and format each
+    group's forms from one head."""
 
     n: int
     category: str
@@ -142,49 +153,64 @@ class EnumResult:
 
     @cached_property
     def forms(self) -> tuple[FactorForm, ...]:
-        return tuple(chain.from_iterable(self._form_runs()))
+        """Each group's forms, in group order. A group's forms differ only
+        in the right length, so each group's are one C-level ``map``; no
+        two groups share a form, since a catalog lists each row once and
+        a row's groups differ in their left length."""
+        new_form = partial(tuple.__new__, FactorForm)
+        return tuple(chain.from_iterable([
+            map(new_form, zip(repeat(kind), repeat(m), repeat(l),
+                              range(r, r + hi - lo + 1), repeat(literal)))
+            for _, lo, hi, _, (kind, m, l, r, literal) in self.groups]))
 
     @cached_property
     def words(self) -> tuple[str, ...]:
         return tuple(chain.from_iterable(self._lengths()))
 
-    def _form_runs(self) -> list[Iterable[FactorForm]]:
-        """Each group's forms, in group order. A group's forms differ only
-        in the right length, so each run is one C-level ``map``; no two
-        groups share a form, since a catalog lists each row once and a
-        row's groups differ in their left length."""
-        new_form = partial(tuple.__new__, FactorForm)
-        return [map(new_form, zip(repeat(kind), repeat(m), repeat(l),
-                                  range(r, r + hi - lo + 1), repeat(literal)))
-                for _, lo, hi, _, (kind, m, l, r, literal) in self.groups]
-
     def _lengths(self) -> Iterator[Iterable[str]]:
         """The words, one length at a time from the shortest, each
         length's sorted: at length k, the distinct F_n[p:p+k] of the
-        active groups' starts p. Over a run of lengths with one active
-        start, the words are the prefixes of one slice, spelled by one
+        active groups' starts p. ``_segments`` gives the starts sorted
+        by their groups' longest members, so each length's words come
+        out sorted with equal words next to each other, and ``groupby``
+        keeps one of each. Over a run of lengths with one active start,
+        the words are the prefixes of one slice, spelled by one
         ``map``."""
         subject = self.subject
-        for a, b, starts, _ in _segments(self.groups):
+        for a, b, starts in _segments(subject, self.groups):
             if len(starts) == 1:
                 longest = subject[starts[0]:starts[0] + b - 1]
                 yield map(longest.__getitem__, map(slice, range(a, b)))
                 continue
             for k in range(a, b):
-                yield sorted(set(map(subject.__getitem__, map(
-                    slice, starts, map(k.__add__, starts)))))
+                yield map(itemgetter(0), groupby(map(
+                    subject.__getitem__,
+                    map(slice, starts, map(k.__add__, starts)))))
 
     def to_json(self) -> dict:
         return {"n": self.n, "category": self.category,
                 "forms": [f.to_json() for f in self.forms],
                 "words": list(self.words)}
 
-    def _form_chunks(self) -> Iterator[Iterable[str]]:
-        """Each group's forms as JSON objects, one chunk per group."""
-        return (map(json.dumps, map(FactorForm.to_json, run))
-                if group.form.kind == KIND_LITERAL
-                else map(_FORM_JSON.__mod__, run)
-                for group, run in zip(self.groups, self._form_runs()))
+    def _form_chunks(self, inner: str) -> Iterator[str]:
+        """Each group's forms as JSON objects joined by ``inner``, one
+        chunk per group. A group's forms differ only in the right length,
+        which comes last, so the group's head (every field up to
+        ``"right_len": ``) is formatted once and each form adds only its
+        right length and the closing brace."""
+        for _, lo, hi, _, form in self.groups:
+            kind, m, l, r, _ = form
+            if kind == KIND_LITERAL:  # a literal row spells one member
+                yield json.dumps(form.to_json())
+                continue
+            head = ('{"kind": "%s", "m": %d, "left_len": %d, "right_len": '
+                    % (kind, m, l))
+            yield head + ("}" + inner + head).join(
+                map(str, range(r, r + hi - lo + 1))) + "}"
+
+    def _word_chunks(self, inner: str) -> Iterator[str]:
+        """Each item of ``_lengths``, its words joined by ``inner``."""
+        return map(inner.join, self._lengths())
 
     def write_json(self, write: Callable[[str], object]) -> None:
         """Write ``json.dumps(self.to_json())`` and a newline through
@@ -195,9 +221,9 @@ class EnumResult:
         escaping: each is a slice of F_n, a word over {a, b}."""
         write('{"n": %d, "category": %s, "forms": ['
               % (self.n, json.dumps(self.category)))
-        _write_items(write, self._form_chunks(), "", "", ", ")
+        _write_items(write, self._form_chunks, "", "", ", ")
         write('], "words": [')
-        _write_items(write, self._lengths(), '"', '"', ", ")
+        _write_items(write, self._word_chunks, '"', '"', ", ")
         write("]}\n")
 
     def write_text(self, write: Callable[[str], object]) -> None:
@@ -205,52 +231,65 @@ class EnumResult:
         ``words:`` and each word, one item per line indented two spaces,
         in the writes ``write_json`` makes."""
         write("forms:\n")
-        _write_items(write, self._form_chunks(), "  ", "\n", "")
+        _write_items(write, self._form_chunks, "  ", "\n", "")
         write("words:\n")
-        _write_items(write, self._lengths(), "  ", "\n", "")
+        _write_items(write, self._word_chunks, "  ", "\n", "")
 
 
-def _segments(groups: Iterable[Group]
-              ) -> list[tuple[int, int, tuple[int, ...], int]]:
+def _by_longest(subject: str, placed: Sequence[Group]
+                ) -> tuple[list[int], dict[int, list[int]],
+                           dict[int, list[int]]]:
+    """Rank ``placed`` by their longest members F_n[p:p+hi], where F_n is
+    ``subject``: the starts p by rank, and the ranks that join at each
+    length (their ``lo``) and that leave at each (``hi`` + 1). A group's
+    member of length k is the k-prefix of its longest, and k-prefixes
+    keep a sorted order sorted, so at every length the active groups'
+    members are sorted by rank. The keys are spelled by one C-level
+    ``map`` and dropped after the sort."""
+    starts = list(map(attrgetter("p"), placed))
+    keys = list(map(subject.__getitem__, map(
+        slice, starts, map(add, starts, map(attrgetter("hi"), placed)))))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    joins: dict[int, list[int]] = {}
+    leaves: dict[int, list[int]] = {}
+    for rank, (_, lo, hi, _, _) in enumerate(map(placed.__getitem__, order)):
+        joins.setdefault(lo, []).append(rank)
+        leaves.setdefault(hi + 1, []).append(rank)
+    return list(map(starts.__getitem__, order)), joins, leaves
+
+
+def _segments(subject: str, placed: Sequence[Group]
+              ) -> list[tuple[int, int, tuple[int, ...]]]:
     """The lengths the groups span, cut wherever one joins (at its
-    ``lo``) or leaves (after its ``hi``): (a, b, starts, active) for each
-    run a <= k < b of lengths at which the same ``active`` groups, at
-    the distinct ``starts``, are active. Runs with none are left out."""
-    events: dict[int, list[tuple[int, int]]] = {}
-    for _, lo, hi, p, _ in groups:
-        events.setdefault(lo, []).append((p, 1))
-        events.setdefault(hi + 1, []).append((p, -1))
-    cuts = sorted(events)
-    at: dict[int, int] = {}  # start -> the active groups there
-    active, runs = 0, []
+    ``lo``) or leaves (after its ``hi``): (a, b, starts) for each run
+    a <= k < b of lengths at which the same groups are active, with
+    their distinct ``starts`` in ``_by_longest`` order. Runs with none
+    are left out."""
+    starts, joins, leaves = _by_longest(subject, placed)
+    cuts = sorted(joins.keys() | leaves.keys())
+    active: list[int] = []  # the active groups' ranks, ascending
+    runs = []
     for a, b in zip(cuts, cuts[1:]):
-        for p, step in events[a]:
-            count = at.get(p, 0) + step
-            if count:
-                at[p] = count
-            else:
-                del at[p]
-            active += step
+        for rank in leaves.get(a, ()):
+            active.remove(rank)
+        for rank in joins.get(a, ()):
+            insort(active, rank)
         if active:
-            runs.append((a, b, tuple(at), active))
+            runs.append((a, b, tuple(dict.fromkeys(
+                map(starts.__getitem__, active)))))
     return runs
 
 
-# The JSON of a non-literal form, from the form as a tuple: ``%.0s``
-# takes its empty literal field.
-_FORM_JSON = '{"kind": "%s", "m": %d, "left_len": %d, "right_len": %d}%.0s'
-
-
 def _write_items(write: Callable[[str], object],
-                 chunks: Iterable[Iterable[str]], before: str, after: str,
-                 between: str) -> None:
-    """Write each item of ``chunks`` as ``before`` item ``after``, with
-    ``between`` between two items, one write per nonempty chunk."""
+                 chunks_of: Callable[[str], Iterable[str]], before: str,
+                 after: str, between: str) -> None:
+    """Write the items of ``chunks_of(inner)``, each chunk one or more
+    items joined by ``inner``, as ``before`` item ``after`` with
+    ``between`` between two items: one write per chunk."""
     lead, inner = before, after + between + before
-    for chunk in chunks:
-        if chunk := list(chunk):
-            write(lead + inner.join(chunk) + after)
-            lead = between + before
+    for chunk in chunks_of(inner):
+        write(lead + chunk + after)
+        lead = between + before
 
 
 class Row(NamedTuple):
@@ -308,10 +347,10 @@ def _build(n: int, category: str, rows_of: Callable[[int], list[Row]],
     union). Every error is raised here, before the result spells
     anything.
 
-    No word list is kept: a row's members are spelled only at the
-    lengths where two or more of its groups are active, and dropped
-    after each length's check, with C-level ``map`` calls and no Python
-    frame per member."""
+    No word list is kept: the check spells each group's longest member
+    once, as its sort key, and its member at the length where it joins
+    once, to compare with its two neighbours, with C-level ``map``
+    calls and no Python frame per member or length."""
     table = fib_words(n)
     if force is not None:
         refuse_oversize(f"catalog enumeration at index {n}", fib_len(n),
@@ -335,17 +374,28 @@ def _check_rows(n: int, category: str, subject: str,
 
 
 def _repeats(subject: str, row: list[Group]) -> bool:
-    """Whether two groups of one row spell one member: at some length,
-    two active groups share a start or spell the same F_n[p:p+k]. The
-    members of one group differ in length, so no group repeats itself."""
-    for a, b, starts, active in _segments(row):
-        if active > len(starts):
-            return True
-        if active > 1:
-            for k in range(a, b):
-                if len(set(map(subject.__getitem__, map(
-                        slice, starts, map(k.__add__, starts))))) < active:
-                    return True
+    """Whether two groups of one row spell one member F_n[p:p+k]. The
+    members of one group differ in length, so no group repeats itself.
+
+    Two groups that differ at one length differ at every longer one, so
+    a repeat shows at the length where the later of its two groups
+    joins. The active groups are kept in ``_by_longest`` order, where
+    the groups equal at a length sit together, so a group that joins is
+    compared with its two neighbours only: one member spelled per group
+    besides its sort key, and no Python frame per length."""
+    starts, joins, leaves = _by_longest(subject, row)
+    active: list[int] = []  # the active groups' ranks, ascending
+    for k in sorted(joins.keys() | leaves.keys()):
+        for rank in leaves.get(k, ()):
+            active.remove(rank)
+        for rank in joins.get(k, ()):
+            i = bisect_left(active, rank)
+            active.insert(i, rank)
+            member = subject[starts[rank]:starts[rank] + k]
+            if ((i and subject.startswith(member, starts[active[i - 1]]))
+                    or (i + 1 < len(active) and subject.startswith(
+                        member, starts[active[i + 1]]))):
+                return True
     return False
 
 

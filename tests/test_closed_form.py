@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from typing import NamedTuple
 
@@ -20,6 +21,8 @@ from fibquasi.errors import SizeLimitError
 from fibquasi.fib import _check_index, fib_len, fib_word, fib_words
 from fibquasi.words import canonical
 from fibquasi.verify import CATEGORIES
+
+from catalog_references import lengths, repeats
 
 
 def test_borders_catalog():
@@ -780,6 +783,64 @@ def _python_calls(call):
 def test_build_runs_no_python_frame_per_member(enumerator):
     result, calls = _python_calls(lambda: enumerator(12))
     assert calls < len(result.forms) // 4, (calls, len(result.forms))
+
+
+@pytest.mark.parametrize("enumerator", [enum_seeds, enum_circular_covers])
+def test_row_check_runs_no_python_frame_per_length(enumerator):
+    # two frames per row (``_repeats`` and ``_by_longest``), plus the
+    # lambda and ``_check_rows`` itself
+    result = enumerator(14)
+    rows = len({group.row for group in result.groups})
+    _, calls = _python_calls(lambda: closed_form._check_rows(
+        14, result.category, result.subject, result.groups))
+    assert calls <= 2 * rows + 2, (calls, rows)
+
+
+def _random_groups(rng: random.Random, subject: str, count: int
+                   ) -> list[closed_form.Group]:
+    """``count`` groups of one row placed at random in ``subject``. Some
+    sit at an earlier group's start, and some at another occurrence of
+    an earlier group's member, active at that member's length, so rows
+    that repeat a member and rows that do not both come up."""
+    form = FactorForm(KIND_PLAIN_FIB, 3)
+    placed: list[closed_form.Group] = []
+    for _ in range(count):
+        pick = rng.random()
+        if placed and pick < 0.3:
+            _, lo, hi, p, _ = rng.choice(placed)
+            k = rng.randint(lo, hi)
+            if pick >= 0.15:  # another start of the member F_n[p:p+k]
+                member = subject[p:p + k]
+                p = rng.choice([q for q in range(len(subject) - k + 1)
+                                if subject.startswith(member, q)])
+            lo = rng.randint(1, k)
+            hi = rng.randint(k, len(subject) - p)
+        else:
+            p = rng.randrange(len(subject))
+            hi = rng.randint(1, len(subject) - p)
+            lo = rng.randint(1, hi)
+        placed.append(closed_form.Group(0, lo, hi, p, form))
+    return placed
+
+
+def test_row_check_and_words_match_the_per_length_references():
+    rng = random.Random(5)
+    subjects = [fib_word(n) for n in range(4, 12)] + [
+        "".join(rng.choices("ab", k=rng.randint(3, 40))) for _ in range(40)]
+    cases = repeating = 0
+    for subject in subjects:
+        for _ in range(60):
+            placed = _random_groups(rng, subject, rng.randint(1, 8))
+            expected = repeats(subject, placed)
+            assert closed_form._repeats(subject, placed) == expected, (
+                subject, placed)
+            result = closed_form.EnumResult(0, "test", subject,
+                                            tuple(placed))
+            assert ([list(item) for item in result._lengths()]
+                    == lengths(subject, placed)), (subject, placed)
+            cases, repeating = cases + 1, repeating + expected
+    assert cases // 10 < repeating < cases - cases // 10, (repeating,
+                                                           cases)
 
 
 def test_factor_form_contract():

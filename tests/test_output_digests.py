@@ -4,10 +4,12 @@ The digests below were recorded from the CLI before ``closed_form`` was
 rebuilt around its shape and clause-row tables; a refactor that changes
 any form, word, order or byte of these documents fails here. Each enum
 digest hashes, for N = 0..12 in turn, the exit code, a newline and the
-stdout of ``enum N --<flag> --json``; each verify digest hashes the
-JSON of ``verify --max-n 12 --json`` or ``verify --max-n 17 --cap 17
---json`` with every ``elapsed_ms`` removed. The second checks every cell
-exactly, up to the seed and circular-cover catalogs of F_17.
+stdout of ``enum N --<flag> --json``; ``ENUM_13_14_DIGESTS``, recorded
+later, does the same for N = 13 and 14, the benchmark's catalog points.
+Each verify digest hashes the JSON of ``verify --max-n 12 --json`` or
+``verify --max-n 17 --cap 17 --json`` with every ``elapsed_ms``
+removed. The second checks every cell exactly, up to the seed and
+circular-cover catalogs of F_17.
 """
 
 import hashlib
@@ -30,6 +32,20 @@ ENUM_DIGESTS = {
         "6963ea876711795ede7300be1115b5ce808c08a9cb7ebd5130c51ed7b865a893",
     "circular":
         "1178efe288c875c8d43990f032bef8bc29ace6de5f20a9a479a5edbbdeee52d6",
+}
+ENUM_13_14_DIGESTS = {
+    "borders":
+        "9ce5d5920c606fe7144a5901ba627a8c3a2e2bf609ccf4d2209aaff7ad997f57",
+    "circular":
+        "60134d3db55bf31638a4b8e7234c14208ae316c81981649a5e8524c8a72a291b",
+    "covers":
+        "0b334132e673f89fa5524fcf498502387b327e3cedbbe43ed33b87cefbb8a222",
+    "left-seeds":
+        "06c940424b5b1a9ea52216df13cf78dd4d9228b029f0b242964e81df8b2dec1d",
+    "right-seeds":
+        "ad5581760e31be66a1e39697c9f0b7a08abebce2846bc4fc7e2127b9ce86ec45",
+    "seeds":
+        "031cadc423c4399d2b1e170f4e1967740ffef1169bf3cd1cae9dad3f40c3663a",
 }
 VERIFY_DIGEST = (
     "82faedb528c7cded26e84d672999f4446915e160326d68d8088dc11a84e7fbc5")
@@ -58,6 +74,15 @@ def test_enum_json_is_byte_identical(capsys, flag):
         code = main(["enum", str(n), f"--{flag}", "--json"])
         digest.update(f"{code}\n{capsys.readouterr().out}".encode())
     assert digest.hexdigest() == ENUM_DIGESTS[flag]
+
+
+@pytest.mark.parametrize("flag", sorted(ENUM_13_14_DIGESTS))
+def test_enum_json_at_13_and_14_is_byte_identical(capsys, flag):
+    digest = hashlib.sha256()
+    for n in range(13, 15):
+        code = main(["enum", str(n), f"--{flag}", "--json"])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == ENUM_13_14_DIGESTS[flag]
 
 
 def test_verify_json_is_byte_identical_modulo_timing(capsys):
