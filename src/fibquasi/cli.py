@@ -17,7 +17,9 @@ come from the category registry in the verify module.
 first write, so a refusal or error leaves stdout empty, then writes one
 group of forms and one length of words per write from one walk, as text
 (``closed_form.EnumResult.write_text``) or as the bytes ``json.dumps``
-would give (``write_json``). Every other command emits its JSON through
+would give (``write_json``). ``analyze --json`` also writes the bytes
+``json.dumps`` would give, each set as one join (``_write_analyze``).
+``gen``, ``occurrences`` and ``verify`` emit their JSON through
 ``json.dumps``.
 """
 
@@ -95,15 +97,26 @@ def _cmd_analyze(args) -> int:
     if not requested:
         raise ValueError("select at least one set to compute "
                          "(e.g. --covers, --seeds)")
-    doc: dict = {"word": subject}
-    for category in requested:
-        doc[category.name] = list(category.oracle(subject, force=args.force))
+    found = {category.name: category.oracle(subject, force=args.force)
+             for category in requested}
     if args.json:
-        _emit(doc)
+        _write_analyze(subject, found)
     else:
-        for category in requested:
-            _print_words(category.name, doc[category.name])
+        for name, items in found.items():
+            _print_words(name, items)
     return 0
+
+
+def _write_analyze(subject: str, found: dict[str, list[str]]) -> None:
+    """Write ``json.dumps({"word": subject, **found})`` and a newline to
+    stdout, byte for byte, each set as one join: the subject and every
+    word found in it are over {a, b}, so none needs escaping."""
+    write = sys.stdout.write
+    write('{"word": "%s"' % subject)
+    for name, items in found.items():
+        write(', "%s": [%s]' % (name, '"%s"' % '", "'.join(items)
+                                if items else ""))
+    write("}\n")
 
 
 def _cmd_enum(args) -> int:

@@ -291,10 +291,13 @@ class _RangeMax:
 
 def _lcp(text: str, i: int, x: int, k: int) -> int:
     """The length of the longest common prefix of text[i:] and text[x:],
-    for x < i, given that it is at least k: double a step until a slice
-    comparison fails, then binary-search that step."""
+    for x < i, given that it is at least k: k at once when the letters
+    after those k differ or text[i:] ends there, otherwise double a step
+    until a slice comparison fails, then binary-search that step."""
     end = len(text) - i
-    lo, hi, step = k, k, 1
+    if k >= end or text[i + k] != text[x + k]:
+        return k
+    lo, hi, step = k + 1, k + 1, 1
     while lo < end:
         hi = lo + step
         if hi > end:
@@ -331,9 +334,10 @@ class Naming:
 
     Each length also says what it changed, for the event rules.
     ``renamed`` lists the starts renamed at k in ascending order, with
-    any of them dropped at k. ``touched`` holds every name made or
-    dropped at k, and every name whose starts or gap count changed at
-    k. At k = 1 nothing is renamed and every name is touched.
+    any of them dropped at k; it is the empty tuple at a length with
+    none. ``touched`` holds every name made or dropped at k, and every
+    name whose starts or gap count changed at k. At k = 1 nothing is
+    renamed and every name is touched.
 
     The pass is event-driven. Start i keeps its name x up to length
     lcp(i, x), so that length is found once, when i is named, and i
@@ -343,8 +347,9 @@ class Naming:
     first of them names them all. Each name keeps its starts as a
     doubly linked chain, and a gap longer than k waits in a bucket for
     the length that equals it. A rename, a dropped start or an expired
-    gap costs O(1) besides its LCP. Iterate it once at a time; a new
-    iteration starts the pass over.
+    gap costs O(1) besides its LCP, and a length with no rename, drop
+    or expired gap sorts, splits and updates nothing. Iterate it once
+    at a time; a new iteration starts the pass over.
     """
 
     def __init__(self, text: str, count: int):
@@ -371,31 +376,35 @@ class Naming:
                 gaps[x] += 1
                 expiring[i - p].append((x, p))
             due[lcp(text, i, x, 1) + 1].append(i)
-        k = self.k = 1
-        self.renamed, self.touched = [], set(first.values())
-        while True:
+        self.k = 1
+        self.renamed, self.touched = (), set(first.values())
+        ends = len(text) + 1  # the starts with k letters: 0..ends - k - 1
+        for k in range(2, min(count, len(text)) + 1):
             yield self
-            k = self.k = k + 1
-            size = min(count, len(text) - k + 1)
-            if k > count or size <= 0:
-                return
-            touched = self.touched = set(names[size:])
+            self.k = k
+            size = ends - k if ends - k < count else count
+            dropped = names[size:]
+            touched = self.touched = set(dropped)
             for x, p in expiring.pop(k, ()):
                 if nxt[p] == p + k and names[p] == x:
                     gaps[x] -= 1
                     touched.add(x)
-            for s in range(len(names) - 1, size - 1, -1):
-                # s is the last start, so it ends its chain
-                x, p = names[s], prev[s]
-                if p < 0:
-                    continue
-                nxt[p], last[x] = -1, p
-                if s - p > k:
-                    gaps[x] -= 1
-            del names[size:]
+            if dropped:
+                for s in range(len(names) - 1, size - 1, -1):
+                    # s is the last start, so it ends its chain
+                    x, p = names[s], prev[s]
+                    if p < 0:
+                        continue
+                    nxt[p], last[x] = -1, p
+                    if s - p > k:
+                        gaps[x] -= 1
+                del names[size:]
+            renamed = self.renamed = due.pop(k, ())
+            if not renamed:
+                continue
+            renamed.sort()
             split = {}  # old name -> the new name of its moved starts
-            self.renamed = sorted(due.pop(k, ()))
-            for i in self.renamed:
+            for i in renamed:
                 if i >= size:
                     continue
                 x = names[i]
@@ -423,15 +432,23 @@ class Naming:
                     gaps[r] += 1
                     expiring[i - p].append((r, p))
                 due[lcp(text, i, r, k) + 1].append(i)
-            touched.update(split)
-            touched.update(split.values())
+            if split:
+                touched.update(split)
+                touched.update(split.values())
+        yield self
 
 
 def _accepted(text: str, count: int, rule: EventRule) -> list[str]:
     """The words ``rule`` accepts over ``Naming(text, count)``,
-    spelled, shortest first and sorted within a length."""
-    return [u for naming in Naming(text, count)
-            for u in sorted([text[x:x + naming.k] for x in rule(naming)])]
+    spelled, shortest first and sorted within a length; a length that
+    accepts no name spells and sorts nothing."""
+    out: list[str] = []
+    for naming in Naming(text, count):
+        accepted = rule(naming)
+        if accepted:
+            k = naming.k
+            out += sorted([text[x:x + k] for x in accepted])
+    return out
 
 
 def seeds_of(y: str, force: bool = False) -> list[str]:
@@ -505,9 +522,10 @@ class Listed:
 class _Events:
     """An event rule that decides a name only when the pass touches it
     (``Naming.touched``) or at the length its last decision named as the
-    next one at which its verdict can change. A subclass's
-    ``_verdicts(naming, names)`` yields, for each of the names, (x,
-    accepted at k, that next length or 0 for none)."""
+    next one at which its verdict can change; at a length with neither
+    it decides nothing. A subclass's ``_verdicts(naming, names)``
+    yields, for each of the names, (x, accepted at k, that next length
+    or 0 for none)."""
 
     def __init__(self, y: str):
         n = self.n = len(y)
@@ -519,8 +537,13 @@ class _Events:
     def __call__(self, naming: Naming) -> set[int]:
         k, when, waiting = naming.k, self.when, self.waiting
         accepted = self.accepted
+        woken = waiting.pop(k, None)
+        if not (woken or naming.touched):
+            self.changed = set()
+            return accepted
         changed = self.changed = set(naming.touched)
-        changed.update([x for x in waiting.pop(k, ()) if when[x] == k])
+        if woken:
+            changed.update([x for x in woken if when[x] == k])
         for x, ok, at in self._verdicts(naming, changed):
             if ok:
                 accepted.add(x)

@@ -97,6 +97,20 @@ def test_analyze_json_round_trip_property(capsys):
     check()
 
 
+@pytest.mark.parametrize("names", [[c.name] for c in REGISTRY.values()]
+                         + [list(REGISTRY)])
+def test_analyze_json_is_json_dumps_of_the_document(capsys, names):
+    # analyze --json writes each set as one join; json.dumps of the same
+    # document is its reference, byte for byte, on one-letter words and
+    # on words with an empty set (ab and ba have no border)
+    flags = [f"--{REGISTRY[name].flag}" for name in names]
+    for y in ("a", "b", "ab", "ba", "aab", "abaab", "abaababa"):
+        code, out, _ = run(capsys, "analyze", y, *flags, "--json")
+        doc = {"word": y}
+        doc.update((name, REGISTRY[name].oracle(y)) for name in names)
+        assert (code, out) == (0, json.dumps(doc) + "\n"), (y, names)
+
+
 def test_analyze_rejects_alphabet(capsys):
     code, _, err = run(capsys, "analyze", "abcab", "--covers")
     assert code == 2 and "outside" in err

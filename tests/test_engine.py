@@ -640,6 +640,31 @@ def test_naming_pass_schedules_only_renames(monkeypatch):
         assert len(calls) <= len(text) + renames
 
 
+def test_lcp_equals_a_naive_scan():
+    # _lcp(text, i, x, k) for every x < i and every k up to the true LCP,
+    # on every binary text of up to 10 letters and on seeded 60-letter
+    # texts, uniform and periodic (the longest LCPs, up to the end of
+    # the text, so i + k == len(text) is asked too)
+    rng = random.Random(53)
+    texts = list(all_words(10))
+    for period in range(1, 11):
+        texts.append("".join(rng.choice("ab") for _ in range(60)))
+        base = "".join(rng.choice("ab") for _ in range(period))
+        texts.append((base * (60 // period + 1))[:60])
+    at_end = 0
+    for text in texts:
+        n = len(text)
+        for i in range(1, n):
+            for x in range(i):
+                true = 0
+                while i + true < n and text[i + true] == text[x + true]:
+                    true += 1
+                at_end += i + true == n
+                for k in range(true + 1):
+                    assert engine._lcp(text, i, x, k) == true, (text, i, x, k)
+    assert at_end
+
+
 class _CountedReads(list):
     """A list that counts its item reads."""
 

@@ -9,11 +9,17 @@ later, does the same for N = 13 and 14, the benchmark's catalog points.
 Each verify digest hashes the JSON of ``verify --max-n 12 --json`` or
 ``verify --max-n 17 --cap 17 --json`` with every ``elapsed_ms``
 removed. The second checks every cell exactly, up to the seed and
-circular-cover catalogs of F_17.
+circular-cover catalogs of F_17. ``ANALYZE_DIGEST`` hashes the exit code
+and stdout of ``analyze <y>`` with all six set flags and ``--json`` over
+``ANALYZE_WORDS``: every binary word of up to 8 letters, then seeded
+random words and rotated powers of 16-160 letters (the shapes of the
+benchmark's analyze-mixed workload).
 """
 
 import hashlib
+import itertools
 import json
+import random
 
 import pytest
 
@@ -51,6 +57,30 @@ VERIFY_DIGEST = (
     "82faedb528c7cded26e84d672999f4446915e160326d68d8088dc11a84e7fbc5")
 VERIFY_CAP_17_DIGEST = (
     "00f26b65868a114ff48bed200f37f9621590ff8d100a297227c08719dfc2bb46")
+ANALYZE_DIGEST = (
+    "b811210807715c9e33e2f3fc9237d21f2ea8c757ef5df48abcdd12faac2e07d1")
+ANALYZE_FLAGS = ["--borders", "--covers", "--left-seeds", "--right-seeds",
+                 "--seeds", "--circular", "--json"]
+
+
+def _analyze_words() -> list[str]:
+    out = ["".join(letters) for length in range(1, 9)
+           for letters in itertools.product("ab", repeat=length)]
+    rng = random.Random(7)
+    for k in range(24):
+        length = 16 + 144 * k // 23
+        out.append("".join(rng.choice("ab") for _ in range(length)))
+        period = 3 + k % 10
+        while True:
+            base = "".join(rng.choice("ab") for _ in range(period))
+            if (base + base).find(base, 1) == period:
+                break
+        shift = rng.randrange(period)
+        out.append((base * (length // period + 2))[shift:shift + length])
+    return out
+
+
+ANALYZE_WORDS = _analyze_words()
 
 
 @pytest.fixture(autouse=True)
@@ -99,3 +129,11 @@ def test_verify_cap_17_json_is_byte_identical_modulo_timing(capsys):
     assert code == 1
     assert (hashlib.sha256(json.dumps(doc).encode()).hexdigest()
             == VERIFY_CAP_17_DIGEST)
+
+
+def test_analyze_json_is_byte_identical(capsys):
+    digest = hashlib.sha256()
+    for y in ANALYZE_WORDS:
+        code = main(["analyze", y] + ANALYZE_FLAGS)
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == ANALYZE_DIGEST
