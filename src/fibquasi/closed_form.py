@@ -23,28 +23,30 @@ outer, right length inner; a catalog lists each row once, so no form
 repeats). The only member no shape produces is the literal "baa" at
 index 4 (``KIND_LITERAL``).
 
-``groups`` is the one walk of a catalog's rows: it places each (row,
-left length) in F_n as one ``Group`` without spelling a member, for
-verify and for ``_build``. The seed and circular-cover catalogs hold
+``groups`` reads a catalog's rows once: it places each (row, left
+length) in F_n as one ``Group`` without spelling a member, for verify
+and for ``_build``. The seed and circular-cover catalogs hold
 Theta(|F_n|^2) members and Theta(|F_n|^3) letters, so an ``EnumResult``
 keeps the groups and F_n, not the words. ``_build`` raises every
 error before anything is spelled. ``EnumResult.write_json`` and
-``write_text`` write a catalog from one walk, one write per group's
-forms and per length's words (or run of lengths with one active start;
-F_n is Sturmian, so it has at most k + 1 words of length k), with no
-Python frame per form or word; the JSON is byte for byte what
+``write_text`` write a catalog from its groups and runs, one write per
+group's forms and per length's words (or run of lengths with one active
+start; F_n is Sturmian, so it has at most k + 1 words of length k), with
+no Python frame per form or word; the JSON is byte for byte what
 ``json.dumps`` of ``to_json`` gives, and no word needs escaping, since
 each is a slice of F_n. A ``FactorForm`` is a NamedTuple, made in bulk
 by ``tuple.__new__`` and hashed as a plain tuple.
 
-One order serves the row check and the words: the groups sorted once by
-their longest members (``_by_longest``). A group's member of length k is
-a prefix of its longest, so in that order every length's members come
-out sorted, with equal ones next to each other; and two groups that
-differ at one length differ at every longer one. So the words of a
-length need no set or sort, and a row's repeat shows where one of its
-two groups joins, next to a group it equals. No member is spelled more
-often than the output needs.
+One walk serves the row check and the words (``_walk``): it sorts a
+catalog's groups once, by their longest members, and sweeps the lengths
+once. A group's member of length k is a prefix of its longest, so in
+that order every length's members come out sorted, with equal ones next
+to each other; and two groups that differ at one length differ at every
+longer one. So the words of a length need no set or sort, and a row's
+repeat shows where one of its two groups joins, next to a group of its
+row that it equals. ``_build`` keeps the walk's runs of lengths in the
+``EnumResult``, so no catalog is sorted twice, and no member is spelled
+more often than the output needs.
 """
 
 from __future__ import annotations
@@ -139,17 +141,18 @@ class FactorForm(NamedTuple):
 @dataclass(frozen=True)
 class EnumResult:
     """A catalog for one (index, category) cell, kept as the groups that
-    ``groups`` placed in ``subject``, which is F_n, and spelled only when
-    read: ``forms`` are the clause instances and ``words`` the
-    deduplicated word set, by length and then alphabetically.
-    ``write_json`` and ``write_text`` spell one length at a time, from
-    the groups sorted once by their longest members, and format each
-    group's forms from one head."""
+    ``groups`` placed in ``subject``, which is F_n, and the ``runs`` that
+    ``_walk`` cut from them, and spelled only when read: ``forms`` are
+    the clause instances and ``words`` the deduplicated word set, by
+    length and then alphabetically. ``write_json`` and ``write_text``
+    spell one length at a time from the runs, and format each group's
+    forms from one head."""
 
     n: int
     category: str
     subject: str = field(repr=False)
     groups: tuple[Group, ...] = field(repr=False)
+    runs: list[tuple[int, int, tuple[int, ...]]] = field(repr=False)
 
     @cached_property
     def forms(self) -> tuple[FactorForm, ...]:
@@ -170,14 +173,14 @@ class EnumResult:
     def _lengths(self) -> Iterator[Iterable[str]]:
         """The words, one length at a time from the shortest, each
         length's sorted: at length k, the distinct F_n[p:p+k] of the
-        active groups' starts p. ``_segments`` gives the starts sorted
-        by their groups' longest members, so each length's words come
-        out sorted with equal words next to each other, and ``groupby``
-        keeps one of each. Over a run of lengths with one active start,
-        the words are the prefixes of one slice, spelled by one
-        ``map``."""
+        active groups' starts p. Each of ``runs`` gives the starts
+        sorted by their groups' longest members, so each length's words
+        come out sorted with equal words next to each other, and
+        ``groupby`` keeps one of each. Over a run of lengths with one
+        active start, the words are the prefixes of one slice, spelled
+        by one ``map``."""
         subject = self.subject
-        for a, b, starts in _segments(subject, self.groups):
+        for a, b, starts in self.runs:
             if len(starts) == 1:
                 longest = subject[starts[0]:starts[0] + b - 1]
                 yield map(longest.__getitem__, map(slice, range(a, b)))
@@ -236,47 +239,65 @@ class EnumResult:
         _write_items(write, self._word_chunks, "  ", "\n", "")
 
 
-def _by_longest(subject: str, placed: Sequence[Group]
-                ) -> tuple[list[int], dict[int, list[int]],
-                           dict[int, list[int]]]:
-    """Rank ``placed`` by their longest members F_n[p:p+hi], where F_n is
-    ``subject``: the starts p by rank, and the ranks that join at each
-    length (their ``lo``) and that leave at each (``hi`` + 1). A group's
-    member of length k is the k-prefix of its longest, and k-prefixes
-    keep a sorted order sorted, so at every length the active groups'
-    members are sorted by rank. The keys are spelled by one C-level
-    ``map`` and dropped after the sort."""
+def _walk(n: int, category: str, subject: str, placed: Sequence[Group]
+          ) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The one sweep of a catalog's groups ``placed`` in F_n, which is
+    ``subject``: check that no row repeats a member, and cut the lengths
+    the groups span wherever one joins (at its ``lo``) or leaves (after
+    its ``hi``) into the runs ``EnumResult._lengths`` spells.
+
+    The groups are ranked once by their longest members F_n[p:p+hi],
+    spelled by one C-level ``map`` and dropped after the sort; at every
+    length the active groups' members are then sorted by rank (see the
+    module docstring). So each joining group is compared with its two
+    neighbours in its row's active ranks only, one member spelled, with
+    no Python frame per length. The members of one group differ in
+    length, so no group repeats itself.
+
+    Returns (a, b, starts) for each run a <= k < b of lengths at which
+    the same groups are active, with their distinct ``starts`` in rank
+    order; runs with none are left out. Raises the duplicate error of
+    the first repeating row in row order, named by the kind of its
+    first group in ``placed``, once the sweep is done. Verify cells name
+    a repeat through this too, so both sides name the same row."""
     starts = list(map(attrgetter("p"), placed))
     keys = list(map(subject.__getitem__, map(
         slice, starts, map(add, starts, map(attrgetter("hi"), placed)))))
     order = sorted(range(len(keys)), key=keys.__getitem__)
+    del keys
+    starts = list(map(starts.__getitem__, order))
+    rows = list(map(attrgetter("row"), map(placed.__getitem__, order)))
     joins: dict[int, list[int]] = {}
     leaves: dict[int, list[int]] = {}
     for rank, (_, lo, hi, _, _) in enumerate(map(placed.__getitem__, order)):
         joins.setdefault(lo, []).append(rank)
         leaves.setdefault(hi + 1, []).append(rank)
-    return list(map(starts.__getitem__, order)), joins, leaves
-
-
-def _segments(subject: str, placed: Sequence[Group]
-              ) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The lengths the groups span, cut wherever one joins (at its
-    ``lo``) or leaves (after its ``hi``): (a, b, starts) for each run
-    a <= k < b of lengths at which the same groups are active, with
-    their distinct ``starts`` in ``_by_longest`` order. Runs with none
-    are left out."""
-    starts, joins, leaves = _by_longest(subject, placed)
     cuts = sorted(joins.keys() | leaves.keys())
     active: list[int] = []  # the active groups' ranks, ascending
+    in_row: dict[int, list[int]] = {}  # row -> its active ranks, ascending
+    repeating = set()
     runs = []
     for a, b in zip(cuts, cuts[1:]):
         for rank in leaves.get(a, ()):
             active.remove(rank)
+            in_row[rows[rank]].remove(rank)
         for rank in joins.get(a, ()):
             insort(active, rank)
+            mates = in_row.setdefault(rows[rank], [])
+            i = bisect_left(mates, rank)
+            mates.insert(i, rank)
+            member = subject[starts[rank]:starts[rank] + a]
+            if ((i and subject.startswith(member, starts[mates[i - 1]]))
+                    or (i + 1 < len(mates) and subject.startswith(
+                        member, starts[mates[i + 1]]))):
+                repeating.add(rows[rank])
         if active:
             runs.append((a, b, tuple(dict.fromkeys(
                 map(starts.__getitem__, active)))))
+    if repeating:
+        row = min(repeating)
+        raise RuntimeError(_repeat_error(n, category, next(
+            group.form.kind for group in placed if group.row == row)))
     return runs
 
 
@@ -342,61 +363,23 @@ def _build(n: int, category: str, rows_of: Callable[[int], list[Row]],
     """Build the table F_0..F_n (the one index guard read) and, unless
     ``force`` is None (the linear catalogs), check the size refusal;
     then place the catalog ``rows_of(n)`` as groups (``groups`` raises a
-    row's other errors) and check, row by row (``_check_rows``), that no
-    row repeats a member (repeats across rows are absorbed by the set
-    union). Every error is raised here, before the result spells
-    anything.
+    row's other errors) and walk them once (``_walk``): the walk checks
+    that no row repeats a member (repeats across rows are absorbed by
+    the set union) and cuts the runs the words are spelled from. Every
+    error is raised here, before the result spells anything.
 
-    No word list is kept: the check spells each group's longest member
+    No word list is kept: the walk spells each group's longest member
     once, as its sort key, and its member at the length where it joins
-    once, to compare with its two neighbours, with C-level ``map``
-    calls and no Python frame per member or length."""
+    once, to compare with its two neighbours in its row, with C-level
+    ``map`` calls and no Python frame per member or length."""
     table = fib_words(n)
     if force is not None:
         refuse_oversize(f"catalog enumeration at index {n}", fib_len(n),
                         force)
     subject = table[n]
     placed = tuple(groups(table, category, rows_of))
-    _check_rows(n, category, subject, placed)
-    return EnumResult(n, category, subject, placed)
-
-
-def _check_rows(n: int, category: str, subject: str,
-                placed: Iterable[Group]) -> None:
-    """Raise the duplicate error of the first row, in row order, that
-    repeats a member (see ``_repeats``); ``placed`` are the catalog's
-    groups in F_n, which is ``subject``. Verify cells name a repeat
-    through this too, so both sides name the same row."""
-    for _, row in groupby(placed, attrgetter("row")):
-        row = list(row)
-        if _repeats(subject, row):
-            raise RuntimeError(_repeat_error(n, category, row[0].form.kind))
-
-
-def _repeats(subject: str, row: list[Group]) -> bool:
-    """Whether two groups of one row spell one member F_n[p:p+k]. The
-    members of one group differ in length, so no group repeats itself.
-
-    Two groups that differ at one length differ at every longer one, so
-    a repeat shows at the length where the later of its two groups
-    joins. The active groups are kept in ``_by_longest`` order, where
-    the groups equal at a length sit together, so a group that joins is
-    compared with its two neighbours only: one member spelled per group
-    besides its sort key, and no Python frame per length."""
-    starts, joins, leaves = _by_longest(subject, row)
-    active: list[int] = []  # the active groups' ranks, ascending
-    for k in sorted(joins.keys() | leaves.keys()):
-        for rank in leaves.get(k, ()):
-            active.remove(rank)
-        for rank in joins.get(k, ()):
-            i = bisect_left(active, rank)
-            active.insert(i, rank)
-            member = subject[starts[rank]:starts[rank] + k]
-            if ((i and subject.startswith(member, starts[active[i - 1]]))
-                    or (i + 1 < len(active) and subject.startswith(
-                        member, starts[active[i + 1]]))):
-                return True
-    return False
+    return EnumResult(n, category, subject, placed,
+                      _walk(n, category, subject, placed))
 
 
 def _repeat_error(n: int, category: str, kind: str) -> str:

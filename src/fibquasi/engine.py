@@ -333,15 +333,16 @@ class Naming:
     lengths.
 
     Each length also says what it changed, for the event rules.
-    ``renamed`` lists the starts renamed at k in ascending order, with
-    any of them dropped at k; it is the empty tuple at a length with
-    none. ``touched`` holds every name made or dropped at k, and every
-    name whose starts or gap count changed at k. At k = 1 nothing is
-    renamed and every name is touched.
+    ``renamed`` lists the starts renamed at k in ascending order; it is
+    the empty tuple at a length with none. ``touched`` holds every name
+    made or dropped at k, and every name whose starts or gap count
+    changed at k. At k = 1 nothing is renamed and every name is
+    touched.
 
     The pass is event-driven. Start i keeps its name x up to length
     lcp(i, x), so that length is found once, when i is named, and i
-    waits in a bucket for length lcp(i, x) + 1. At length k only the
+    waits in a bucket for length lcp(i, x) + 1, unless i + lcp(i, x)
+    is the end of the text: that length drops i. At length k only the
     starts of bucket k are renamed: the moved starts of one old name
     share their k-th letter (the alphabet has two letters), so the
     first of them names them all. Each name keeps its starts as a
@@ -366,7 +367,7 @@ class Naming:
         # due[k]: the starts whose name no longer fits at length k;
         # expiring[g]: (name, start) of the gaps of g letters
         due, expiring = defaultdict(list), defaultdict(list)
-        lcp = _lcp
+        lcp, end = _lcp, len(text)
         for i, x in enumerate(names):
             if x == i:
                 continue
@@ -375,10 +376,12 @@ class Naming:
             if i - p > 1:
                 gaps[x] += 1
                 expiring[i - p].append((x, p))
-            due[lcp(text, i, x, 1) + 1].append(i)
+            shared = lcp(text, i, x, 1)
+            if i + shared < end:  # else length shared + 1 drops i
+                due[shared + 1].append(i)
         self.k = 1
         self.renamed, self.touched = (), set(first.values())
-        ends = len(text) + 1  # the starts with k letters: 0..ends - k - 1
+        ends = end + 1  # the starts with k letters: 0..ends - k - 1
         for k in range(2, min(count, len(text)) + 1):
             yield self
             self.k = k
@@ -405,8 +408,6 @@ class Naming:
             renamed.sort()
             split = {}  # old name -> the new name of its moved starts
             for i in renamed:
-                if i >= size:
-                    continue
                 x = names[i]
                 p, q = prev[i], nxt[i]
                 nxt[p] = q
@@ -431,7 +432,9 @@ class Naming:
                 if i - p > k:
                     gaps[r] += 1
                     expiring[i - p].append((r, p))
-                due[lcp(text, i, r, k) + 1].append(i)
+                shared = lcp(text, i, r, k)
+                if i + shared < end:
+                    due[shared + 1].append(i)
             if split:
                 touched.update(split)
                 touched.update(split.values())

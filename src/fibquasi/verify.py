@@ -228,9 +228,10 @@ class _Cell:
     looked at again. The cell keeps the names on one side only, and only
     those are spelled, so a length with no event costs O(1). Two groups
     of one row on one name at k repeat a member: the cell then raises
-    the builder's error through ``closed_form._check_rows``, which names
-    the first repeating row in row order, and its own error from the
-    groups' form should that find none."""
+    the builder's error through ``closed_form._walk``, the builder's own
+    sweep of the groups, which names the first repeating row in row
+    order, and its own error from the group's form should that find
+    none."""
 
     def __init__(self, n: int, record: Category, table: list[str]):
         self.n, self.record, self.subject = n, record, table[n]
@@ -276,8 +277,8 @@ class _Cell:
         for g in itertools.chain(moved, opening):
             x = named[g] = names[groups[g].p]
             if (groups[g].row, x) in pairs:
-                closed_form._check_rows(self.n, self.record.name,
-                                        self.subject, groups)
+                closed_form._walk(self.n, self.record.name, self.subject,
+                                  groups)
                 raise RuntimeError(closed_form._repeat_error(
                     self.n, self.record.name, groups[g].form.kind))
             pairs.add((groups[g].row, x))

@@ -1,7 +1,9 @@
 """The per-length catalog sweeps, the test references of
-``closed_form._repeats`` and ``EnumResult._lengths``: each spells every
-active group's member again at every length, and finds repeats and
-distinct words by building a set."""
+``closed_form._walk``, which checks a catalog's rows and cuts its runs
+of lengths, and of ``EnumResult._lengths``, which spells the words from
+those runs: each reference spells every active group's member again at
+every length, and finds a row's repeats and the distinct words by
+building a set."""
 
 from fibquasi.closed_form import Group
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import sys
@@ -763,19 +764,24 @@ def test_build_checks_literal_rows():
 
 
 def _python_calls(call):
-    """``call()``, and the number of Python frames it ran."""
+    """``call()``, and the number of Python frames it ran. The cyclic
+    collector is paused meanwhile, so no callback that a test library
+    registered with it (hypothesis has one) is counted as a frame."""
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
         calls += event == "call"
 
-    previous = sys.getprofile()
+    previous, collecting = sys.getprofile(), gc.isenabled()
+    gc.disable()
     sys.setprofile(count)
     try:
         result = call()
     finally:
         sys.setprofile(previous)
+        if collecting:
+            gc.enable()
     return result, calls
 
 
@@ -787,13 +793,12 @@ def test_build_runs_no_python_frame_per_member(enumerator):
 
 @pytest.mark.parametrize("enumerator", [enum_seeds, enum_circular_covers])
 def test_row_check_runs_no_python_frame_per_length(enumerator):
-    # two frames per row (``_repeats`` and ``_by_longest``), plus the
-    # lambda and ``_check_rows`` itself
+    # the lambda and ``_walk`` itself: no frame per row, group or length
     result = enumerator(14)
-    rows = len({group.row for group in result.groups})
-    _, calls = _python_calls(lambda: closed_form._check_rows(
+    runs, calls = _python_calls(lambda: closed_form._walk(
         14, result.category, result.subject, result.groups))
-    assert calls <= 2 * rows + 2, (calls, rows)
+    assert runs == result.runs
+    assert calls <= 2, calls
 
 
 def _random_groups(rng: random.Random, subject: str, count: int
@@ -824,6 +829,9 @@ def _random_groups(rng: random.Random, subject: str, count: int
 
 
 def test_row_check_and_words_match_the_per_length_references():
+    # The walk raises iff the row repeats a member. With one row per
+    # group it never raises, and equal members of two rows are still
+    # one word.
     rng = random.Random(5)
     subjects = [fib_word(n) for n in range(4, 12)] + [
         "".join(rng.choices("ab", k=rng.randint(3, 40))) for _ in range(40)]
@@ -832,10 +840,17 @@ def test_row_check_and_words_match_the_per_length_references():
         for _ in range(60):
             placed = _random_groups(rng, subject, rng.randint(1, 8))
             expected = repeats(subject, placed)
-            assert closed_form._repeats(subject, placed) == expected, (
-                subject, placed)
-            result = closed_form.EnumResult(0, "test", subject,
-                                            tuple(placed))
+            try:
+                closed_form._walk(0, "test", subject, placed)
+            except RuntimeError as error:
+                assert expected, (subject, placed, error)
+            else:
+                assert not expected, (subject, placed)
+            apart = tuple(group._replace(row=row)
+                          for row, group in enumerate(placed))
+            result = closed_form.EnumResult(
+                0, "test", subject, apart,
+                closed_form._walk(0, "test", subject, apart))
             assert ([list(item) for item in result._lengths()]
                     == lengths(subject, placed)), (subject, placed)
             cases, repeating = cases + 1, repeating + expected

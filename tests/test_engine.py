@@ -640,6 +640,26 @@ def test_naming_pass_schedules_only_renames(monkeypatch):
         assert len(calls) <= len(text) + renames
 
 
+def test_naming_pass_renames_only_starts_it_keeps():
+    # a start whose LCP with its name runs to the end of the text is
+    # dropped at the next length, so it is never listed as renamed
+    rng = random.Random(31)
+    texts = []
+    for n in range(5, 17):
+        y = fib_word(n)
+        texts += [(y, len(y)), (y + y, len(y))]
+    for _ in range(40):
+        y = random_word(rng, 300)
+        texts += [(y, len(y)), (y + y, len(y))]
+    listed = 0
+    for text, count in texts:
+        for naming in engine.Naming(text, count):
+            assert all(i < len(naming.names) for i in naming.renamed), (
+                text, naming.k)
+            listed += len(naming.renamed)
+    assert listed
+
+
 def test_lcp_equals_a_naive_scan():
     # _lcp(text, i, x, k) for every x < i and every k up to the true LCP,
     # on every binary text of up to 10 letters and on seeded 60-letter

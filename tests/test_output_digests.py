@@ -6,6 +6,10 @@ any form, word, order or byte of these documents fails here. Each enum
 digest hashes, for N = 0..12 in turn, the exit code, a newline and the
 stdout of ``enum N --<flag> --json``; ``ENUM_13_14_DIGESTS``, recorded
 later, does the same for N = 13 and 14, the benchmark's catalog points.
+``ENUM_15_16_DIGESTS`` hashes, for N = 15 and 16 in turn, the stdout of
+``enum N --<flag> --json --force``, a newline, the exit code and a
+newline; the stdout (about 300 MB at N = 16) goes to the hash as it is
+written, never held.
 Each verify digest hashes the JSON of ``verify --max-n 12 --json`` or
 ``verify --max-n 17 --cap 17 --json`` with every ``elapsed_ms``
 removed. The second checks every cell exactly, up to the seed and
@@ -20,6 +24,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -52,6 +57,12 @@ ENUM_13_14_DIGESTS = {
         "ad5581760e31be66a1e39697c9f0b7a08abebce2846bc4fc7e2127b9ce86ec45",
     "seeds":
         "031cadc423c4399d2b1e170f4e1967740ffef1169bf3cd1cae9dad3f40c3663a",
+}
+ENUM_15_16_DIGESTS = {
+    "circular":
+        "bf122eadacc7c629a243c53e9c1155d725eb95a3aca2586a4236926c0495fe5d",
+    "seeds":
+        "f06966fbb520bb48f9d6beb17b264bb5cc56db6413ccf19a2cc1f227b6310353",
 }
 VERIFY_DIGEST = (
     "82faedb528c7cded26e84d672999f4446915e160326d68d8088dc11a84e7fbc5")
@@ -113,6 +124,31 @@ def test_enum_json_at_13_and_14_is_byte_identical(capsys, flag):
         code = main(["enum", str(n), f"--{flag}", "--json"])
         digest.update(f"{code}\n{capsys.readouterr().out}".encode())
     assert digest.hexdigest() == ENUM_13_14_DIGESTS[flag]
+
+
+class _HashingStdout:
+    """A stdout that feeds what is written to ``digest``."""
+
+    def __init__(self, digest):
+        self.digest = digest
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("flag", sorted(ENUM_15_16_DIGESTS))
+def test_enum_json_at_15_and_16_is_byte_identical(monkeypatch, flag):
+    digest = hashlib.sha256()
+    for n in (15, 16):
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", _HashingStdout(digest))
+            code = main(["enum", str(n), f"--{flag}", "--json", "--force"])
+        digest.update(f"\n{code}\n".encode())
+    assert digest.hexdigest() == ENUM_15_16_DIGESTS[flag]
 
 
 def test_verify_json_is_byte_identical_modulo_timing(capsys):

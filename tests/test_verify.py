@@ -481,6 +481,30 @@ def test_cell_schedules_only_the_lengths_where_a_group_joins_or_leaves():
     assert len(cell.opening) + len(cell.closing) <= 2 * len(cell.groups)
 
 
+def _twice_the_counts(n):
+    """Twice the oracle counts of seeds and circular covers of F_n by the
+    closed forms fitted for n >= 5 (see DEVIATIONS.md), with f_k =
+    |F_k|: f_{n-1} f_{n-2} + 3 f_n - 4 f_{n-1} + 3 and f_{n-1} f_{n-2} -
+    f_n + 3."""
+    f, f1, f2 = fib_len(n), fib_len(n - 1), fib_len(n - 2)
+    return [f1 * f2 + 3 * f - 4 * f1 + 3, f1 * f2 - f + 3]
+
+
+def _twice(cells):
+    """Twice the oracle count each cell line ends with."""
+    return [2 * int(cell.split()[-1]) for cell in cells]
+
+
+def test_closed_form_counts_match_the_per_word_predicates():
+    # counted from the per-word predicates, not from the naming pass
+    for n in range(5, 13):
+        y = fib_word(n)
+        factors = distinct_factors(y)
+        assert [2 * sum(engine.is_seed_fast(u, y) for u in factors),
+                2 * sum(engine.is_circular_cover(u, y) for u in factors)
+                ] == _twice_the_counts(n), n
+
+
 # The cells at indices 15 and 16, printed by a child process. The word
 # cell at index 16 holds every member of both sides as a string (about
 # 670 MB); the handle cell holds O(|F_n|) letters.
@@ -523,6 +547,7 @@ def test_handle_cells_through_f16_fit_in_100_mb():
         "15 circular_covers ('baaba',) () 114492 114493",
         "16 seeds ('baaba',) () 301457 301458",
         "16 circular_covers ('baaba',) () 300237 300238"]
+    assert _twice(cells) == _twice_the_counts(15) + _twice_the_counts(16)
     assert peak_kb < 100 * 1024
 
 
@@ -617,6 +642,7 @@ def test_seed_and_circular_cells_at_f20_fit_in_40_mb():
     cells, peak_kb = _cells_in_a_child(_F20_SEED_CELLS)
     assert cells == ["seeds ('baaba',) () 14145122 14145123",
                      "circular_covers ('baaba',) () 14136760 14136761"]
+    assert _twice(cells) == _twice_the_counts(20)
     assert peak_kb < 40 * 1024
 
 
