@@ -28,10 +28,14 @@ length k at a time. A factor is named by its first start (Karp, Miller
 & Rosenberg), and one naming pass (Naming) can feed several rules. The
 pass is event-driven. It renames only the starts whose factor stops
 matching their name's factor, each found by one LCP when the start is
-named. It carries each name's last start and its count of occurrence
-gaps longer than k from one length to the next. So no length scans
-every start: past its O(|text|) set-up, a pass costs one LCP and O(1)
-updates per rename.
+named: the next letter answers it, or one query of an LCE table over
+the pass's text (_lce: the starts ranked by prefix doubling after
+Manber & Myers, the LCP array of Kasai, Lee, Arimura, Arikawa & Park
+and range minima after Bender & Farach-Colton). It carries each name's
+last start and its count of occurrence gaps longer than k from one
+length to the next. So no length scans every start: past the table's
+O(|text| log |text|) set-up, a pass costs O(1) per rename, its LCP
+included.
 
 The rules are event rules. An event rule keeps its accepted set from
 one length to the next. It decides a name again only when the pass
@@ -71,6 +75,8 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from operator import add, mul
 from typing import Callable, Iterator
 
 from .errors import SizeLimitError
@@ -289,32 +295,121 @@ class _RangeMax:
         return lo
 
 
-def _lcp(text: str, i: int, x: int, k: int) -> int:
-    """The length of the longest common prefix of text[i:] and text[x:],
-    for x < i, given that it is at least k: k at once when the letters
-    after those k differ or text[i:] ends there, otherwise double a step
-    until a slice comparison fails, then binary-search that step."""
-    end = len(text) - i
-    if k >= end or text[i + k] != text[x + k]:
-        return k
-    lo, hi, step = k + 1, k + 1, 1
-    while lo < end:
-        hi = lo + step
-        if hi > end:
-            hi = end
-        if text[i + lo:i + hi] != text[x + lo:x + hi]:
+# The table's first sort orders the starts by their first _RANK_WIDTH
+# letters, and prefix doubling orders the ones that tie there.
+_RANK_WIDTH = 256
+# Range minima of up to _BLOCK LCP entries (a power of two) read one
+# window level; longer ones read whole blocks of _BLOCK entries too.
+_BLOCK = 16
+
+
+def _min_pairs(values, step: int) -> array:
+    """Entry j is min(values[j], values[j + step])."""
+    return array("i", [a if a < b else b
+                       for a, b in zip(values, values[step:])])
+
+
+def _lce(text: str, count: int,
+         starts: list[int]) -> Callable[[int, int], int]:
+    """The longest common extension of two starts of a naming pass:
+    ``lce(i, x)``, for starts i != x below min(count, len(text)), is the
+    length of the longest common prefix of text[i:] and text[x:].
+
+    The table ranks the starts by their windows text[i:i+count]: the
+    suffixes of a linear pass's text, or the rotations of y when the
+    text is y*y and count is |y|. One sort orders the windows by their
+    first w = _RANK_WIDTH letters; while two tie there and are longer,
+    prefix doubling (Manber & Myers, SIAM J. Comput. 1993) ranks every
+    window by its first 2w letters, as the pair of its rank and the rank
+    of the window w letters on, and doubles w. Equal rotations stay in
+    start order. Kasai's walk (Kasai, Lee, Arimura, Arikawa & Park, CPM 2001)
+    then finds each start's LCP with the start ranked just below it:
+    the LCP at i + 1 is at least the LCP at i less one, because the
+    start after i's predecessor is ranked too (it wraps to 0 in a
+    rotation) and below i + 1. Two starts share the least of the LCPs
+    ranked between them, a range minimum after Bender & Farach-Colton
+    (LATIN 2000): a range of up to _BLOCK entries is the minimum of two
+    windows of one level, and a longer one adds a sparse table over the
+    whole blocks it spans. Set-up costs O(|text| log |text|) and a
+    query O(1). The rank order is freed once the LCPs are found.
+
+    Ranks and LCPs are lists, and the minima of two or more entries
+    array("i"). ``starts`` holds the ints 0..size-1 (the pass's
+    ``last`` before it changes): the lists store its objects, so they
+    and the pass share one int object per start."""
+    size, end = min(count, len(text)), len(text)
+    width = min(_RANK_WIDTH, count)
+    keys = [text[i:i + width] for i in range(size)]
+    order = sorted(starts, key=keys.__getitem__)
+    rank = [0] * size  # 1 + the first position of a start's key in order
+    while width < count:
+        groups, head, prev = 0, 0, None
+        for p, i in enumerate(order, 1):
+            key = keys[i]
+            if key != prev:
+                groups, head, prev = groups + 1, p, key
+            rank[i] = head
+        if groups == size:
             break
-        lo, step = hi, step * 2
-    else:
-        return lo
-    # the prefixes agree on lo letters and differ within hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if text[i + lo:i + mid] == text[x + lo:x + mid]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        keys = prev = None
+        # the window width letters on: rank 0 past the end of a linear
+        # text, while a rotation wraps
+        after = islice(rank, width) if size < end else repeat(0, width)
+        keys = list(map(add, map(mul, rank, repeat(size + 1)),
+                        chain(islice(rank, width, None), after)))
+        order.sort(key=keys.__getitem__)
+        width *= 2
+    keys = rank = None
+    pos = [0] * size
+    for p, i in zip(starts, order):
+        pos[i] = p
+    lcps = [0] * size  # lcps[p]: LCP of ranks p - 1 and p
+    h = 0  # Kasai's carry, which is 0 at rank 0: nothing ranks below
+    for i, p in enumerate(pos):
+        if p:
+            j = order[p - 1]
+            stop = end - (i if i > j else j)
+            while h < stop and text[i + h] == text[j + h]:
+                h += 1
+            # an LCP past size is two equal rotations' run to the end
+            lcps[p] = starts[h] if h < size else h
+            if h:
+                h -= 1
+    order = None
+    B = _BLOCK
+    levels = [lcps]  # levels[l][p]: the minimum of lcps[p:p + 2**l]
+    while 1 << len(levels) <= B:
+        levels.append(_min_pairs(levels[-1], 1 << (len(levels) - 1)))
+    top = levels[-1]
+    # blocks[l][q]: the minimum of the whole blocks q..q + 2**l - 1
+    blocks = [top[::B]]
+    while 1 << len(blocks) <= len(blocks[0]):
+        blocks.append(_min_pairs(blocks[-1], 1 << (len(blocks) - 1)))
+
+    def lce(i: int, x: int) -> int:
+        a, b = pos[i], pos[x]
+        if a > b:
+            a, b = b, a
+        n = b - a  # the entries a + 1..b
+        if n <= B:
+            l = n.bit_length() - 1
+            level = levels[l]
+            u, v = level[a + 1], level[b + 1 - (1 << l)]
+            return u if u < v else v
+        u, v = top[a + 1], top[b + 1 - B]
+        if v < u:
+            u = v
+        lo, hi = a // B + 1, (b + 1) // B  # the whole blocks lo..hi - 1
+        if lo < hi:
+            l = (hi - lo).bit_length() - 1
+            level = blocks[l]
+            v, w = level[lo], level[hi - (1 << l)]
+            if w < v:
+                v = w
+            if v < u:
+                u = v
+        return u
+    return lce
 
 
 class Naming:
@@ -324,7 +419,9 @@ class Naming:
     Iterating yields the pass itself at k = 1, 2, ...: ``names[i]`` is
     the first start of text[i:i+k] among the starts 0..len(names)-1.
     The starts are the first ``count`` positions that still have k
-    letters, and k runs up to ``count`` while there is one. A name is
+    letters, and k runs up to ``count`` while there is one. A pass is
+    linear (``count`` at least len(text)) or circular (text is y*y and
+    ``count`` is |y|); any other pair is refused. A name is
     the factor's first start, so a factor is spelled from its name
     alone. For each name x, ``last[x]`` is its last start and
     ``gaps[x]`` counts the pairs of consecutive starts named x that are
@@ -342,33 +439,42 @@ class Naming:
     The pass is event-driven. Start i keeps its name x up to length
     lcp(i, x), so that length is found once, when i is named, and i
     waits in a bucket for length lcp(i, x) + 1, unless i + lcp(i, x)
-    is the end of the text: that length drops i. At length k only the
+    is the end of the text: that length drops i. Named at length k, i
+    keeps its name for good if i + k is the end of the text, and only
+    up to k if its next letter differs from x's; every other LCP is
+    one query of an LCE table built once per pass (``_lce``: O(|text|
+    log |text|) set-up, O(1) per query). At length k only the
     starts of bucket k are renamed: the moved starts of one old name
     share their k-th letter (the alphabet has two letters), so the
     first of them names them all. Each name keeps its starts as a
     doubly linked chain, and a gap longer than k waits in a bucket for
     the length that equals it. A rename, a dropped start or an expired
-    gap costs O(1) besides its LCP, and a length with no rename, drop
-    or expired gap sorts, splits and updates nothing. Iterate it once
-    at a time; a new iteration starts the pass over.
+    gap costs O(1), its LCP included, and a length with no rename,
+    drop or expired gap sorts, splits and updates nothing. Iterate it
+    once at a time; a new iteration starts the pass over.
     """
 
     def __init__(self, text: str, count: int):
+        if 0 < count < len(text) and text != text[:count] * 2:
+            raise ValueError("a pass over fewer starts than letters must "
+                             "read y*y over the |y| starts of y")
         self.text, self.count = text, count
 
     def __iter__(self) -> Iterator[Naming]:
         text, count = self.text, self.count
-        size = min(count, len(text))
+        size, end = min(count, len(text)), len(text)
         first = dict(zip(reversed(text[:size]), range(size - 1, -1, -1)))
         names = self.names = list(map(first.__getitem__, text[:size]))
         last = self.last = list(range(size))
+        lce = _lce(text, count, last)
         gaps = self.gaps = [0] * size
         prev, nxt = [-1] * size, [-1] * size
         # due[k]: the starts whose name no longer fits at length k;
         # expiring[g]: (name, start) of the gaps of g letters
         due, expiring = defaultdict(list), defaultdict(list)
-        lcp, end = _lcp, len(text)
-        for i, x in enumerate(names):
+        # i is last's own object, which the chains and the table keep;
+        # the loop writes last[x] only for names x < i
+        for i, x in zip(last, names):
             if x == i:
                 continue
             p = last[x]
@@ -376,7 +482,8 @@ class Naming:
             if i - p > 1:
                 gaps[x] += 1
                 expiring[i - p].append((x, p))
-            shared = lcp(text, i, x, 1)
+            shared = (lce(i, x) if i + 1 < end and text[i + 1] == text[x + 1]
+                      else 1)
             if i + shared < end:  # else length shared + 1 drops i
                 due[shared + 1].append(i)
         self.k = 1
@@ -432,7 +539,8 @@ class Naming:
                 if i - p > k:
                     gaps[r] += 1
                     expiring[i - p].append((r, p))
-                shared = lcp(text, i, r, k)
+                shared = (lce(i, r) if i + k < end
+                          and text[i + k] == text[r + k] else k)
                 if i + shared < end:
                     due[shared + 1].append(i)
             if split:

@@ -19,6 +19,7 @@ from fibquasi.words import (borders, canonical, is_cover, occurrences,
 from cover_chain_scan import full_scan_cover_chain
 from extent_references import (is_right_seed_by_chain,
                                right_seeds_by_suffix_loop)
+from lcp_doubling import lcp_by_doubling
 from per_length_rules import circular_rule, has_border, seed_rule
 
 F4 = "abaab"
@@ -620,24 +621,39 @@ def test_naming_pass_matches_the_letter_scan():
 
 
 def test_naming_pass_schedules_only_renames(monkeypatch):
-    # Each LCP schedules one start: at k = 1 every start but the first
+    # Each LCE schedules one start: at k = 1 every start but the first
     # of each letter, then every renamed start that does not become a
-    # name itself. So the pass makes at most |text| + renames of them,
+    # name itself. The next letter answers it when it differs or the
+    # text ends there, and one query of the LCE table answers every
+    # other one. So the pass makes at most |text| + renames of them,
     # and the exact counts are pinned; a pass that compared every start
     # at every length would make about |F_16|^2 / 2 letter comparisons.
-    real, calls = engine._lcp, []
+    real, queries = engine._lce, []
 
-    def counted(text, i, x, k):
-        calls.append(k)
-        return real(text, i, x, k)
-    monkeypatch.setattr(engine, "_lcp", counted)
+    def counted(text, count, starts):
+        lce = real(text, count, starts)
+
+        def query(i, x):
+            queries.append((i, x))
+            return lce(i, x)
+        return query
+    monkeypatch.setattr(engine, "_lce", counted)
     y = fib_word(16)
     for text, renames, scheduled in ((y, 5269, 5879), (y + y, 6255, 6255)):
-        calls.clear()
-        for _ in engine.Naming(text, len(y)):
-            pass
-        assert len(calls) == scheduled, len(text)
-        assert len(calls) <= len(text) + renames
+        queries.clear()
+        named, asked, renamed = 0, [], 0
+        for naming in engine.Naming(text, len(y)):
+            k, names = naming.k, naming.names
+            renamed += len(naming.renamed)
+            for i in range(len(names)) if k == 1 else naming.renamed:
+                x = names[i]
+                if x != i:
+                    named += 1
+                    if i + k < len(text) and text[i + k] == text[x + k]:
+                        asked.append((i, x))
+        assert (renamed, named) == (renames, scheduled), len(text)
+        assert queries == asked, len(text)
+        assert named <= len(text) + renames
 
 
 def test_naming_pass_renames_only_starts_it_keeps():
@@ -660,11 +676,20 @@ def test_naming_pass_renames_only_starts_it_keeps():
     assert listed
 
 
+def _scanned_lcp(text: str, i: int, x: int) -> int:
+    """The longest common prefix of text[i:] and text[x:], letter by
+    letter."""
+    n, lcp = len(text), 0
+    while i + lcp < n and x + lcp < n and text[i + lcp] == text[x + lcp]:
+        lcp += 1
+    return lcp
+
+
 def test_lcp_equals_a_naive_scan():
-    # _lcp(text, i, x, k) for every x < i and every k up to the true LCP,
-    # on every binary text of up to 10 letters and on seeded 60-letter
-    # texts, uniform and periodic (the longest LCPs, up to the end of
-    # the text, so i + k == len(text) is asked too)
+    # lcp_by_doubling(text, i, x, k) for every x < i and every k up to
+    # the true LCP, on every binary text of up to 10 letters and on
+    # seeded 60-letter texts, uniform and periodic (the longest LCPs, up
+    # to the end of the text, so i + k == len(text) is asked too)
     rng = random.Random(53)
     texts = list(all_words(10))
     for period in range(1, 11):
@@ -676,13 +701,77 @@ def test_lcp_equals_a_naive_scan():
         n = len(text)
         for i in range(1, n):
             for x in range(i):
-                true = 0
-                while i + true < n and text[i + true] == text[x + true]:
-                    true += 1
+                true = _scanned_lcp(text, i, x)
                 at_end += i + true == n
                 for k in range(true + 1):
-                    assert engine._lcp(text, i, x, k) == true, (text, i, x, k)
+                    assert lcp_by_doubling(text, i, x, k) == true, (
+                        text, i, x, k)
     assert at_end
+
+
+def _assert_lce_table(y: str) -> None:
+    """The LCE table of a linear pass over y and of a circular one over
+    y*y answer every pair of starts as the doubling LCP and the letter
+    scan do, in both orders."""
+    for text, count in ((y, len(y)), (y + y, len(y))):
+        lce = engine._lce(text, count, list(range(len(y))))
+        for i in range(1, len(y)):
+            for x in range(i):
+                true = _scanned_lcp(text, i, x)
+                assert lce(i, x) == lce(x, i) == true, (text, i, x)
+                assert lcp_by_doubling(text, i, x, 0) == true, (text, i, x)
+
+
+def test_lce_table_equals_the_references():
+    # every binary word of up to 10 letters, F_0..F_13 and rotated
+    # powers, each as y over |y| starts and as y*y over |y|. The windows
+    # of y*y are the rotations of y: a power's equal rotations stay in
+    # start order, and their LCE runs on to the end of y*y. In
+    # aabaaaba*aabaaaba the start ranked just below 0 is 7, the last
+    # start, so Kasai's carried bound is only sound because the start
+    # after 7 wraps to 0, which is ranked.
+    rng = random.Random(59)
+    subjects = list(all_words(10)) + [fib_word(n) for n in range(14)]
+    subjects += list(_rotated_powers(rng, 40)) + ["aabaaaba"]
+    for y in subjects:
+        _assert_lce_table(y)
+    lce = engine._lce("aabaaaba" * 2, 8, list(range(8)))
+    assert [lce(i, i + 4) for i in range(4)] == [12, 11, 10, 9]
+    assert lce(0, 7) == 2
+
+
+def test_lce_table_through_prefix_doubling(monkeypatch):
+    # With a first sort of 1 to 3 letters the windows tie and prefix
+    # doubling ranks them; with blocks of 1 to 4 entries the small
+    # words take the long range minima too. The table answers as the
+    # references do, and the pass is the same as at the default widths.
+    rng = random.Random(61)
+    subjects = list(all_words(8)) + [fib_word(n) for n in range(12)]
+    subjects += list(_rotated_powers(rng, 30)) + ["aabaaaba"]
+    passes = [(text, len(y)) for y in (fib_word(11), "abaab" * 9 + "a",
+                                       random_word(rng, 120))
+              for text in (y, y + y)]
+
+    def snapshot(text, count):
+        return [(n.k, list(n.names), list(n.last), list(n.gaps),
+                 list(n.renamed), set(n.touched))
+                for n in engine.Naming(text, count)]
+    expected = [snapshot(text, count) for text, count in passes]
+    for width, block in ((1, 1), (2, 2), (3, 4)):
+        monkeypatch.setattr(engine, "_RANK_WIDTH", width)
+        monkeypatch.setattr(engine, "_BLOCK", block)
+        for y in subjects:
+            _assert_lce_table(y)
+        assert [snapshot(text, count)
+                for text, count in passes] == expected, (width, block)
+
+
+def test_naming_refuses_a_partial_circular_text():
+    with pytest.raises(ValueError):
+        engine.Naming("abaab" + "abaab"[:4], 5)
+    with pytest.raises(ValueError):
+        engine.Naming("abaabbaaba", 5)
+    assert [n.k for n in engine.Naming("abaab" * 2, 5)] == [1, 2, 3, 4, 5]
 
 
 class _CountedReads(list):
