@@ -23,9 +23,12 @@ outer, right length inner; a catalog lists each row once, so no form
 repeats). The only member no shape produces is the literal "baa" at
 index 4 (``KIND_LITERAL``).
 
-``groups`` reads a catalog's rows once: it places each (row, left
-length) in F_n as one ``Group`` without spelling a member, for verify
-and for ``_build``. The seed and circular-cover catalogs hold
+``group_runs`` reads a catalog's rows once and places them in F_n
+without spelling a member, as runs of groups: the groups of one row at
+consecutive left lengths whose fields each move by a fixed step, a few
+per row. Verify cells keep the runs; ``_build`` expands them into one
+``Group`` per (row, left length) (``groups``). The seed and
+circular-cover catalogs hold
 Theta(|F_n|^2) members and Theta(|F_n|^3) letters, so an ``EnumResult``
 keeps the groups and F_n, not the words. ``_build`` raises every
 error before anything is spelled. ``EnumResult.write_json`` and
@@ -362,11 +365,13 @@ def _build(n: int, category: str, rows_of: Callable[[int], list[Row]],
            force: bool | None = None) -> EnumResult:
     """Build the table F_0..F_n (the one index guard read) and, unless
     ``force`` is None (the linear catalogs), check the size refusal;
-    then place the catalog ``rows_of(n)`` as groups (``groups`` raises a
-    row's other errors) and walk them once (``_walk``): the walk checks
-    that no row repeats a member (repeats across rows are absorbed by
-    the set union) and cuts the runs the words are spelled from. Every
-    error is raised here, before the result spells anything.
+    then place the catalog ``rows_of(n)`` as groups (``groups``: the
+    runs of ``group_runs``, which raises a row's other errors, expanded
+    with no Python frame per group) and walk them once (``_walk``): the
+    walk checks that no row repeats a member (repeats across rows are
+    absorbed by the set union) and cuts the runs the words are spelled
+    from. Every error is raised here, before the result spells
+    anything.
 
     No word list is kept: the walk spells each group's longest member
     once, as its sort key, and its member at the length where it joins
@@ -391,7 +396,8 @@ class Group(NamedTuple):
     """The members of one (row, left length) of a catalog, placed in
     F_n: F_n[p:p+k] for every length k from lo to hi. ``row`` is the
     row's place in the catalog, and ``form`` the clause instance of the
-    shortest member."""
+    shortest member. ``expand`` makes these from a catalog's runs, for
+    ``enum``; verify cells keep the runs alone."""
 
     row: int
     lo: int
@@ -404,18 +410,98 @@ class Group(NamedTuple):
         return self.form._replace(right_len=self.form.right_len + k - self.lo)
 
 
+class GroupRun(NamedTuple):
+    """The groups of one row at ``count`` consecutive left lengths, from
+    ``form.left_len`` on, each an arithmetic step from the one before:
+    the first is Group(row, lo, hi, p, form) and the j-th ``group(j)``.
+    Each starts one letter before the last and spans one more length
+    (its ``hi`` one greater); its right length moves by ``step`` and its
+    ``lo`` by 1 + ``step``.
+    ``step`` is -1 while the least sum |x|+|y| sets the right length,
+    so all the run's groups join at one length, and 0 from there on."""
+
+    row: int
+    count: int
+    p: int
+    lo: int
+    hi: int
+    step: int
+    form: FactorForm
+
+    def group(self, j: int) -> Group:
+        """The j-th group of the run, 0 <= j < ``count``."""
+        kind, m, l, r, literal = self.form
+        return Group(self.row, self.lo + j * (1 + self.step), self.hi + j,
+                     self.p - j, FactorForm(kind, m, l + j, r + j * self.step,
+                                            literal))
+
+
+def _line(first: int, step: int, count: int) -> Iterable[int]:
+    """first, first + step, ... (``count`` values)."""
+    return range(first, first + step * count, step) if step else repeat(
+        first, count)
+
+
+def expand(runs: Iterable[GroupRun]) -> list[Group]:
+    """Every group of ``runs``, in order: ``group(j)`` of each run for
+    each j, made by C-level ``map`` and ``zip`` over ranges, with no
+    Python frame per group."""
+    new_group = partial(tuple.__new__, Group)
+    new_form = partial(tuple.__new__, FactorForm)
+    return list(chain.from_iterable([
+        map(new_group, zip(
+            repeat(row, c), _line(lo, 1 + step, c), range(hi, hi + c),
+            range(p, p - c, -1), map(new_form, zip(
+                repeat(kind), repeat(m), range(l, l + c), _line(r, step, c),
+                repeat(literal)))))
+        for row, c, p, lo, hi, step, (kind, m, l, r, literal) in runs]))
+
+
 def groups(table: list[str], category: str,
            rows_of: Callable[[int], list[Row]]) -> list[Group]:
-    """The catalog ``rows_of(n)`` as groups, in row order, with no member
-    spelled, where ``table`` is ``fib_words(n)``. At left length l a row
-    takes the right lengths rights[i:], the first r with l + r >= least
-    onward; its members head + source[:r] (see ``_parts``) are prefixes
-    of the longest, so the first occurrence p of the longest in F_n
-    places them all. A row's left lengths with a group are consecutive,
-    and at each the longest member gains one letter in front, so p is
-    the last group's p less one when F_n has that letter there (no
-    search), and is otherwise found from the last group's p on. Needs
-    O(|F_n|) letters and has no size refusal.
+    """The catalog ``rows_of(n)`` as groups, in row order: the runs of
+    ``group_runs``, expanded."""
+    return expand(group_runs(table, category, rows_of))
+
+
+def _common_suffix(a: str, a_end: int, b: str, b_end: int, most: int
+                   ) -> int:
+    """The largest j <= ``most`` with a[a_end-j:a_end] == b[b_end-j:b_end],
+    by one slice comparison when it is ``most``, and otherwise by
+    bisection."""
+    if a[a_end - most:a_end] == b[b_end - most:b_end]:
+        return most
+    low, high = 0, most - 1
+    while low < high:
+        mid = (low + high + 1) // 2
+        if a[a_end - mid:a_end] == b[b_end - mid:b_end]:
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
+def group_runs(table: list[str], category: str,
+               rows_of: Callable[[int], list[Row]]) -> list[GroupRun]:
+    """The catalog ``rows_of(n)`` placed in F_n as runs of groups, in row
+    order, with no member spelled, where ``table`` is ``fib_words(n)``.
+
+    At left length l a row takes the right lengths rights[i:], the first
+    r with l + r >= least onward; its members head + source[:r] (see
+    ``_parts``) are prefixes of the longest, so the first occurrence p of
+    the longest in F_n places them all, as the group (row, lo, hi, p,
+    form of the shortest member). A row's left lengths with a group are
+    consecutive, and at each the longest member gains one letter,
+    ``left[-l]``, in front: so while F_n has that letter just before p,
+    the group at l starts at p - 1 (no search). One slice comparison of
+    F_n before p with the left source finds how far that chain goes
+    (bisection, only where it breaks, finds where), and a ``find`` from
+    the last start places the group after a break; a group with no
+    group at l - 1 is found from 0, and no chain starts below l = 0.
+    Along a chain every field moves by a
+    fixed step until the right length reaches rights[0], so a row is a
+    handful of ``GroupRun``s. Needs O(|F_n|) letters and has no size
+    refusal.
 
     A row's errors are the builder's, in its order: a right length past
     the end of the source that repeats a member, then the first member
@@ -426,18 +512,27 @@ def groups(table: list[str], category: str,
     one length at a time."""
     n = len(table) - 1
     subject = table[n]
-    placed = []
+    placed: list[GroupRun] = []
     for index, row in enumerate(rows_of(n)):
         kind, m, lefts, rights, least, literal = row
         left, core, source = (("", literal, "") if kind == KIND_LITERAL
                               else _parts(kind, m, table))
-        spans = [(i, l) for l in lefts
-                 if (i := bisect_left(rights, least - l)) < len(rights)]
+        if lefts.step == rights.step == 1:
+            # l takes a right length iff l >= least - rights[-1], so the
+            # left lengths with a group are a tail of lefts, and the
+            # longest of them takes the most right lengths
+            spans = range(max(lefts.start, least - rights[-1]) if rights
+                          else lefts.stop, lefts.stop)
+            first = bisect_left(rights, least - spans[-1]) if spans else 0
+        else:
+            spans = [l for l in lefts
+                     if bisect_left(rights, least - l) < len(rights)]
+            first = min([bisect_left(rights, least - l) for l in spans],
+                        default=0)
         if not spans:
             continue
         # every right length from len(source) on spells the whole source,
         # so the row repeats a member iff two of them share a left length
-        first = min(spans)[0]
         if len(rights) - max(first, bisect_left(rights, len(source))) > 1:
             raise RuntimeError(_repeat_error(n, category, kind))
         if (rights.step != 1 or rights[first] < 0
@@ -445,28 +540,38 @@ def groups(table: list[str], category: str,
             raise RuntimeError(
                 f"row {index} of the {category} catalog at n={n} is "
                 f"not a run of prefixes: {row}")
-        last, p = None, 0  # the left length and start of the last group
-        for i, l in spans:
-            # the longest member at l is left[-l] and the longest at l - 1,
-            # which first occurs at p, so it first occurs at p - 1 or later
-            chained = last == l - 1 and l <= len(left)
-            if chained and p and subject[p - 1] == left[-l]:
-                p, width = p - 1, l + len(core)
-            else:
-                head = _suffix(left, l) + core
-                p = subject.find(head + source[:rights[-1]],
-                                 p if chained else 0)
-                if p < 0:
-                    r = next(r for r in rights[i:]
-                             if head + source[:r] not in subject)
-                    raise RuntimeError(
-                        f"{FactorForm(kind, m, l, r, literal)} materialized "
-                        f"{head + source[:r]!r}, not a factor of the "
-                        f"index-{n} word")
-                width = len(head)
-            placed.append(Group(index, width + rights[i], width + rights[-1],
-                                p, FactorForm(kind, m, l, rights[i], literal)))
-            last = l
+        r0, top = rights[0], rights[-1]
+        turn = least - r0  # the right length is least - l up to here
+        j, last, p = 0, None, 0  # the left length and start of the last group
+        while j < len(spans):
+            l = spans[j]
+            head = _suffix(left, l) + core
+            p = subject.find(head + source[:top],
+                             p if last == l - 1 and l <= len(left) else 0)
+            if p < 0:
+                r = next(r for r in rights[bisect_left(rights, least - l):]
+                         if head + source[:r] not in subject)
+                raise RuntimeError(
+                    f"{FactorForm(kind, m, l, r, literal)} materialized "
+                    f"{head + source[:r]!r}, not a factor of the "
+                    f"index-{n} word")
+            # the group at l + i starts at p - i while F_n has left[-l-i]
+            # just before p - i + 1
+            most = (min(len(spans) - 1 - j if lefts.step == 1 else 0, p,
+                        len(left) - l) if l >= 0 else 0)
+            last = l + (_common_suffix(subject, p, left, len(left) - l, most)
+                        if most > 0 else 0)
+            j += last - l + 1
+            width = len(head)
+            while l <= last:
+                count = (min(last, turn) if l < turn else last) - l + 1
+                right = max(r0, least - l)
+                placed.append(GroupRun(
+                    index, count, p, width + right, width + top,
+                    -1 if l < turn else 0,
+                    FactorForm(kind, m, l, right, literal)))
+                l, p, width = l + count, p - count, width + count
+            p += 1  # the last group's start
     return placed
 
 

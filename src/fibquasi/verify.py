@@ -9,11 +9,11 @@ per-category choice from it.
 Every (index, category) cell compares the catalog with the oracle and
 reports the exact set difference, with no catalog member spelled: one
 factor length k at a time, it compares the names of the factors at the
-starts of the catalog's groups (``closed_form.groups``) with the names
-the rule accepts (``engine.EventRule``). Both sides are sets kept from
-one length to the next and changed only at the pass's events, so a
-length with no event costs a cell O(1), and only the names on one side
-are spelled. Per index, F_0..F_n is built once, the linear cells share
+starts of the catalog's groups (``closed_form.group_runs``) with the
+names the rule accepts (``engine.EventRule``). Both sides are sets kept
+from one length to the next and changed only at the pass's events, so
+a length with no event costs a cell O(1), and only the names on one
+side are spelled. Per index, F_0..F_n is built once, the linear cells share
 one naming pass over F_n and the circular-cover cell runs one over
 F_n F_n. Every rule decides on names alone and no cell calls an oracle,
 so the cells hold O(|F_n|) letters and have no size refusal. Disputed
@@ -39,6 +39,8 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from array import array
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -216,32 +218,74 @@ def _diagnose(word: str, table: list[str]) -> dict:
                     "matches that no printed family instantiates"}
 
 
+# A run of at most this many groups is listed by length in a cell's
+# schedule, one int per group; a longer one is a window, which costs a
+# list per length it is open but no memory per group.
+_LISTED = 16
+
+
 class _Cell:
     """One (index, category) cell, fed each factor length k by the pass
     it shares (see ``_cells``). Each side is a set of names kept from
     one length to the next. The catalog side counts, per name, the
     active groups whose start carries it: a group joins at its ``lo``,
     leaves at ``hi + 1`` and is read again only when the pass renames
-    its start; ``opening`` and ``closing`` list the groups that join and
-    leave at each length where any does. The rule side is the event
-    rule's accepted set, and only the names it reports changed are
-    looked at again. The cell keeps the names on one side only, and only
-    those are spelled, so a length with no event costs O(1). Two groups
-    of one row on one name at k repeat a member: the cell then raises
-    the builder's error through ``closed_form._walk``, the builder's own
-    sweep of the groups, which names the first repeating row in row
-    order, and its own error from the group's form should that find
-    none."""
+    its start. The rule side is the event rule's accepted set, and only
+    the names it reports changed are looked at again. The cell keeps the
+    names on one side only, and only those are spelled, so a length with
+    no event costs O(1).
+
+    The catalog is kept as its runs (``closed_form.group_runs``) and two
+    columns, group by group in run order: each group's start and row, as
+    ``array("i")``, with no Python object per group. The schedule
+    (``events``) is read off the runs: the groups of a run of at most
+    ``_LISTED`` are listed at the lengths where each joins and leaves;
+    the groups of a longer run whose ``lo`` does not move join together,
+    as one range; and the longer runs' groups join (when ``lo`` moves)
+    and leave one per length, so each is a window over those lengths in
+    which group b + k is the one at length k, for the base b the window
+    holds. So the schedule holds O(runs) entries, and no group of a
+    long run is made an int before it joins. A ``FactorForm`` is made
+    only to name an extra word's clauses or a repeating row.
+
+    Two groups of one row on one name at k repeat a member: the cell
+    then raises the builder's error through ``closed_form._walk``, the
+    builder's own sweep of the groups, which names the first repeating
+    row in row order, and its own error from the group's form should
+    that find none."""
 
     def __init__(self, n: int, record: Category, table: list[str]):
         self.n, self.record, self.subject = n, record, table[n]
-        self.groups = closed_form.groups(
+        self.runs = closed_form.group_runs(
             table, record.name, closed_form.CATALOGS[record.name][0])
-        self.opening: dict[int, list[int]] = defaultdict(list)
-        self.closing: dict[int, list[int]] = defaultdict(list)
-        for g, group in enumerate(self.groups):
-            self.opening[group.lo].append(g)
-            self.closing[group.hi + 1].append(g)
+        sizes = [run.count for run in self.runs]
+        self.firsts = [0, *itertools.accumulate(sizes)][:-1]
+        self.starts = array("i", itertools.chain.from_iterable(
+            range(run.p, run.p - run.count, -1) for run in self.runs))
+        self.rows = array("i", itertools.chain.from_iterable(
+            map(itertools.repeat, (run.row for run in self.runs), sizes)))
+        # k -> (opening, together, closing, turns): the groups of short
+        # runs that join and leave at k, listed one by one; the ranges of
+        # groups of a longer run that join together at k; and the windows
+        # that open or close at k, as (ledger.append or .remove, b); while
+        # a window is open, group b + k joins (leaves) at k for each b in
+        # ``joining`` (``leaving``)
+        self.events: dict[int, tuple[list, list, list, list]] = (
+            defaultdict(lambda: ([], [], [], [])))
+        self.joining: list[int] = []
+        self.leaving: list[int] = []
+        events = self.events
+        for g, (_, count, _, lo, hi, step, _) in zip(self.firsts, self.runs):
+            if count <= _LISTED:
+                for j in range(count):
+                    events[lo + j * (1 + step)][0].append(g + j)
+                    events[hi + 1 + j][2].append(g + j)
+                continue
+            if step:
+                events[lo][1].append(range(g, g + count))
+            else:
+                self._window(self.joining, g - lo, lo, count)
+            self._window(self.leaving, g - hi - 1, hi + 1, count)
         self.named: dict[int, int] = {}  # active group -> its start's name
         self.at: dict[int, list[int]] = {}  # start -> its active groups
         self.counts: dict[int, int] = {}  # name -> active groups named so
@@ -251,37 +295,61 @@ class _Cell:
         self.enumerated = self.expected = 0
         self.missing, self.extra = [], {}  # extra: word -> its diagnosis
 
+    def _window(self, ledger: list[int], b: int, k: int, count: int
+                ) -> None:
+        """Hold b in ``ledger`` over the ``count`` lengths from k."""
+        self.events[k][3].append((ledger.append, b))
+        self.events[k + count][3].append((ledger.remove, b))
+
+    def _group(self, g: int) -> closed_form.Group:
+        """Group g, made from its run."""
+        r = bisect_right(self.firsts, g) - 1
+        return self.runs[r].group(g - self.firsts[r])
+
     def step(self, naming: engine.Naming) -> None:
-        k, names, groups = naming.k, naming.names, self.groups
+        k, names, starts, rows = naming.k, naming.names, self.starts, self.rows
         named, at, counts, pairs = self.named, self.at, self.counts, self.pairs
         accepted = self.rule(naming)
-        closing, opening = self.closing.pop(k, ()), self.opening.pop(k, ())
+        event = self.events.pop(k, None)
+        if event is None:
+            opening = closing = ()
+        else:
+            opening, together, closing, turns = event
+            if together:
+                opening = [*opening, *itertools.chain.from_iterable(together)]
+            for turn, b in turns:
+                turn(b)
+        if self.leaving:
+            closing = [*closing, *[b + k for b in self.leaving]]
+        if self.joining:
+            opening = [*opening, *[b + k for b in self.joining]]
         for g in closing:
-            starts = at[groups[g].p]
-            starts.remove(g)
-            if not starts:
-                del at[groups[g].p]
-        moved = [g for p in naming.renamed if p in at for g in at[p]]
+            sharing = at[starts[g]]
+            sharing.remove(g)
+            if not sharing:
+                del at[starts[g]]
+        moved = ([g for p in naming.renamed if p in at for g in at[p]]
+                 if naming.renamed else ())
         # every group leaves its name before any takes one, so a second
         # group of one row on one name is a repeat at k
         changed = []
         for g in itertools.chain(closing, moved):
             x = named.pop(g)
-            pairs.remove((groups[g].row, x))
+            pairs.remove((rows[g], x))
             counts[x] -= 1
             if not counts[x]:
                 del counts[x]
                 changed.append(x)
         for g in opening:
-            at.setdefault(groups[g].p, []).append(g)
+            at.setdefault(starts[g], []).append(g)
         for g in itertools.chain(moved, opening):
-            x = named[g] = names[groups[g].p]
-            if (groups[g].row, x) in pairs:
+            x = named[g] = names[starts[g]]
+            if (rows[g], x) in pairs:
                 closed_form._walk(self.n, self.record.name, self.subject,
-                                  groups)
+                                  closed_form.expand(self.runs))
                 raise RuntimeError(closed_form._repeat_error(
-                    self.n, self.record.name, groups[g].form.kind))
-            pairs.add((groups[g].row, x))
+                    self.n, self.record.name, self._group(g).form.kind))
+            pairs.add((rows[g], x))
             counts[x] = counts.get(x, 0) + 1
             if counts[x] == 1:
                 changed.append(x)
@@ -298,7 +366,7 @@ class _Cell:
             if x in accepted:
                 self.missing.append(word)
                 continue
-            forms = [groups[g].form_at(k) for g in sorted(named)
+            forms = [self._group(g).form_at(k) for g in sorted(named)
                      if named[g] == x]
             self.extra[word] = {"word": word, "side": "extra", "clauses": [
                 f.to_json() for f in dict.fromkeys(forms)]}

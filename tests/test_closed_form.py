@@ -24,6 +24,7 @@ from fibquasi.words import canonical
 from fibquasi.verify import CATEGORIES
 
 from catalog_references import lengths, repeats
+from placement_reference import groups_by_left_length
 
 
 def test_borders_catalog():
@@ -182,6 +183,131 @@ def test_groups_sit_at_the_first_occurrence_of_their_longest_member(
             assert subject.find(longest) == group.p, (n, group)
             assert group.form_at(group.hi).spell(table) == longest, (
                 n, group)
+
+
+def _both_placements(table, rows):
+    """The runs of ``rows`` expanded, and the per-left-length groups:
+    each the list of groups, or the message of the error it raised."""
+    def outcome(place):
+        try:
+            return place(table, "test", lambda n: rows)
+        except (IndexError, RuntimeError, ValueError) as error:
+            return f"{type(error).__name__}: {error}"
+    return (outcome(lambda *args: closed_form.expand(
+                closed_form.group_runs(*args))),
+            outcome(groups_by_left_length))
+
+
+@pytest.mark.parametrize("category", CATEGORIES)
+def test_runs_expand_to_the_per_left_length_groups(category):
+    rows_of = CATALOGS[category][0]
+    for n in range(21):
+        table = fib_words(n)
+        runs = closed_form.group_runs(table, category, rows_of)
+        expected = groups_by_left_length(table, category, rows_of)
+        assert closed_form.expand(runs) == expected, n
+        assert [run.group(j) for run in runs
+                for j in range(run.count)] == expected, n
+    if category in ("seeds", "circular_covers"):
+        assert 100 * len(runs) < len(expected), (len(runs), len(expected))
+
+
+# Rows that no printed catalog has: the verify tests' mutants; a row
+# with a group on a start the pass renames; a row whose left lengths run
+# past its left source, so its chain breaks at every one of them; left
+# ranges that step by 2 and downward; and rows that raise each of the
+# builder's errors.
+ODD_ROWS = [
+    Row(KIND_LITERAL, 0, literal="abaababaabaa"),
+    Row(KIND_FIB_PLUS_PREFIX, 5, rights=range(fib_len(4) + 1)),
+    Row(KIND_PLAIN_FIB, 2), Row(KIND_LITERAL, 0, literal="ab"),
+    Row(KIND_SUFFIX_FIB_PREFIX, 3, rights=range(3)),
+    Row(KIND_SUFFIX_FIB_PREFIX, 3, lefts=range(1, 9), rights=range(1)),
+    Row(KIND_SUFFIX_FIB_PREFIX, 5, lefts=range(1, 8, 2),
+        rights=range(1, 3), least=4),
+    Row(KIND_SUFFIX_FIB_FIB_PREFIX, 4, lefts=range(5, -1, -1),
+        rights=range(3), least=2),
+    Row(KIND_SUFFIX_FIB_FIB_PREFIX, 5, lefts=range(1, 3), rights=range(6)),
+    Row(KIND_LITERAL, 0, literal="bb"),
+    Row(KIND_PLAIN_FIB, 3, rights=range(2)),
+    Row(KIND_PLAIN_FIB, 7, lefts=range(2), rights=range(2)),
+    Row(KIND_SUFFIX_PLUS_FIB, 5, lefts=range(2), rights=range(2), least=1),
+    Row(KIND_FIB_PLUS_PREFIX, 5, rights=range(0, 6, 2)),
+    Row(KIND_LITERAL, 0, literal=""),
+    Row(KIND_PLAIN_FIB, 3, rights=range(1, 2)),
+    Row(KIND_FIB_PLUS_PREFIX, 5, rights=range(-1, 3), least=-1),
+    Row(KIND_FIB_PLUS_PREFIX, 5, lefts=range(2), rights=range(6)),
+]
+
+
+@pytest.mark.parametrize("row", ODD_ROWS)
+def test_runs_place_odd_rows_like_the_per_left_length_groups(row):
+    # alone, and after each catalog's rows, shortened or not
+    for n in range(5, 10):
+        table = fib_words(n)
+        runs, expected = _both_placements(table, [row])
+        assert runs == expected, n
+        for category in CATEGORIES:
+            rows = CATALOGS[category][0](n)
+            shortened = [r._replace(rights=r.rights[:-1])
+                         if len(r.rights) > 1 else r for r in rows]
+            for catalog_rows in (rows, shortened):
+                runs, expected = _both_placements(table,
+                                                  catalog_rows + [row])
+                assert runs == expected, (n, category)
+
+
+def test_runs_raise_the_first_error_of_the_per_left_length_groups():
+    # every pair of rows that raise, in both orders: the same error
+    failing = [row for row in ODD_ROWS
+               if isinstance(_both_placements(fib_words(7), [row])[1], str)]
+    assert len(failing) >= 8
+    for first in failing:
+        for second in failing:
+            runs, expected = _both_placements(fib_words(7), [first, second])
+            assert isinstance(expected, str)
+            assert runs == expected, (first, second)
+
+
+def _breaks(table, placed):
+    """How often a row's group at l + 1 does not start one letter before
+    its group at l, though F_n has a letter there and l + 1 is no longer
+    than the left source."""
+    breaks = 0
+    for a, b in zip(placed, placed[1:]):
+        kind, m, l = a.form[:3]
+        left = table[m] if SHAPES[kind][0] else ""
+        if (b.row == a.row and b.form.left_len == l + 1 <= len(left)
+                and a.p and b.p != a.p - 1):
+            breaks += 1
+    return breaks
+
+
+def test_runs_break_chains_like_the_per_left_length_groups():
+    # In a subject pieced together from short Fibonacci-like blocks, a
+    # row's longest member often occurs with the wrong letter in front
+    # before it occurs with the right one, so chains break mid-row.
+    rng = random.Random(11)
+    kinds = [KIND_SUFFIX_FIB_PREFIX, KIND_SUFFIX_FIB_FIB_PREFIX,
+             KIND_SUFFIX_PLUS_FIB]
+    blocks = ["a", "b", "ab", "aab", "aba"]
+    base = fib_words(6)
+    placed = breaks = failed = 0
+    for _ in range(300):
+        table = base + ["".join(rng.choices(blocks, k=rng.randint(20, 60)))]
+        m, top = rng.randint(3, 4), rng.randint(0, 2)
+        row = Row(rng.choice(kinds), m,
+                  range(rng.randint(0, 2), fib_len(m) + 1),
+                  range(rng.randint(0, top), top + 1), rng.randint(0, 4))
+        runs, expected = _both_placements(table, [row])
+        assert runs == expected, (table[-1], row)
+        if isinstance(expected, str):
+            failed += 1
+        else:
+            placed += 1
+            breaks += _breaks(table, expected)
+    assert placed > 100 and failed > 100 and breaks > 30, (
+        placed, failed, breaks)
 
 
 @pytest.mark.parametrize("row", [

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from fibquasi import closed_form, engine, fib, verify, words
 from fibquasi.closed_form import (KIND_FIB_PLUS_PREFIX, KIND_LITERAL,
                                   KIND_PLAIN_FIB, KIND_SUFFIX_FIB_FIB_PREFIX,
-                                  Row)
+                                  KIND_SUFFIX_FIB_PREFIX, Row)
 from fibquasi.engine import distinct_factors
 from fibquasi.errors import SizeLimitError
 from fibquasi.fib import fib_len, fib_word, fib_words
@@ -21,6 +22,7 @@ from fibquasi.verify import (CATEGORIES, REGISTRY, QuasiReport, SuiteConfig,
                              _cap, _diagnose, check_category, run_suite)
 from extent_references import is_right_seed_by_chain
 from per_length_rules import circular_rule, seed_rule
+from placement_reference import groups_by_left_length
 
 FINDING_CATEGORIES = ("seeds", "circular_covers")
 EXPECTED_FINDING_CELLS = {(n, cat) for n in range(5, 11)
@@ -295,14 +297,24 @@ def test_handle_cell_equals_word_cell(category):
 
 # The per-length cell that verify._Cell replaced, kept as its test
 # reference: at every length it reads the name at the start of every
-# active group and takes the whole list of a per-length rule.
+# active group and takes the whole list of a per-length rule. It places
+# its own groups with the per-left-length placement and keeps its own
+# join and leave lists, so only ``report`` comes from the cell.
 class _PerLengthCell(verify._Cell):
     RULES = {"seeds": seed_rule,
              "circular_covers": circular_rule}
 
     def __init__(self, n, record, table):
-        super().__init__(n, record, table)
+        self.n, self.record, self.subject = n, record, table[n]
+        self.groups = groups_by_left_length(
+            table, record.name, closed_form.CATALOGS[record.name][0])
+        self.opening, self.closing = defaultdict(list), defaultdict(list)
+        for g, group in enumerate(self.groups):
+            self.opening[group.lo].append(g)
+            self.closing[group.hi + 1].append(g)
         self.rule = self.RULES.get(record.name, record.rule)(self.subject)
+        self.enumerated = self.expected = 0
+        self.missing, self.extra = [], {}
         self.active = {}  # group -> its start in F_n
 
     def step(self, naming):
@@ -372,6 +384,35 @@ def test_handle_cell_reports_a_mutant_row_like_the_word_cell(
              "word": "abaababaabaa"},
             {"kind": KIND_FIB_PLUS_PREFIX, "m": 5, "left_len": 0,
              "right_len": 4}]})
+
+
+class _RenameCountingCell(verify._Cell):
+    """A cell that counts the active groups whose start the pass renames
+    at a length they stay active through: the groups ``step`` moves."""
+
+    moved = 0
+
+    def step(self, naming):
+        carried = [g for p in naming.renamed for g in self.at.get(p, ())]
+        super().step(naming)
+        type(self).moved += sum(g in self.named for g in carried)
+
+
+@pytest.mark.parametrize("category", CATEGORIES)
+def test_cell_renames_an_active_start_like_the_word_cell(monkeypatch,
+                                                         category):
+    # No printed catalog has a group on a start that the pass renames
+    # while the group is active; this row has, at three lengths over
+    # n = 7..9, and the cell must move its groups to the new name.
+    _add_rows(monkeypatch, category,
+              [Row(KIND_SUFFIX_FIB_PREFIX, 3, rights=range(3))])
+    for n in (7, 8, 9):
+        _assert_handle_equals_words(n, category)
+    monkeypatch.setattr(_RenameCountingCell, "moved", 0)
+    monkeypatch.setattr(verify, "_Cell", _RenameCountingCell)
+    for n in (7, 8, 9):
+        check_category(n, category, {category: n})
+    assert _RenameCountingCell.moved == 3
 
 
 @pytest.mark.parametrize("category", CATEGORIES)
@@ -477,8 +518,23 @@ def test_cell_and_builder_name_the_first_of_two_repeating_rows(
 
 
 def test_cell_schedules_only_the_lengths_where_a_group_joins_or_leaves():
-    cell = verify._Cell(20, REGISTRY["covers"], fib_words(20))
-    assert len(cell.opening) + len(cell.closing) <= 2 * len(cell.groups)
+    # The schedule is read off the runs: a short run's groups are listed
+    # where each joins and leaves, and a longer run's join at one length
+    # or start and stop joining one per length, and start and stop
+    # leaving one per length; so a length is a key only where a group
+    # joins or leaves or just after, at most four per longer run.
+    for category in ("covers", "seeds"):
+        table = fib_words(20)
+        cell = verify._Cell(20, REGISTRY[category], table)
+        events = set()
+        for group in groups_by_left_length(
+                table, category, closed_form.CATALOGS[category][0]):
+            events |= {group.lo, group.lo + 1, group.hi + 1, group.hi + 2}
+        assert cell.events.keys() <= events
+        assert len(cell.events) <= sum(
+            2 * run.count if run.count <= verify._LISTED else 4
+            for run in cell.runs)
+    assert 4 * len(cell.runs) < len(cell.starts) // 10
 
 
 def _twice_the_counts(n):
