@@ -91,8 +91,9 @@ def _parts(kind: str, m: int, table: list[str]) -> tuple[str, str, str]:
     """The left source, core and right source of ``kind`` at base m,
     reading F_k as ``table[k]``: F_m (or "" when the kind has no left
     part), then F_{m-d} over the core and the source offsets. Refuses an
-    unknown kind, and a base whose deepest offset would read a negative
-    index (which would silently wrap around the table)."""
+    unknown kind, a base whose deepest offset would read a negative
+    index (which would silently wrap around the table), and a base above
+    the table (every core reads F_m)."""
     shape = SHAPES.get(kind)
     if shape is None:
         raise ValueError(f"unknown form kind {kind!r}")
@@ -101,6 +102,9 @@ def _parts(kind: str, m: int, table: list[str]) -> tuple[str, str, str]:
     if lowest < 0:
         raise ValueError("Fibonacci index must be nonnegative, got "
                          f"{m if m < 0 else lowest}")
+    if m >= len(table):
+        raise ValueError(f"base {m} is above the table's top index "
+                         f"{len(table) - 1}")
     return (table[m] if left else "", "".join([table[m - d] for d in core]),
             "".join([table[m - d] for d in source]))
 

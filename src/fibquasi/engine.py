@@ -421,7 +421,8 @@ class Naming:
     The starts are the first ``count`` positions that still have k
     letters, and k runs up to ``count`` while there is one. A pass is
     linear (``count`` at least len(text)) or circular (text is y*y and
-    ``count`` is |y|); any other pair is refused. A name is
+    ``count`` is |y|); any other pair is refused. So a linear pass drops
+    one start per length, its last, and a circular pass none. A name is
     the factor's first start, so a factor is spelled from its name
     alone. For each name x, ``last[x]`` is its last start and
     ``gaps[x]`` counts the pairs of consecutive starts named x that are
@@ -493,22 +494,19 @@ class Naming:
             yield self
             self.k = k
             size = ends - k if ends - k < count else count
-            dropped = names[size:]
-            touched = self.touched = set(dropped)
+            drops = size < len(names)  # start ``size`` has k - 1 letters
+            touched = self.touched = {names[size]} if drops else set()
             for x, p in expiring.pop(k, ()):
                 if nxt[p] == p + k and names[p] == x:
                     gaps[x] -= 1
                     touched.add(x)
-            if dropped:
-                for s in range(len(names) - 1, size - 1, -1):
-                    # s is the last start, so it ends its chain
-                    x, p = names[s], prev[s]
-                    if p < 0:
-                        continue
+            if drops:
+                # the last start ends its chain
+                x, p = names.pop(), prev[size]
+                if p >= 0:
                     nxt[p], last[x] = -1, p
-                    if s - p > k:
+                    if size - p > k:
                         gaps[x] -= 1
-                del names[size:]
             renamed = self.renamed = due.pop(k, ())
             if not renamed:
                 continue

@@ -153,12 +153,16 @@ def expansion(n: int, m: int, order: str = "leftmost") -> Expansion:
     if order == "rightmost":
         indices.reverse()
 
+    big, small = fib_len(m), fib_len(m - 1)
     items = []
     pos = 1
     for k in indices:
-        kind = KIND_BIG if k == m else KIND_SMALL
-        items.append(ExpansionItem(kind, pos))
-        pos += fib_len(k)
+        if k == m:
+            items.append(ExpansionItem(KIND_BIG, pos))
+            pos += big
+        else:
+            items.append(ExpansionItem(KIND_SMALL, pos))
+            pos += small
     if pos != fib_len(n) + 1:
         raise RuntimeError(
             f"expansion of F_{n} over base {m} covers {pos - 1} letters, "

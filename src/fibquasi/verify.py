@@ -232,8 +232,11 @@ class _Cell:
     leaves at ``hi + 1`` and is read again only when the pass renames
     its start. The rule side is the event rule's accepted set, and only
     the names it reports changed are looked at again. The cell keeps the
-    names on one side only, and only those are spelled, so a length with
-    no event costs O(1).
+    names on one side only, and only those are spelled. A length is quiet
+    when no group joins or leaves (no schedule entry, no open window),
+    the pass renames no start an active group sits on, and the rule
+    changes no verdict; a quiet length only adds the two counts and
+    spells the names on one side, so it costs O(1) plus their letters.
 
     The catalog is kept as its runs (``closed_form.group_runs``) and two
     columns, group by group in run order: each group's start and row, as
@@ -307,10 +310,33 @@ class _Cell:
         return self.runs[r].group(g - self.firsts[r])
 
     def step(self, naming: engine.Naming) -> None:
-        k, names, starts, rows = naming.k, naming.names, self.starts, self.rows
-        named, at, counts, pairs = self.named, self.at, self.counts, self.pairs
+        k = naming.k
         accepted = self.rule(naming)
         event = self.events.pop(k, None)
+        # a quiet length (see the class docstring) moves nothing
+        if (event or self.leaving or self.joining or self.rule.changed
+                or not self.at.keys().isdisjoint(naming.renamed)):
+            self._update(naming, accepted, event)
+        self.enumerated += len(self.counts)
+        self.expected += len(accepted)
+        named = self.named
+        for x in self.odd:
+            word = self.subject[x:x + k]
+            if x in accepted:
+                self.missing.append(word)
+                continue
+            forms = [self._group(g).form_at(k) for g in sorted(named)
+                     if named[g] == x]
+            self.extra[word] = {"word": word, "side": "extra", "clauses": [
+                f.to_json() for f in dict.fromkeys(forms)]}
+
+    def _update(self, naming: engine.Naming, accepted: set[int],
+                event: tuple | None) -> None:
+        """Move the groups that join, leave or are renamed at a length
+        that is not quiet, and decide again the names they and the rule
+        changed."""
+        k, names, starts, rows = naming.k, naming.names, self.starts, self.rows
+        named, at, counts, pairs = self.named, self.at, self.counts, self.pairs
         if event is None:
             opening = closing = ()
         else:
@@ -359,17 +385,6 @@ class _Cell:
                 odd.add(x)
             else:
                 odd.discard(x)
-        self.enumerated += len(counts)
-        self.expected += len(accepted)
-        for x in odd:
-            word = self.subject[x:x + k]
-            if x in accepted:
-                self.missing.append(word)
-                continue
-            forms = [self._group(g).form_at(k) for g in sorted(named)
-                     if named[g] == x]
-            self.extra[word] = {"word": word, "side": "extra", "clauses": [
-                f.to_json() for f in dict.fromkeys(forms)]}
 
     def report(self, table: list[str], t0: float) -> QuasiReport:
         """The report once the pass that began at ``t0`` is over."""
@@ -480,16 +495,24 @@ def _battery_cover_chain(max_len: int) -> BatteryResult:
 
     The law holds vacuously on a word with no proper cover, so only the
     words built by ``_covered_words`` as chains of a shorter word are
-    visited; ``engine.covers_of`` decides both cover sets of each."""
+    visited. Each word's covers are found once, by ``engine.covers_of``
+    on that word alone, and kept: a covered word is visited before every
+    longer word it covers, and a proper cover is asked for its covers
+    only if it has none kept. So the two cover sets compared are still
+    two independent answers."""
     t0 = time.perf_counter()
     failures = []
+    covers: dict[str, list[str]] = {}
     for y in _covered_words(max_len):
-        cov_y = engine.covers_of(y)
+        cov_y = covers[y] = engine.covers_of(y)
+        set_y = set(cov_y)
         for u in cov_y:
             if u == y:
                 continue
+            if u not in covers:
+                covers[u] = engine.covers_of(u)
             # z breaks the law iff it is in one cover set only
-            differ = set(cov_y) ^ set(engine.covers_of(u))
+            differ = set_y.symmetric_difference(covers[u])
             for z in words.canonical(differ):
                 if len(z) <= len(u) and z != u and z in y:
                     failures.append(f"y={y} u={u} z={z}")

@@ -124,6 +124,19 @@ def test_low_base_forms_raise_instead_of_wrapping(kind, base):
         form.spell(fib_words(8))
 
 
+@pytest.mark.parametrize("kind", list(SHAPES))
+def test_high_base_forms_raise_instead_of_indexing_past_the_table(kind):
+    form = FactorForm(kind, 9, left_len=1, right_len=1)
+    with pytest.raises(ValueError,
+                       match=r"^base 9 is above the table's top index 8$"):
+        form.spell(fib_words(8))
+    row = Row(kind, 7, lefts=range(2), rights=range(2))
+    for n in (5, 6):
+        runs, expected = _both_placements(fib_words(n), [row])
+        assert runs == expected == (
+            f"ValueError: base 7 is above the table's top index {n}"), n
+
+
 def test_catalog_build_reads_guard_once_per_table(monkeypatch):
     reads = []
     real = fib.materialization_limit
@@ -191,7 +204,7 @@ def _both_placements(table, rows):
     def outcome(place):
         try:
             return place(table, "test", lambda n: rows)
-        except (IndexError, RuntimeError, ValueError) as error:
+        except (RuntimeError, ValueError) as error:
             return f"{type(error).__name__}: {error}"
     return (outcome(lambda *args: closed_form.expand(
                 closed_form.group_runs(*args))),

@@ -158,8 +158,9 @@ def test_covered_words_are_the_words_with_a_proper_cover():
 
 def test_cover_chain_battery_calls_covers_of_per_covered_word_and_cover(
         monkeypatch):
-    # 732 words of up to 14 letters have a proper cover, and they have
-    # 1,058 proper covers between them; the full scan made 33,824 calls.
+    # 732 words of up to 14 letters have a proper cover, and 326 of their
+    # proper covers have none; each of these 1,058 words is asked once
+    # (the full scan made 33,824 calls).
     honest = engine.covers_of
     calls = []
 
@@ -169,7 +170,27 @@ def test_cover_chain_battery_calls_covers_of_per_covered_word_and_cover(
 
     monkeypatch.setattr(engine, "covers_of", counting)
     assert _battery_cover_chain(14).passed
-    assert len(calls) == 1790
+    assert len(calls) == 1058
+    assert len(set(calls)) == len(calls)
+
+
+def test_cover_chain_battery_compares_each_cover_with_its_own_answer(
+        monkeypatch):
+    # Dropping the shortest proper cover from the answer for every word
+    # of 5 letters breaks the law at each longer word those words cover:
+    # a kept answer for a 5-letter cover u is still covers_of(u).
+    honest = engine.covers_of
+
+    def dropping(y):
+        covers = honest(y)
+        return covers[1:] if len(y) == 5 and len(covers) > 1 else covers
+
+    monkeypatch.setattr(engine, "covers_of", dropping)
+    result = _battery_cover_chain(14)
+    assert not result.passed
+    named = [dict(part.split("=") for part in f.split())
+             for f in result.failures]
+    assert any(len(f["u"]) == 5 < len(f["y"]) for f in named), named
 
 
 def test_covers_of_decides_each_word_on_its_own(monkeypatch):

@@ -356,6 +356,50 @@ def test_cell_equals_the_per_length_cell(monkeypatch, category):
                        for n in range(17)]
 
 
+def _state(cell):
+    return (dict(cell.named), {p: list(gs) for p, gs in cell.at.items()},
+            dict(cell.counts), set(cell.pairs), set(cell.odd))
+
+
+@pytest.mark.parametrize("category", CATEGORIES)
+@pytest.mark.parametrize("extra_rows", [
+    [],
+    # 19 groups that join together at 55 and leave one per length over
+    # 56..74, where none joins
+    [Row(KIND_SUFFIX_FIB_PREFIX, 8, lefts=range(2, 21), rights=range(1, 20),
+         least=21)],
+])
+def test_a_quiet_length_changes_no_cell_state(monkeypatch, category,
+                                              extra_rows):
+    # A length is quiet when no group joins, leaves or is renamed and the
+    # rule changes no verdict; the step then only counts and spells. At
+    # F_12 over nine in ten of the borders, covers and left-seed cells'
+    # lengths are; the seed and circular rules change a verdict at every
+    # length.
+    _add_rows(monkeypatch, category, extra_rows)
+    table, record = fib_words(12), REGISTRY[category]
+    cell = verify._Cell(12, record, table)
+    text = table[12] * (2 if record.cyclic else 1)
+    quiet = windows = 0
+    for naming in engine.Naming(text, len(table[12])):
+        calm = (naming.k not in cell.events and not cell.leaving
+                and not cell.joining
+                and cell.at.keys().isdisjoint(naming.renamed))
+        windows += bool(cell.leaving)
+        before = _state(cell)
+        cell.step(naming)
+        if calm and not cell.rule.changed:
+            quiet += 1
+            assert _state(cell) == before, naming.k
+    if extra_rows:
+        assert windows >= 19
+    elif category in ("borders", "covers", "left_seeds"):
+        assert 10 * quiet > 9 * len(table[12]), quiet
+    monkeypatch.setattr(verify, "_Cell", _PerLengthCell)
+    assert (_untimed(cell.report(table, 0.0))
+            == _untimed(check_category(12, category, {category: 12})))
+
+
 @pytest.mark.parametrize("category", CATEGORIES)
 def test_handle_cell_reports_a_mutant_row_like_the_word_cell(
         monkeypatch, category):
