@@ -46,9 +46,10 @@ gap rule of is_seed_fast read off the pass, and the head and tail as
 border queries (Iliopoulos, Moore & Park, "Covering a string"). Its
 head tests are range maxima over the Z-array of y, which hold over
 intervals of lengths (the O(n) "packages" of seeds of Kociumaka,
-Kubica, Radoszewski, Rytter & Walen, SODA 2012); its tail is one walk
-down the border chain of y reversed per tail length. seeds_of spells
-what it accepts, and the verify seed cell reads it. CircularEvents is
+Kubica, Radoszewski, Rytter & Walen, SODA 2012), which _range_min
+answers as minima of the negated values; its tail is one walk down
+the border chain of y reversed per tail length. seeds_of spells what
+it accepts, and the verify seed cell reads it. CircularEvents is
 the circular-cover rule: between two events a name is accepted on one
 interval of lengths. circular_covers_of spells what it accepts, and
 the verify cell reads it. Listed makes an event rule of a rule that
@@ -263,43 +264,11 @@ def _z_array(w: str) -> list[int]:
     return z
 
 
-class _RangeMax:
-    """The maximum of any range of ``values`` in O(1): level l of the
-    sparse table holds the maximum of every 2**l consecutive values, one
-    array per level, O(|values| log |values|) ints in all."""
-
-    def __init__(self, values: list[int]):
-        level = values
-        self.levels = [array("i", values)]
-        step = 1
-        while 2 * step <= len(values):
-            level = [a if a > b else b for a, b in zip(level, level[step:])]
-            self.levels.append(array("i", level))
-            step *= 2
-
-    def __call__(self, lo: int, hi: int) -> int:
-        """The maximum of values[lo..hi], for lo <= hi."""
-        l = (hi - lo + 1).bit_length() - 1
-        level = self.levels[l]
-        a, b = level[lo], level[hi + 1 - (1 << l)]
-        return a if a > b else b
-
-    def first(self, lo: int, at_least: int) -> int:
-        """The least j >= lo with values[j] >= at_least, or len(values)
-        when there is none: skip every block of 2**l values below it,
-        from the longest blocks down."""
-        for l in range(len(self.levels) - 1, -1, -1):
-            level = self.levels[l]
-            if lo < len(level) and level[lo] < at_least:
-                lo += 1 << l
-        return lo
-
-
 # The table's first sort orders the starts by their first _RANK_WIDTH
 # letters, and prefix doubling orders the ones that tie there.
 _RANK_WIDTH = 256
-# Range minima of up to _BLOCK LCP entries (a power of two) read one
-# window level; longer ones read whole blocks of _BLOCK entries too.
+# Range minima of up to _BLOCK entries (a power of two) read one window
+# level; longer ones read whole blocks of _BLOCK entries too.
 _BLOCK = 16
 
 
@@ -309,11 +278,74 @@ def _min_pairs(values, step: int) -> array:
                        for a, b in zip(values, values[step:])])
 
 
-def _lce(text: str, count: int,
-         starts: list[int]) -> Callable[[int, int], int]:
-    """The longest common extension of two starts of a naming pass:
-    ``lce(i, x)``, for starts i != x below min(count, len(text)), is the
-    length of the longest common prefix of text[i:] and text[x:].
+def _range_min(values) -> tuple[Callable, Callable]:
+    """Range minima after Bender & Farach-Colton (LATIN 2000), the
+    engine's one range structure: ``minimum(a, b)``, for a != b, is the
+    least values[j] over min(a, b) < j <= max(a, b), in O(1), and
+    ``first(lo, at_most)``, for lo <= len(values), the least j >= lo
+    with values[j] <= at_most, or len(values) if none. Window level l
+    holds the minimum of every 2**l values up to _BLOCK; a longer range
+    adds a sparse table over the whole blocks it spans (at most one int
+    per value up to 2**20 values). ``first`` skips whole blocks from the
+    longest runs down, then windows within one block. Level 0 is
+    ``values``, uncopied, the rest array("i"). A maximum is the minimum
+    of the negated values."""
+    B, size = _BLOCK, len(values)
+    levels = [values]  # levels[l][p]: the minimum of values[p:p + 2**l]
+    while 1 << len(levels) <= B:
+        levels.append(_min_pairs(levels[-1], 1 << (len(levels) - 1)))
+    top = levels[-1]
+    # blocks[l][q]: the minimum of the whole blocks q..q + 2**l - 1
+    blocks = [top[::B]]
+    while 1 << len(blocks) <= len(blocks[0]):
+        blocks.append(_min_pairs(blocks[-1], 1 << (len(blocks) - 1)))
+
+    def minimum(a: int, b: int) -> int:
+        if a > b:
+            a, b = b, a
+        n = b - a  # the entries a + 1..b
+        if n <= B:
+            l = n.bit_length() - 1
+            level = levels[l]
+            u, v = level[a + 1], level[b + 1 - (1 << l)]
+            return u if u < v else v
+        u, v = top[a + 1], top[b + 1 - B]
+        if v < u:
+            u = v
+        lo, hi = a // B + 1, (b + 1) // B  # the whole blocks lo..hi - 1
+        if lo < hi:
+            l = (hi - lo).bit_length() - 1
+            level = blocks[l]
+            v, w = level[lo], level[hi - (1 << l)]
+            if w < v:
+                v = w
+            if v < u:
+                u = v
+        return u
+
+    def first(lo: int, at_most: int) -> int:
+        q = lo // B + 1  # the first block past lo's
+        if q * B < size and minimum(lo - 1, q * B - 1) > at_most:
+            for l in range(len(blocks) - 1, -1, -1):
+                level = blocks[l]
+                if q < len(level) and level[q] > at_most:
+                    q += 1 << l
+            lo = q * B
+        # the answer, or the end of values, is in lo's block now
+        for l in range(len(levels) - 1, -1, -1):
+            level = levels[l]
+            if lo < len(level) and level[lo] > at_most:
+                lo += 1 << l
+        return lo
+    return minimum, first
+
+
+def _lce(text: str, count: int, starts: list[int]
+         ) -> tuple[list[int], Callable[[int, int], int]]:
+    """The longest common extension of two starts of a naming pass, as
+    the pair (pos, lcp): ``lcp(pos[i], pos[x])``, for starts i != x
+    below min(count, len(text)), is the length of the longest common
+    prefix of text[i:] and text[x:].
 
     The table ranks the starts by their windows text[i:i+count]: the
     suffixes of a linear pass's text, or the rotations of y when the
@@ -327,16 +359,13 @@ def _lce(text: str, count: int,
     the LCP at i + 1 is at least the LCP at i less one, because the
     start after i's predecessor is ranked too (it wraps to 0 in a
     rotation) and below i + 1. Two starts share the least of the LCPs
-    ranked between them, a range minimum after Bender & Farach-Colton
-    (LATIN 2000): a range of up to _BLOCK entries is the minimum of two
-    windows of one level, and a longer one adds a sparse table over the
-    whole blocks it spans. Set-up costs O(|text| log |text|) and a
-    query O(1). The rank order is freed once the LCPs are found.
+    ranked between them, ``lcp`` (_range_min). Set-up costs O(|text|
+    log |text|) and a query O(1). The rank order is freed once the LCPs
+    are found.
 
-    Ranks and LCPs are lists, and the minima of two or more entries
-    array("i"). ``starts`` holds the ints 0..size-1 (the pass's
-    ``last`` before it changes): the lists store its objects, so they
-    and the pass share one int object per start."""
+    Ranks and LCPs are lists. ``starts`` holds the ints 0..size-1 (the
+    pass's ``last`` before it changes): the lists store its objects, so
+    they and the pass share one int object per start."""
     size, end = min(count, len(text)), len(text)
     width = min(_RANK_WIDTH, count)
     keys = [text[i:i + width] for i in range(size)]
@@ -376,40 +405,7 @@ def _lce(text: str, count: int,
             if h:
                 h -= 1
     order = None
-    B = _BLOCK
-    levels = [lcps]  # levels[l][p]: the minimum of lcps[p:p + 2**l]
-    while 1 << len(levels) <= B:
-        levels.append(_min_pairs(levels[-1], 1 << (len(levels) - 1)))
-    top = levels[-1]
-    # blocks[l][q]: the minimum of the whole blocks q..q + 2**l - 1
-    blocks = [top[::B]]
-    while 1 << len(blocks) <= len(blocks[0]):
-        blocks.append(_min_pairs(blocks[-1], 1 << (len(blocks) - 1)))
-
-    def lce(i: int, x: int) -> int:
-        a, b = pos[i], pos[x]
-        if a > b:
-            a, b = b, a
-        n = b - a  # the entries a + 1..b
-        if n <= B:
-            l = n.bit_length() - 1
-            level = levels[l]
-            u, v = level[a + 1], level[b + 1 - (1 << l)]
-            return u if u < v else v
-        u, v = top[a + 1], top[b + 1 - B]
-        if v < u:
-            u = v
-        lo, hi = a // B + 1, (b + 1) // B  # the whole blocks lo..hi - 1
-        if lo < hi:
-            l = (hi - lo).bit_length() - 1
-            level = blocks[l]
-            v, w = level[lo], level[hi - (1 << l)]
-            if w < v:
-                v = w
-            if v < u:
-                u = v
-        return u
-    return lce
+    return pos, _range_min(lcps)[0]
 
 
 class Naming:
@@ -467,7 +463,7 @@ class Naming:
         first = dict(zip(reversed(text[:size]), range(size - 1, -1, -1)))
         names = self.names = list(map(first.__getitem__, text[:size]))
         last = self.last = list(range(size))
-        lce = _lce(text, count, last)
+        pos, lcp = _lce(text, count, last)
         gaps = self.gaps = [0] * size
         prev, nxt = [-1] * size, [-1] * size
         # due[k]: the starts whose name no longer fits at length k;
@@ -483,8 +479,8 @@ class Naming:
             if i - p > 1:
                 gaps[x] += 1
                 expiring[i - p].append((x, p))
-            shared = (lce(i, x) if i + 1 < end and text[i + 1] == text[x + 1]
-                      else 1)
+            shared = (lcp(pos[i], pos[x])
+                      if i + 1 < end and text[i + 1] == text[x + 1] else 1)
             if i + shared < end:  # else length shared + 1 drops i
                 due[shared + 1].append(i)
         self.k = 1
@@ -537,7 +533,7 @@ class Naming:
                 if i - p > k:
                     gaps[r] += 1
                     expiring[i - p].append((r, p))
-                shared = (lce(i, r) if i + k < end
+                shared = (lcp(pos[i], pos[r]) if i + k < end
                           and text[i + k] == text[r + k] else k)
                 if i + shared < end:
                     due[shared + 1].append(i)
@@ -706,15 +702,18 @@ class SeedEvents(_Events):
     next holds at the first j > k with Z[j] >= x. The tail, with
     L = |y| - last[x], holds from one threshold of L on (``tail_from``).
     So a name is decided again only at an event or at one of those
-    lengths. The set-up costs O(|y| log |y|). A per-length rule in the
-    tests, which decides every first start below k at every length by
-    walking the two border tables, is this rule's reference."""
+    lengths. The set-up costs O(|y|), a few words per letter. A
+    per-length rule in the tests, which decides every first start below
+    k at every length by walking the two border tables, is this rule's
+    reference."""
 
     def __init__(self, y: str):
         super().__init__(y)
         z = _z_array(y)
-        self.matches = _RangeMax(z)
-        self.heads = _RangeMax([j + v for j, v in enumerate(z)])
+        heads = array("i", [-j - v for j, v in enumerate(z)])
+        # -heads(x, k) is the maximum of j + Z[j] over x < j <= k
+        self.heads = _range_min(heads)[0]
+        self.matches = _range_min(array("i", [-v for v in z]))[1]
         self.suffix_borders = _border_table(y[::-1])
         self.thresholds = [0] * (len(y) + 1)  # L -> its threshold, or 0
 
@@ -745,9 +744,9 @@ class SeedEvents(_Events):
                 yield x, False, x + 1
             else:
                 t = self.tail_from(n - last[x])
-                reach = self.heads(x + 1, k)
+                reach = -self.heads(x, k)
                 if reach >= x + k:
                     yield (x, True, reach - x + 1) if k >= t else (x, False, t)
                 else:
-                    j = self.matches.first(k + 1, x)
+                    j = self.matches(k + 1, -x)
                     yield x, False, max(j, t) if j <= n else 0

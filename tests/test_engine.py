@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import compress
 from operator import ne
 from typing import Iterator
@@ -652,12 +653,13 @@ def test_naming_pass_schedules_only_renames(monkeypatch):
     real, queries = engine._lce, []
 
     def counted(text, count, starts):
-        lce = real(text, count, starts)
+        pos, lcp = real(text, count, starts)
+        start = {p: i for i, p in enumerate(pos)}
 
-        def query(i, x):
-            queries.append((i, x))
-            return lce(i, x)
-        return query
+        def query(a, b):
+            queries.append((start[a], start[b]))
+            return lcp(a, b)
+        return pos, query
     monkeypatch.setattr(engine, "_lce", counted)
     y = fib_word(16)
     for text, renames, scheduled in ((y, 5269, 5879), (y + y, 6255, 6255)):
@@ -735,11 +737,12 @@ def _assert_lce_table(y: str) -> None:
     y*y answer every pair of starts as the doubling LCP and the letter
     scan do, in both orders."""
     for text, count in ((y, len(y)), (y + y, len(y))):
-        lce = engine._lce(text, count, list(range(len(y))))
+        pos, lcp = engine._lce(text, count, list(range(len(y))))
         for i in range(1, len(y)):
             for x in range(i):
                 true = _scanned_lcp(text, i, x)
-                assert lce(i, x) == lce(x, i) == true, (text, i, x)
+                assert lcp(pos[i], pos[x]) == lcp(pos[x], pos[i]) == true, (
+                    text, i, x)
                 assert lcp_by_doubling(text, i, x, 0) == true, (text, i, x)
 
 
@@ -756,16 +759,18 @@ def test_lce_table_equals_the_references():
     subjects += list(_rotated_powers(rng, 40)) + ["aabaaaba"]
     for y in subjects:
         _assert_lce_table(y)
-    lce = engine._lce("aabaaaba" * 2, 8, list(range(8)))
-    assert [lce(i, i + 4) for i in range(4)] == [12, 11, 10, 9]
-    assert lce(0, 7) == 2
+    pos, lcp = engine._lce("aabaaaba" * 2, 8, list(range(8)))
+    assert [lcp(pos[i], pos[i + 4]) for i in range(4)] == [12, 11, 10, 9]
+    assert lcp(pos[0], pos[7]) == 2
 
 
 def test_lce_table_through_prefix_doubling(monkeypatch):
     # With a first sort of 1 to 3 letters the windows tie and prefix
     # doubling ranks them; with blocks of 1 to 4 entries the small
-    # words take the long range minima too. The table answers as the
-    # references do, and the pass is the same as at the default widths.
+    # words take the long range minima too, and the seed rule's head
+    # skips whole blocks of the Z-array. The table answers as the
+    # references do, the pass is the same as at the default widths, and
+    # the seeds are the gap criterion's.
     rng = random.Random(61)
     subjects = list(all_words(8)) + [fib_word(n) for n in range(12)]
     subjects += list(_rotated_powers(rng, 30)) + ["aabaaaba"]
@@ -783,6 +788,8 @@ def test_lce_table_through_prefix_doubling(monkeypatch):
         monkeypatch.setattr(engine, "_BLOCK", block)
         for y in subjects:
             _assert_lce_table(y)
+            assert seeds_of(y) == [u for u in distinct_factors(y)
+                                   if is_seed_fast(u, y)], (y, block)
         assert [snapshot(text, count)
                 for text, count in passes] == expected, (width, block)
 
@@ -984,18 +991,43 @@ def test_chain_rules_are_the_seeds_at_the_ends():
                 y, naming.k)
 
 
-def test_range_max_answers_like_a_scan():
+def test_range_min_answers_like_a_scan(monkeypatch):
+    # minimum(a, b) is the least value over min(a, b) < j <= max(a, b),
+    # in both orders, and first(lo, at_most) the first j >= lo with a
+    # value at most at_most: a value below every entry finds none, and
+    # the sizes reach past several whole blocks of every block size
     rng = random.Random(47)
-    for size in range(1, 40):
-        values = [rng.randrange(10) for _ in range(size)]
-        table = engine._RangeMax(values)
-        for lo in range(size):
-            for hi in range(lo, size):
-                assert table(lo, hi) == max(values[lo:hi + 1])
-            for at_least in range(11):
-                assert table.first(lo, at_least) == next(
-                    (j for j in range(lo, size) if values[j] >= at_least),
-                    size), (values, lo, at_least)
+    for block in (1, 2, 4, 16):
+        monkeypatch.setattr(engine, "_BLOCK", block)
+        for size in range(1, 81):
+            values = [rng.randrange(10) for _ in range(size)]
+            minimum, first = engine._range_min(values)
+            for a in range(-1, size):
+                for b in range(a + 1, size):
+                    assert minimum(a, b) == minimum(b, a) == min(
+                        values[a + 1:b + 1]), (block, values, a, b)
+            for lo in range(size + 1):
+                for at_most in range(-1, 10):
+                    assert first(lo, at_most) == next(
+                        (j for j in range(lo, size)
+                         if values[j] <= at_most), size), (
+                        block, values, lo, at_most)
+
+
+def test_seed_rule_holds_a_few_words_per_letter():
+    # The head's two range structures hold a few ints per letter, and
+    # the suffix border table is the largest part of the rule; a sparse
+    # table of log |y| ints per letter for each would pass the bound.
+    y = fib_word(20)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rule = engine.SeedEvents(y)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert rule.n == len(y)
+    assert held < 120 * len(y), held / len(y)
 
 
 def test_seed_event_head_and_tail_are_the_border_queries():
@@ -1012,7 +1044,7 @@ def test_seed_event_head_and_tail_are_the_border_queries():
         suffix = engine._border_table(y[::-1])
         for k in range(2, n + 1):
             for x in range(1, min(k, n - k + 1)):
-                assert (rule.heads(x + 1, k) >= x + k) == (
+                assert (-rule.heads(x, k) >= x + k) == (
                     has_border(prefix, x + k, x, k - 1)), (y, x, k)
         for tail in range(1, n + 1):
             threshold = rule.tail_from(tail)
