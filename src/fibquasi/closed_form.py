@@ -14,8 +14,8 @@ refusal and take ``force`` to override it.
 
 Every clause has one of the shapes in ``SHAPES``, which only ``_parts``
 reads: it spells a kind's left source, core and right source at a base
-and refuses a base too low for the kind, for spelling, ``groups`` and
-``nearest_forms`` alike. A catalog is a list of clause rows (kind,
+and refuses a base too low for the kind, for spelling, ``group_runs``
+and ``nearest_forms`` alike. A catalog is a list of clause rows (kind,
 base, left range, right range, least |x|+|y|), each family's rows made
 by one builder. Row order is output order, because the JSON ``forms``
 list is pinned byte for byte: members come row by row (left length
@@ -24,32 +24,32 @@ repeats). The only member no shape produces is the literal "baa" at
 index 4 (``KIND_LITERAL``).
 
 ``group_runs`` reads a catalog's rows once and places them in F_n
-without spelling a member, as runs of groups: the groups of one row at
-consecutive left lengths whose fields each move by a fixed step, a few
-per row. Verify cells keep the runs; ``_build`` expands them into one
-``Group`` per (row, left length) (``groups``). The seed and
-circular-cover catalogs hold
+without spelling a member, as runs of groups (``GroupRun``): the groups
+of one row at consecutive left lengths whose fields each move by a
+fixed step, a few per row. The runs are the one placed form of a
+catalog: ``enum`` and the verify cells both read them, and neither
+makes an object per group. The seed and circular-cover catalogs hold
 Theta(|F_n|^2) members and Theta(|F_n|^3) letters, so an ``EnumResult``
-keeps the groups and F_n, not the words. ``_build`` raises every
-error before anything is spelled. ``EnumResult.write_json`` and
-``write_text`` write a catalog from its groups and runs, one write per
-group's forms and per length's words (or run of lengths with one active
-start; F_n is Sturmian, so it has at most k + 1 words of length k), with
-no Python frame per form or word; the JSON is byte for byte what
-``json.dumps`` of ``to_json`` gives, and no word needs escaping, since
-each is a slice of F_n. A ``FactorForm`` is a NamedTuple, made in bulk
-by ``tuple.__new__`` and hashed as a plain tuple.
+keeps the runs and F_n, not the words. ``_build`` raises every error
+before anything is spelled. ``EnumResult.write_json`` and
+``write_text`` write a catalog from its runs and spans, one write per
+group's forms and per length's words (or span of lengths with one
+active start; F_n is Sturmian, so it has at most k + 1 words of length
+k), with no Python frame per form or word; the JSON is byte for byte
+what ``json.dumps`` of ``to_json`` gives, and no word needs escaping,
+since each is a slice of F_n. A ``FactorForm`` is a NamedTuple, made in
+bulk by ``tuple.__new__`` and hashed as a plain tuple.
 
-One walk serves the row check and the words (``_walk``): it sorts a
-catalog's groups once, by their longest members, and sweeps the lengths
-once. A group's member of length k is a prefix of its longest, so in
-that order every length's members come out sorted, with equal ones next
-to each other; and two groups that differ at one length differ at every
-longer one. So the words of a length need no set or sort, and a row's
-repeat shows where one of its two groups joins, next to a group of its
-row that it equals. ``_build`` keeps the walk's runs of lengths in the
-``EnumResult``, so no catalog is sorted twice, and no member is spelled
-more often than the output needs.
+One walk serves the row check and the words (``_walk``): it lays a
+catalog's groups out from its runs, sorts them once by their longest
+members, and sweeps the lengths once. A group's member of length k is a
+prefix of its longest, so in that order every length's members come out
+sorted, with equal ones next to each other; and two groups that differ
+at one length differ at every longer one. So the words of a length need
+no set or sort, and a row's repeat shows where one of its two groups
+joins, next to a group of its row that it equals. ``_build`` keeps the
+walk's spans of lengths in the ``EnumResult``, so no catalog is sorted
+twice, and no member is spelled more often than the output needs.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, groupby, repeat
-from operator import add, attrgetter, itemgetter
+from itertools import chain, count, groupby, islice, repeat
+from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .engine import refuse_oversize
@@ -147,31 +147,34 @@ class FactorForm(NamedTuple):
 
 @dataclass(frozen=True)
 class EnumResult:
-    """A catalog for one (index, category) cell, kept as the groups that
-    ``groups`` placed in ``subject``, which is F_n, and the ``runs`` that
-    ``_walk`` cut from them, and spelled only when read: ``forms`` are
-    the clause instances and ``words`` the deduplicated word set, by
-    length and then alphabetically. ``write_json`` and ``write_text``
-    spell one length at a time from the runs, and format each group's
-    forms from one head."""
+    """A catalog for one (index, category) cell, kept as the ``runs`` of
+    groups that ``group_runs`` placed in ``subject``, which is F_n, and
+    the ``spans`` of lengths that ``_walk`` cut from them, and spelled
+    only when read: ``forms`` are the clause instances and ``words`` the
+    deduplicated word set, by length and then alphabetically.
+    ``write_json`` and ``write_text`` spell one length at a time from the
+    spans, and format each group's forms from one head."""
 
     n: int
     category: str
     subject: str = field(repr=False)
-    groups: tuple[Group, ...] = field(repr=False)
-    runs: list[tuple[int, int, tuple[int, ...]]] = field(repr=False)
+    runs: tuple[GroupRun, ...] = field(repr=False)
+    spans: list[tuple[int, int, tuple[int, ...]]] = field(repr=False)
 
     @cached_property
     def forms(self) -> tuple[FactorForm, ...]:
-        """Each group's forms, in group order. A group's forms differ only
-        in the right length, so each group's are one C-level ``map``; no
-        two groups share a form, since a catalog lists each row once and
-        a row's groups differ in their left length."""
+        """Each group's forms, group by group in run order. Group j of a
+        run has left length l + j and the right lengths from r + j * step
+        to r + hi - lo, so each group's are one C-level ``map``; no two
+        groups share a form, since a catalog lists each row once and a
+        row's groups differ in their left length."""
         new_form = partial(tuple.__new__, FactorForm)
         return tuple(chain.from_iterable([
-            map(new_form, zip(repeat(kind), repeat(m), repeat(l),
-                              range(r, r + hi - lo + 1), repeat(literal)))
-            for _, lo, hi, _, (kind, m, l, r, literal) in self.groups]))
+            map(new_form, zip(repeat(kind), repeat(m), repeat(l + j),
+                              range(r + j * step, r + hi - lo + 1),
+                              repeat(literal)))
+            for _, c, _, lo, hi, step, (kind, m, l, r, literal) in self.runs
+            for j in range(c)]))
 
     @cached_property
     def words(self) -> tuple[str, ...]:
@@ -180,14 +183,14 @@ class EnumResult:
     def _lengths(self) -> Iterator[Iterable[str]]:
         """The words, one length at a time from the shortest, each
         length's sorted: at length k, the distinct F_n[p:p+k] of the
-        active groups' starts p. Each of ``runs`` gives the starts
+        active groups' starts p. Each of ``spans`` gives the starts
         sorted by their groups' longest members, so each length's words
         come out sorted with equal words next to each other, and
-        ``groupby`` keeps one of each. Over a run of lengths with one
+        ``groupby`` keeps one of each. Over a span of lengths with one
         active start, the words are the prefixes of one slice, spelled
         by one ``map``."""
         subject = self.subject
-        for a, b, starts in self.runs:
+        for a, b, starts in self.spans:
             if len(starts) == 1:
                 longest = subject[starts[0]:starts[0] + b - 1]
                 yield map(longest.__getitem__, map(slice, range(a, b)))
@@ -208,15 +211,16 @@ class EnumResult:
         which comes last, so the group's head (every field up to
         ``"right_len": ``) is formatted once and each form adds only its
         right length and the closing brace."""
-        for _, lo, hi, _, form in self.groups:
+        for _, c, _, lo, hi, step, form in self.runs:
             kind, m, l, r, _ = form
             if kind == KIND_LITERAL:  # a literal row spells one member
                 yield json.dumps(form.to_json())
                 continue
-            head = ('{"kind": "%s", "m": %d, "left_len": %d, "right_len": '
-                    % (kind, m, l))
-            yield head + ("}" + inner + head).join(
-                map(str, range(r, r + hi - lo + 1))) + "}"
+            for j in range(c):
+                head = ('{"kind": "%s", "m": %d, "left_len": %d, '
+                        '"right_len": ' % (kind, m, l + j))
+                yield head + ("}" + inner + head).join(
+                    map(str, range(r + j * step, r + hi - lo + 1))) + "}"
 
     def _word_chunks(self, inner: str) -> Iterator[str]:
         """Each item of ``_lengths``, its words joined by ``inner``."""
@@ -226,7 +230,7 @@ class EnumResult:
         """Write ``json.dumps(self.to_json())`` and a newline through
         ``write``, byte for byte, with no Python frame per form or word:
         one write per group's forms and per item of ``_lengths`` (one
-        length's words, or a run of lengths with one active start), so
+        length's words, or a span of lengths with one active start), so
         no more than one such chunk is held at a time. No word needs
         escaping: each is a slice of F_n, a word over {a, b}."""
         write('{"n": %d, "category": %s, "forms": ['
@@ -246,44 +250,55 @@ class EnumResult:
         _write_items(write, self._word_chunks, "  ", "\n", "")
 
 
-def _walk(n: int, category: str, subject: str, placed: Sequence[Group]
+def _walk(n: int, category: str, subject: str, runs: Sequence[GroupRun]
           ) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The one sweep of a catalog's groups ``placed`` in F_n, which is
-    ``subject``: check that no row repeats a member, and cut the lengths
-    the groups span wherever one joins (at its ``lo``) or leaves (after
-    its ``hi``) into the runs ``EnumResult._lengths`` spells.
+    """The one sweep of a catalog's ``runs`` of groups placed in F_n,
+    which is ``subject``: check that no row repeats a member, and cut the
+    lengths the groups span wherever one joins (at its ``lo``) or leaves
+    (after its ``hi``) into the spans ``EnumResult._lengths`` spells.
 
-    The groups are ranked once by their longest members F_n[p:p+hi],
+    Each group's start, ``lo``, ``hi`` and row are laid out from its
+    run's fields (see ``GroupRun``) by C-level ``map`` and ``chain``, and
+    the groups are ranked once by their longest members F_n[p:p+hi],
     spelled by one C-level ``map`` and dropped after the sort; at every
     length the active groups' members are then sorted by rank (see the
     module docstring). So each joining group is compared with its two
     neighbours in its row's active ranks only, one member spelled, with
-    no Python frame per length. The members of one group differ in
-    length, so no group repeats itself.
+    no Python frame per group or length. The members of one group differ
+    in length, so no group repeats itself.
 
-    Returns (a, b, starts) for each run a <= k < b of lengths at which
+    Returns (a, b, starts) for each span a <= k < b of lengths at which
     the same groups are active, with their distinct ``starts`` in rank
-    order; runs with none are left out. Raises the duplicate error of
+    order; spans with none are left out. Raises the duplicate error of
     the first repeating row in row order, named by the kind of its
-    first group in ``placed``, once the sweep is done. Verify cells name
-    a repeat through this too, so both sides name the same row."""
-    starts = list(map(attrgetter("p"), placed))
+    first run, once the sweep is done. Verify cells name a repeat
+    through this too, so both sides name the same row."""
+    if not runs:
+        return []
+    run_rows, sizes, ps, los, his, steps, _ = zip(*runs)
+    starts = list(chain.from_iterable(map(range, ps, map(sub, ps, sizes),
+                                          repeat(-1))))
+    highs = list(chain.from_iterable(map(range, his, map(add, his, sizes))))
     keys = list(map(subject.__getitem__, map(
-        slice, starts, map(add, starts, map(attrgetter("hi"), placed)))))
+        slice, starts, map(add, starts, highs))))
     order = sorted(range(len(keys)), key=keys.__getitem__)
     del keys
+    lows = list(chain.from_iterable(map(islice, map(
+        count, los, map((1).__add__, steps)), sizes)))
+    rows = list(chain.from_iterable(map(repeat, run_rows, sizes)))
     starts = list(map(starts.__getitem__, order))
-    rows = list(map(attrgetter("row"), map(placed.__getitem__, order)))
+    rows = list(map(rows.__getitem__, order))
     joins: dict[int, list[int]] = {}
     leaves: dict[int, list[int]] = {}
-    for rank, (_, lo, hi, _, _) in enumerate(map(placed.__getitem__, order)):
+    for rank, (lo, hi) in enumerate(zip(map(lows.__getitem__, order),
+                                        map(highs.__getitem__, order))):
         joins.setdefault(lo, []).append(rank)
         leaves.setdefault(hi + 1, []).append(rank)
     cuts = sorted(joins.keys() | leaves.keys())
     active: list[int] = []  # the active groups' ranks, ascending
     in_row: dict[int, list[int]] = {}  # row -> its active ranks, ascending
     repeating = set()
-    runs = []
+    spans = []
     for a, b in zip(cuts, cuts[1:]):
         for rank in leaves.get(a, ()):
             active.remove(rank)
@@ -299,13 +314,13 @@ def _walk(n: int, category: str, subject: str, placed: Sequence[Group]
                         member, starts[mates[i + 1]]))):
                 repeating.add(rows[rank])
         if active:
-            runs.append((a, b, tuple(dict.fromkeys(
+            spans.append((a, b, tuple(dict.fromkeys(
                 map(starts.__getitem__, active)))))
     if repeating:
         row = min(repeating)
         raise RuntimeError(_repeat_error(n, category, next(
-            group.form.kind for group in placed if group.row == row)))
-    return runs
+            run.form.kind for run in runs if run.row == row)))
+    return spans
 
 
 def _write_items(write: Callable[[str], object],
@@ -369,13 +384,12 @@ def _build(n: int, category: str, rows_of: Callable[[int], list[Row]],
            force: bool | None = None) -> EnumResult:
     """Build the table F_0..F_n (the one index guard read) and, unless
     ``force`` is None (the linear catalogs), check the size refusal;
-    then place the catalog ``rows_of(n)`` as groups (``groups``: the
-    runs of ``group_runs``, which raises a row's other errors, expanded
-    with no Python frame per group) and walk them once (``_walk``): the
-    walk checks that no row repeats a member (repeats across rows are
-    absorbed by the set union) and cuts the runs the words are spelled
-    from. Every error is raised here, before the result spells
-    anything.
+    then place the catalog ``rows_of(n)`` as runs of groups
+    (``group_runs``, which raises a row's other errors) and walk them
+    once (``_walk``): the walk checks that no row repeats a member
+    (repeats across rows are absorbed by the set union) and cuts the
+    spans the words are spelled from. Every error is raised here, before
+    the result spells anything.
 
     No word list is kept: the walk spells each group's longest member
     once, as its sort key, and its member at the length where it joins
@@ -386,9 +400,9 @@ def _build(n: int, category: str, rows_of: Callable[[int], list[Row]],
         refuse_oversize(f"catalog enumeration at index {n}", fib_len(n),
                         force)
     subject = table[n]
-    placed = tuple(groups(table, category, rows_of))
-    return EnumResult(n, category, subject, placed,
-                      _walk(n, category, subject, placed))
+    runs = tuple(group_runs(table, category, rows_of))
+    return EnumResult(n, category, subject, runs,
+                      _walk(n, category, subject, runs))
 
 
 def _repeat_error(n: int, category: str, kind: str) -> str:
@@ -396,33 +410,16 @@ def _repeat_error(n: int, category: str, kind: str) -> str:
             f"category={category}: {kind}")
 
 
-class Group(NamedTuple):
-    """The members of one (row, left length) of a catalog, placed in
-    F_n: F_n[p:p+k] for every length k from lo to hi. ``row`` is the
-    row's place in the catalog, and ``form`` the clause instance of the
-    shortest member. ``expand`` makes these from a catalog's runs, for
-    ``enum``; verify cells keep the runs alone."""
-
-    row: int
-    lo: int
-    hi: int
-    p: int
-    form: FactorForm
-
-    def form_at(self, k: int) -> FactorForm:
-        """The clause instance of the member of length k."""
-        return self.form._replace(right_len=self.form.right_len + k - self.lo)
-
-
 class GroupRun(NamedTuple):
     """The groups of one row at ``count`` consecutive left lengths, from
-    ``form.left_len`` on, each an arithmetic step from the one before:
-    the first is Group(row, lo, hi, p, form) and the j-th ``group(j)``.
-    Each starts one letter before the last and spans one more length
-    (its ``hi`` one greater); its right length moves by ``step`` and its
-    ``lo`` by 1 + ``step``.
-    ``step`` is -1 while the least sum |x|+|y| sets the right length,
-    so all the run's groups join at one length, and 0 from there on."""
+    ``form.left_len`` on, placed in F_n. Group j, 0 <= j < ``count``,
+    stands for the members F_n[p-j:p-j+k] for every length k from
+    lo + j (1 + ``step``) to hi + j: each group starts one letter before
+    the last and spans one more length, and its right length moves by
+    ``step``. ``step`` is -1 while the least sum |x|+|y| sets the right
+    length, so all the run's groups join at one length, and 0 from there
+    on. ``row`` is the row's place in the catalog, and ``form`` the
+    clause instance of group 0's shortest member."""
 
     row: int
     count: int
@@ -432,40 +429,10 @@ class GroupRun(NamedTuple):
     step: int
     form: FactorForm
 
-    def group(self, j: int) -> Group:
-        """The j-th group of the run, 0 <= j < ``count``."""
+    def form_at(self, j: int, k: int) -> FactorForm:
+        """The clause instance of group j's member of length k."""
         kind, m, l, r, literal = self.form
-        return Group(self.row, self.lo + j * (1 + self.step), self.hi + j,
-                     self.p - j, FactorForm(kind, m, l + j, r + j * self.step,
-                                            literal))
-
-
-def _line(first: int, step: int, count: int) -> Iterable[int]:
-    """first, first + step, ... (``count`` values)."""
-    return range(first, first + step * count, step) if step else repeat(
-        first, count)
-
-
-def expand(runs: Iterable[GroupRun]) -> list[Group]:
-    """Every group of ``runs``, in order: ``group(j)`` of each run for
-    each j, made by C-level ``map`` and ``zip`` over ranges, with no
-    Python frame per group."""
-    new_group = partial(tuple.__new__, Group)
-    new_form = partial(tuple.__new__, FactorForm)
-    return list(chain.from_iterable([
-        map(new_group, zip(
-            repeat(row, c), _line(lo, 1 + step, c), range(hi, hi + c),
-            range(p, p - c, -1), map(new_form, zip(
-                repeat(kind), repeat(m), range(l, l + c), _line(r, step, c),
-                repeat(literal)))))
-        for row, c, p, lo, hi, step, (kind, m, l, r, literal) in runs]))
-
-
-def groups(table: list[str], category: str,
-           rows_of: Callable[[int], list[Row]]) -> list[Group]:
-    """The catalog ``rows_of(n)`` as groups, in row order: the runs of
-    ``group_runs``, expanded."""
-    return expand(group_runs(table, category, rows_of))
+        return FactorForm(kind, m, l + j, r + k - self.lo - j, literal)
 
 
 def _common_suffix(a: str, a_end: int, b: str, b_end: int, most: int

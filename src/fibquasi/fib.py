@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SizeLimitError
 from .words import occurrences
@@ -101,8 +102,10 @@ def decompose(k: int) -> Decomposition:
     return Decomposition(p_part, delta)
 
 
-@dataclass(frozen=True)
-class ExpansionItem:
+class ExpansionItem(NamedTuple):
+    """One factor of a tiling. A NamedTuple, so it equals the plain
+    tuple of its fields and costs no Python constructor frame."""
+
     kind: str  # KIND_BIG or KIND_SMALL
     start: int  # 1-based position in F_n
 

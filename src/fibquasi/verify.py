@@ -248,14 +248,15 @@ class _Cell:
     and leave one per length, so each is a window over those lengths in
     which group b + k is the one at length k, for the base b the window
     holds. So the schedule holds O(runs) entries, and no group of a
-    long run is made an int before it joins. A ``FactorForm`` is made
-    only to name an extra word's clauses or a repeating row.
+    long run is made an int before it joins. A ``FactorForm`` is made,
+    by ``GroupRun.form_at``, only to name an extra word's clauses or a
+    repeating row.
 
     Two groups of one row on one name at k repeat a member: the cell
     then raises the builder's error through ``closed_form._walk``, the
-    builder's own sweep of the groups, which names the first repeating
-    row in row order, and its own error from the group's form should
-    that find none."""
+    builder's own sweep of the same runs, which names the first
+    repeating row in row order, and its own error from the group's form
+    should that find none."""
 
     def __init__(self, n: int, record: Category, table: list[str]):
         self.n, self.record, self.subject = n, record, table[n]
@@ -304,10 +305,10 @@ class _Cell:
         self.events[k][3].append((ledger.append, b))
         self.events[k + count][3].append((ledger.remove, b))
 
-    def _group(self, g: int) -> closed_form.Group:
-        """Group g, made from its run."""
+    def _form_at(self, g: int, k: int) -> closed_form.FactorForm:
+        """The clause instance of group g's member of length k."""
         r = bisect_right(self.firsts, g) - 1
-        return self.runs[r].group(g - self.firsts[r])
+        return self.runs[r].form_at(g - self.firsts[r], k)
 
     def step(self, naming: engine.Naming) -> None:
         k = naming.k
@@ -325,7 +326,7 @@ class _Cell:
             if x in accepted:
                 self.missing.append(word)
                 continue
-            forms = [self._group(g).form_at(k) for g in sorted(named)
+            forms = [self._form_at(g, k) for g in sorted(named)
                      if named[g] == x]
             self.extra[word] = {"word": word, "side": "extra", "clauses": [
                 f.to_json() for f in dict.fromkeys(forms)]}
@@ -372,9 +373,9 @@ class _Cell:
             x = named[g] = names[starts[g]]
             if (rows[g], x) in pairs:
                 closed_form._walk(self.n, self.record.name, self.subject,
-                                  closed_form.expand(self.runs))
+                                  self.runs)
                 raise RuntimeError(closed_form._repeat_error(
-                    self.n, self.record.name, self._group(g).form.kind))
+                    self.n, self.record.name, self._form_at(g, k).kind))
             pairs.add((rows[g], x))
             counts[x] = counts.get(x, 0) + 1
             if counts[x] == 1:

@@ -1,11 +1,12 @@
 """The per-length catalog sweeps, the test references of
-``closed_form._walk``, which checks a catalog's rows and cuts its runs
+``closed_form._walk``, which checks a catalog's rows and cuts its spans
 of lengths, and of ``EnumResult._lengths``, which spells the words from
-those runs: each reference spells every active group's member again at
-every length, and finds a row's repeats and the distinct words by
-building a set."""
+those spans: each reference reads the groups one by one (see
+``placement_reference.expand``), spells every active group's member
+again at every length, and finds a row's repeats and the distinct words
+by building a set."""
 
-from fibquasi.closed_form import Group
+from placement_reference import Group
 
 
 def segments(groups: list[Group]

@@ -1,8 +1,9 @@
-"""Recompute the verify and analyze digests that
-``test_output_digests.py`` pins, through ``cli.main``, and exit 1 on a
-mismatch. It makes no ``assert``, so it checks the same under
-``python -O``, which strips them (and under which pytest would pass
-every test vacuously):
+"""Recompute the enum digests for N = 0..12 and 13-14, and the verify
+and analyze digests, that ``test_output_digests.py`` pins, through
+``cli.main``, and exit 1 on a mismatch. The N = 15-16 enum pins, about
+300 MB of output, are left to the test suite. It makes no ``assert``,
+so it checks the same under ``python -O``, which strips them (and under
+which pytest would pass every test vacuously):
 
     PYTHONPATH=src:tests python -O tests/check_output_digests.py
 
@@ -18,7 +19,8 @@ import sys
 
 from fibquasi.cli import main
 from test_output_digests import (ANALYZE_DIGEST, ANALYZE_FLAGS,
-                                 ANALYZE_WORDS, VERIFY_DIGEST, _strip_timing)
+                                 ANALYZE_WORDS, ENUM_13_14_DIGESTS,
+                                 ENUM_DIGESTS, VERIFY_DIGEST, _strip_timing)
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -27,6 +29,14 @@ def _run(argv: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stdout(out):
         code = main(argv)
     return code, out.getvalue()
+
+
+def enum_digest(flag: str, indices: range) -> str:
+    digest = hashlib.sha256()
+    for n in indices:
+        code, out = _run(["enum", str(n), f"--{flag}", "--json"])
+        digest.update(f"{code}\n{out}".encode())
+    return digest.hexdigest()
 
 
 def verify_digest() -> str:
@@ -48,8 +58,13 @@ def analyze_digest() -> str:
 def main_check() -> int:
     os.environ.pop("FIBQUASI_NMAX", None)
     failed = 0
-    for name, got, want in (("verify", verify_digest(), VERIFY_DIGEST),
-                            ("analyze", analyze_digest(), ANALYZE_DIGEST)):
+    checks = [(f"enum --{flag} 0..12", enum_digest(flag, range(13)), want)
+              for flag, want in sorted(ENUM_DIGESTS.items())]
+    checks += [(f"enum --{flag} 13..14", enum_digest(flag, range(13, 15)),
+                want) for flag, want in sorted(ENUM_13_14_DIGESTS.items())]
+    checks += [("verify", verify_digest(), VERIFY_DIGEST),
+               ("analyze", analyze_digest(), ANALYZE_DIGEST)]
+    for name, got, want in checks:
         ok = got == want
         failed += not ok
         print(f"{name}: {'ok' if ok else f'got {got}, want {want}'}")

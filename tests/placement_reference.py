@@ -1,13 +1,46 @@
 """The per-left-length placement, the test reference of
 ``closed_form.group_runs``: one ``Group`` and one ``FactorForm`` per
 (row, left length), each placed by one letter test against the last
-group's start or by a ``find``. ``closed_form.expand`` of the runs must
-give these groups, and the rows must raise the same errors."""
+group's start or by a ``find``. ``expand`` of the runs must give these
+groups, and the rows must raise the same errors."""
 
 from bisect import bisect_left
+from typing import NamedTuple
 
-from fibquasi.closed_form import (KIND_LITERAL, FactorForm, Group, _parts,
+from fibquasi.closed_form import (KIND_LITERAL, FactorForm, _parts,
                                   _repeat_error, _suffix)
+
+
+class Group(NamedTuple):
+    """The members of one (row, left length) of a catalog, placed in
+    F_n: F_n[p:p+k] for every length k from lo to hi. ``row`` is the
+    row's place in the catalog, and ``form`` the clause instance of the
+    shortest member."""
+
+    row: int
+    lo: int
+    hi: int
+    p: int
+    form: FactorForm
+
+    def form_at(self, k: int) -> FactorForm:
+        """The clause instance of the member of length k."""
+        return self.form._replace(right_len=self.form.right_len + k - self.lo)
+
+
+def expand(runs):
+    """Every group of ``runs``, in order, by the arithmetic that
+    ``GroupRun`` documents: group j of a run starts at p - j, joins at
+    lo + j (1 + step), leaves after hi + j, and has left length l + j
+    and right length r + j step."""
+    placed = []
+    for row, count, p, lo, hi, step, form in runs:
+        kind, m, l, r, literal = form
+        for j in range(count):
+            placed.append(Group(row, lo + j * (1 + step), hi + j, p - j,
+                                FactorForm(kind, m, l + j, r + j * step,
+                                           literal)))
+    return placed
 
 
 def groups_by_left_length(table, category, rows_of):

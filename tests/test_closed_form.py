@@ -15,7 +15,7 @@ from fibquasi.closed_form import (CATALOGS,
                                   _parts, catalog, enum_borders,
                                   enum_circular_covers,
                                   enum_covers, enum_left_seeds,
-                                  enum_right_seeds, enum_seeds, groups,
+                                  enum_right_seeds, enum_seeds,
                                   nearest_forms)
 from fibquasi.engine import is_seed_fast, refuse_oversize
 from fibquasi.errors import SizeLimitError
@@ -24,7 +24,13 @@ from fibquasi.words import canonical
 from fibquasi.verify import CATEGORIES
 
 from catalog_references import lengths, repeats
-from placement_reference import groups_by_left_length
+from placement_reference import expand, groups_by_left_length
+
+
+def groups(table, category, rows_of):
+    """The catalog ``rows_of(n)`` as one group per (row, left length):
+    the runs of ``group_runs``, expanded by the test reference."""
+    return expand(closed_form.group_runs(table, category, rows_of))
 
 
 def test_borders_catalog():
@@ -206,9 +212,7 @@ def _both_placements(table, rows):
             return place(table, "test", lambda n: rows)
         except (RuntimeError, ValueError) as error:
             return f"{type(error).__name__}: {error}"
-    return (outcome(lambda *args: closed_form.expand(
-                closed_form.group_runs(*args))),
-            outcome(groups_by_left_length))
+    return outcome(groups), outcome(groups_by_left_length)
 
 
 @pytest.mark.parametrize("category", CATEGORIES)
@@ -218,9 +222,9 @@ def test_runs_expand_to_the_per_left_length_groups(category):
         table = fib_words(n)
         runs = closed_form.group_runs(table, category, rows_of)
         expected = groups_by_left_length(table, category, rows_of)
-        assert closed_form.expand(runs) == expected, n
-        assert [run.group(j) for run in runs
-                for j in range(run.count)] == expected, n
+        assert expand(runs) == expected, n
+        assert [run.form_at(j, run.lo + j * (1 + run.step)) for run in runs
+                for j in range(run.count)] == [g.form for g in expected], n
     if category in ("seeds", "circular_covers"):
         assert 100 * len(runs) < len(expected), (len(runs), len(expected))
 
@@ -884,14 +888,14 @@ def test_build_finds_a_repeat_between_two_starts(monkeypatch):
 
     def placed(lo):
         return lambda table, category, rows_of: [
-            closed_form.Group(0, lo, 5, 0, form),
-            closed_form.Group(0, lo, 5, 3, form)]
-    monkeypatch.setattr(closed_form, "groups", placed(3))
+            closed_form.GroupRun(0, 1, 0, lo, 5, 0, form),
+            closed_form.GroupRun(0, 1, 3, lo, 5, 0, form)]
+    monkeypatch.setattr(closed_form, "group_runs", placed(3))
     with pytest.raises(RuntimeError, match=(
             r"^family produced duplicate members at n=7, category=test: "
             r"PlainFib$")):
         _build(7, "test", lambda k: [])
-    monkeypatch.setattr(closed_form, "groups", placed(4))
+    monkeypatch.setattr(closed_form, "group_runs", placed(4))
     assert _build(7, "test", lambda k: []).words == (
         "abaa", "abab", "abaab", "ababa")
 
@@ -934,24 +938,34 @@ def test_build_runs_no_python_frame_per_member(enumerator):
 def test_row_check_runs_no_python_frame_per_length(enumerator):
     # the lambda and ``_walk`` itself: no frame per row, group or length
     result = enumerator(14)
-    runs, calls = _python_calls(lambda: closed_form._walk(
-        14, result.category, result.subject, result.groups))
-    assert runs == result.runs
+    spans, calls = _python_calls(lambda: closed_form._walk(
+        14, result.category, result.subject, result.runs))
+    assert spans == result.spans
     assert calls <= 2, calls
 
 
-def _random_groups(rng: random.Random, subject: str, count: int
-                   ) -> list[closed_form.Group]:
-    """``count`` groups of one row placed at random in ``subject``. Some
-    sit at an earlier group's start, and some at another occurrence of
-    an earlier group's member, active at that member's length, so rows
-    that repeat a member and rows that do not both come up."""
+def _random_runs(rng: random.Random, subject: str, count: int
+                 ) -> list[closed_form.GroupRun]:
+    """``count`` runs of one row placed at random in ``subject``. Most
+    are single groups: some sit at an earlier group's start, and some at
+    another occurrence of an earlier group's member, active at that
+    member's length, so rows that repeat a member and rows that do not
+    both come up. The rest are runs of 2 to 6 groups with step -1 or
+    0."""
     form = FactorForm(KIND_PLAIN_FIB, 3)
-    placed: list[closed_form.Group] = []
+    placed: list[closed_form.GroupRun] = []
     for _ in range(count):
         pick = rng.random()
+        if pick >= 0.8 and len(subject) > 1:
+            size = rng.randint(2, min(6, len(subject)))
+            p = rng.randrange(size - 1, len(subject))
+            hi = rng.randint(1, len(subject) - p)
+            placed.append(closed_form.GroupRun(
+                0, size, p, rng.randint(1, hi), hi, rng.choice((-1, 0)),
+                form))
+            continue
         if placed and pick < 0.3:
-            _, lo, hi, p, _ = rng.choice(placed)
+            _, lo, hi, p, _ = rng.choice(expand(placed))
             k = rng.randint(lo, hi)
             if pick >= 0.15:  # another start of the member F_n[p:p+k]
                 member = subject[p:p + k]
@@ -963,38 +977,60 @@ def _random_groups(rng: random.Random, subject: str, count: int
             p = rng.randrange(len(subject))
             hi = rng.randint(1, len(subject) - p)
             lo = rng.randint(1, hi)
-        placed.append(closed_form.Group(0, lo, hi, p, form))
+        placed.append(closed_form.GroupRun(0, 1, p, lo, hi, 0, form))
     return placed
 
 
 def test_row_check_and_words_match_the_per_length_references():
     # The walk raises iff the row repeats a member. With one row per
-    # group it never raises, and equal members of two rows are still
-    # one word.
+    # run it raises iff a run repeats a member of its own, and otherwise
+    # equal members of two rows are still one word.
     rng = random.Random(5)
     subjects = [fib_word(n) for n in range(4, 12)] + [
         "".join(rng.choices("ab", k=rng.randint(3, 40))) for _ in range(40)]
-    cases = repeating = 0
+    cases = repeating = spelled = 0
     for subject in subjects:
         for _ in range(60):
-            placed = _random_groups(rng, subject, rng.randint(1, 8))
-            expected = repeats(subject, placed)
+            placed = _random_runs(rng, subject, rng.randint(1, 8))
+            expected = repeats(subject, expand(placed))
             try:
                 closed_form._walk(0, "test", subject, placed)
             except RuntimeError as error:
                 assert expected, (subject, placed, error)
             else:
                 assert not expected, (subject, placed)
-            apart = tuple(group._replace(row=row)
-                          for row, group in enumerate(placed))
-            result = closed_form.EnumResult(
-                0, "test", subject, apart,
-                closed_form._walk(0, "test", subject, apart))
-            assert ([list(item) for item in result._lengths()]
-                    == lengths(subject, placed)), (subject, placed)
+            apart = tuple(run._replace(row=row)
+                          for row, run in enumerate(placed))
+            if any(repeats(subject, expand([run])) for run in apart):
+                with pytest.raises(RuntimeError):
+                    closed_form._walk(0, "test", subject, apart)
+            else:
+                result = closed_form.EnumResult(
+                    0, "test", subject, apart,
+                    closed_form._walk(0, "test", subject, apart))
+                assert ([list(item) for item in result._lengths()]
+                        == lengths(subject, expand(placed))), (subject,
+                                                               placed)
+                spelled += any(run.count > 1 for run in placed)
             cases, repeating = cases + 1, repeating + expected
     assert cases // 10 < repeating < cases - cases // 10, (repeating,
                                                            cases)
+    assert spelled > cases // 4, (spelled, cases)
+
+
+@pytest.mark.parametrize("category", CATEGORIES)
+def test_run_forms_spell_their_members(category):
+    # group j of a run spells F_n[p-j:p-j+k] at each of its lengths k
+    rows_of = CATALOGS[category][0]
+    for n in range(13):
+        table = fib_words(n)
+        subject = table[n]
+        for run in closed_form.group_runs(table, category, rows_of):
+            for j in range(run.count):
+                start = run.p - j
+                for k in range(run.lo + j * (1 + run.step), run.hi + j + 1):
+                    assert (run.form_at(j, k).spell(table)
+                            == subject[start:start + k]), (n, run, j, k)
 
 
 def test_factor_form_contract():

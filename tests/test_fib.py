@@ -101,6 +101,16 @@ def test_expansion_examples():
         (KIND_SMALL, 12)]
 
 
+def test_expansion_item_is_a_named_tuple():
+    # an item equals and hashes as the plain tuple (kind, start)
+    item = fib.ExpansionItem(KIND_BIG, 1)
+    assert item == ("big", 1) and hash(item) == hash(("big", 1))
+    assert (item.kind, item.start) == (KIND_BIG, 1)
+    assert expansion(5, 2).items[1] == (KIND_SMALL, 3)
+    with pytest.raises(AttributeError):
+        item.start = 2
+
+
 def test_expansion_single_step():
     for n in range(2, 12):
         e = expansion(n, n - 1)
