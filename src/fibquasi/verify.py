@@ -218,12 +218,6 @@ def _diagnose(word: str, table: list[str]) -> dict:
                     "matches that no printed family instantiates"}
 
 
-# A run of at most this many groups is listed by length in a cell's
-# schedule, one int per group; a longer one is a window, which costs a
-# list per length it is open but no memory per group.
-_LISTED = 16
-
-
 class _Cell:
     """One (index, category) cell, fed each factor length k by the pass
     it shares (see ``_cells``). Each side is a set of names kept from
@@ -233,23 +227,23 @@ class _Cell:
     its start. The rule side is the event rule's accepted set, and only
     the names it reports changed are looked at again. The cell keeps the
     names on one side only, and only those are spelled. A length is quiet
-    when no group joins or leaves (no schedule entry, no open window),
-    the pass renames no start an active group sits on, and the rule
-    changes no verdict; a quiet length only adds the two counts and
-    spells the names on one side, so it costs O(1) plus their letters.
+    when no group joins or leaves (no move in the schedule), the pass
+    renames no start an active group sits on, and the rule changes no
+    verdict; a quiet length only adds the two counts and spells the
+    names on one side, so it costs O(1) plus their letters.
 
     The catalog is kept as its runs (``closed_form.group_runs``) and two
     columns, group by group in run order: each group's start and row, as
     ``array("i")``, with no Python object per group. The schedule
-    (``events``) is read off the runs: the groups of a run of at most
-    ``_LISTED`` are listed at the lengths where each joins and leaves;
-    the groups of a longer run whose ``lo`` does not move join together,
-    as one range; and the longer runs' groups join (when ``lo`` moves)
-    and leave one per length, so each is a window over those lengths in
-    which group b + k is the one at length k, for the base b the window
-    holds. So the schedule holds O(runs) entries, and no group of a
-    long run is made an int before it joins. A ``FactorForm`` is made,
-    by ``GroupRun.form_at``, only to name an extra word's clauses or a
+    (``events``) holds moves, two per run: a join at its ``lo`` and a
+    leave at ``hi + 1``. A move ``[g, stop, leaves, together]`` hands
+    over groups g..stop-1 at once at its length (the join of a run whose
+    ``step`` is -1), or group g alone, and then moves itself in place to
+    the next length with g + 1 until it reaches stop, since group j of a
+    run leaves at hi + 1 + j and, when ``step`` is 0, joins at lo + j.
+    So at most two moves per run are pending, and no group is made an
+    int before it joins. A ``FactorForm`` is made, by
+    ``GroupRun.form_at``, only to name an extra word's clauses or a
     repeating row.
 
     Two groups of one row on one name at k repeat a member: the cell
@@ -268,28 +262,11 @@ class _Cell:
             range(run.p, run.p - run.count, -1) for run in self.runs))
         self.rows = array("i", itertools.chain.from_iterable(
             map(itertools.repeat, (run.row for run in self.runs), sizes)))
-        # k -> (opening, together, closing, turns): the groups of short
-        # runs that join and leave at k, listed one by one; the ranges of
-        # groups of a longer run that join together at k; and the windows
-        # that open or close at k, as (ledger.append or .remove, b); while
-        # a window is open, group b + k joins (leaves) at k for each b in
-        # ``joining`` (``leaving``)
-        self.events: dict[int, tuple[list, list, list, list]] = (
-            defaultdict(lambda: ([], [], [], [])))
-        self.joining: list[int] = []
-        self.leaving: list[int] = []
-        events = self.events
+        # k -> the moves at k
+        self.events: dict[int, list[list]] = defaultdict(list)
         for g, (_, count, _, lo, hi, step, _) in zip(self.firsts, self.runs):
-            if count <= _LISTED:
-                for j in range(count):
-                    events[lo + j * (1 + step)][0].append(g + j)
-                    events[hi + 1 + j][2].append(g + j)
-                continue
-            if step:
-                events[lo][1].append(range(g, g + count))
-            else:
-                self._window(self.joining, g - lo, lo, count)
-            self._window(self.leaving, g - hi - 1, hi + 1, count)
+            self.events[lo].append([g, g + count, False, step < 0])
+            self.events[hi + 1].append([g, g + count, True, False])
         self.named: dict[int, int] = {}  # active group -> its start's name
         self.at: dict[int, list[int]] = {}  # start -> its active groups
         self.counts: dict[int, int] = {}  # name -> active groups named so
@@ -299,12 +276,6 @@ class _Cell:
         self.enumerated = self.expected = 0
         self.missing, self.extra = [], {}  # extra: word -> its diagnosis
 
-    def _window(self, ledger: list[int], b: int, k: int, count: int
-                ) -> None:
-        """Hold b in ``ledger`` over the ``count`` lengths from k."""
-        self.events[k][3].append((ledger.append, b))
-        self.events[k + count][3].append((ledger.remove, b))
-
     def _form_at(self, g: int, k: int) -> closed_form.FactorForm:
         """The clause instance of group g's member of length k."""
         r = bisect_right(self.firsts, g) - 1
@@ -313,11 +284,11 @@ class _Cell:
     def step(self, naming: engine.Naming) -> None:
         k = naming.k
         accepted = self.rule(naming)
-        event = self.events.pop(k, None)
+        moves = self.events.pop(k, ())
         # a quiet length (see the class docstring) moves nothing
-        if (event or self.leaving or self.joining or self.rule.changed
+        if (moves or self.rule.changed
                 or not self.at.keys().isdisjoint(naming.renamed)):
-            self._update(naming, accepted, event)
+            self._update(naming, accepted, moves)
         self.enumerated += len(self.counts)
         self.expected += len(accepted)
         named = self.named
@@ -332,24 +303,22 @@ class _Cell:
                 f.to_json() for f in dict.fromkeys(forms)]}
 
     def _update(self, naming: engine.Naming, accepted: set[int],
-                event: tuple | None) -> None:
-        """Move the groups that join, leave or are renamed at a length
-        that is not quiet, and decide again the names they and the rule
+                moves: list[list]) -> None:
+        """Make the moves of a length that is not quiet, move the groups
+        that are renamed, and decide again the names they and the rule
         changed."""
         k, names, starts, rows = naming.k, naming.names, self.starts, self.rows
         named, at, counts, pairs = self.named, self.at, self.counts, self.pairs
-        if event is None:
-            opening = closing = ()
-        else:
-            opening, together, closing, turns = event
+        opening, closing = [], []
+        for move in moves:
+            g, stop, leaves, together = move
             if together:
-                opening = [*opening, *itertools.chain.from_iterable(together)]
-            for turn, b in turns:
-                turn(b)
-        if self.leaving:
-            closing = [*closing, *[b + k for b in self.leaving]]
-        if self.joining:
-            opening = [*opening, *[b + k for b in self.joining]]
+                opening += range(g, stop)
+                continue
+            (closing if leaves else opening).append(g)
+            if g + 1 < stop:
+                move[0] = g + 1
+                self.events[k + 1].append(move)
         for g in closing:
             sharing = at[starts[g]]
             sharing.remove(g)

@@ -1,7 +1,8 @@
 """Recompute the enum digests for N = 0..12 and 13-14, and the verify
-and analyze digests, that ``test_output_digests.py`` pins, through
-``cli.main``, and exit 1 on a mismatch. The N = 15-16 enum pins, about
-300 MB of output, are left to the test suite. It makes no ``assert``,
+and analyze digests, that ``output_digests.py`` holds and
+``test_output_digests.py`` pins, through ``cli.main``, and exit 1 on a
+mismatch. It needs no package beyond the standard library. The N =
+15-16 enum pins, about 300 MB of output, are left to the test suite. It makes no ``assert``,
 so it checks the same under ``python -O``, which strips them (and under
 which pytest would pass every test vacuously):
 
@@ -18,9 +19,9 @@ import os
 import sys
 
 from fibquasi.cli import main
-from test_output_digests import (ANALYZE_DIGEST, ANALYZE_FLAGS,
-                                 ANALYZE_WORDS, ENUM_13_14_DIGESTS,
-                                 ENUM_DIGESTS, VERIFY_DIGEST, _strip_timing)
+from output_digests import (ANALYZE_DIGEST, ANALYZE_FLAGS, ANALYZE_WORDS,
+                            ENUM_13_14_DIGESTS, ENUM_DIGESTS, VERIFY_DIGEST,
+                            _strip_timing)
 
 
 def _run(argv: list[str]) -> tuple[int, str]:

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -380,19 +380,22 @@ def test_a_quiet_length_changes_no_cell_state(monkeypatch, category,
     table, record = fib_words(12), REGISTRY[category]
     cell = verify._Cell(12, record, table)
     text = table[12] * (2 if record.cyclic else 1)
-    quiet = windows = 0
+    # the last run's leave move, which hands over one group per length
+    leave = next(move for move in cell.events[cell.runs[-1].hi + 1]
+                 if move[2] and move[0] == cell.firsts[-1])
+    quiet = leaving = 0
     for naming in engine.Naming(text, len(table[12])):
-        calm = (naming.k not in cell.events and not cell.leaving
-                and not cell.joining
+        calm = (naming.k not in cell.events
                 and cell.at.keys().isdisjoint(naming.renamed))
-        windows += bool(cell.leaving)
+        leaving += any(move is leave
+                       for move in cell.events.get(naming.k, ()))
         before = _state(cell)
         cell.step(naming)
         if calm and not cell.rule.changed:
             quiet += 1
             assert _state(cell) == before, naming.k
     if extra_rows:
-        assert windows >= 19
+        assert leaving >= 19
     elif category in ("borders", "covers", "left_seeds"):
         assert 10 * quiet > 9 * len(table[12]), quiet
     monkeypatch.setattr(verify, "_Cell", _PerLengthCell)
@@ -562,22 +565,36 @@ def test_cell_and_builder_name_the_first_of_two_repeating_rows(
 
 
 def test_cell_schedules_only_the_lengths_where_a_group_joins_or_leaves():
-    # The schedule is read off the runs: a short run's groups are listed
-    # where each joins and leaves, and a longer run's join at one length
-    # or start and stop joining one per length, and start and stop
-    # leaving one per length; so a length is a key only where a group
-    # joins or leaves or just after, at most four per longer run.
+    # The schedule holds two moves per run, a join at its lo and a leave
+    # at hi + 1, and a move that hands over one group per length moves
+    # itself to the next; so each move waits at the length where the
+    # groups it hands over next join or leave, and no run ever has more
+    # than two moves pending.
     for category in ("covers", "seeds"):
         table = fib_words(20)
         cell = verify._Cell(20, REGISTRY[category], table)
-        events = set()
-        for group in groups_by_left_length(
-                table, category, closed_form.CATALOGS[category][0]):
-            events |= {group.lo, group.lo + 1, group.hi + 1, group.hi + 2}
-        assert cell.events.keys() <= events
-        assert len(cell.events) <= sum(
-            2 * run.count if run.count <= verify._LISTED else 4
-            for run in cell.runs)
+        groups = groups_by_left_length(
+            table, category, closed_form.CATALOGS[category][0])
+
+        def pending():
+            for k, moves in cell.events.items():
+                for g, stop, leaves, together in moves:
+                    # a run's groups join in order, so its first and
+                    # last group join together only if all of them do
+                    for h in ((g, stop - 1) if together else (g,)):
+                        assert k == (groups[h].hi + 1 if leaves
+                                     else groups[h].lo), (k, h)
+            # a move's stop, its run's last group + 1, names its run
+            return Counter(move[1] for moves in cell.events.values()
+                           for move in moves)
+
+        stops = itertools.accumulate(run.count for run in cell.runs)
+        assert pending() == dict.fromkeys(stops, 2)
+        for naming in engine.Naming(table[20], len(table[20])):
+            moved = naming.k in cell.events
+            cell.step(naming)
+            if moved:
+                assert max(pending().values(), default=0) <= 2, naming.k
     assert 4 * len(cell.runs) < len(cell.starts) // 10
 
 
